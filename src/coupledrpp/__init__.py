@@ -55,6 +55,7 @@ from .coupling import (
     make_pair,
     pair_config_weight,
     pair_genfun_bruteforce,
+    pair_genfun_transfer,
     verify_colored_ybe,
 )
 from .sliding import (

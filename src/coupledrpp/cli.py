@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import checks, coupling, partitions, render, rpp_core, sliding, vertex_model
-from .qt_series import QTSeries, hook_product_pair, hook_product_single
+from .qt_series import QTSeries, hook_count, hook_product_pair, hook_product_single
 
 BUDGET_STATES = 10 ** 7
 
@@ -53,10 +53,13 @@ def _emit(data, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _estimate_states(lam, max_volume: int, paired: bool) -> int:
-    cells = sum(lam)
-    states = (max_volume + 1) ** cells
-    return states * states if paired else states
+def _count_states(lam, max_volume: int, paired: bool) -> int | None:
+    """Exact number of fillings, or pairs, with volume <= max_volume: the
+    hook product at t = 1.  None when the bound alone is over the budget:
+    a nonempty shape has a filling of every volume."""
+    if lam and max_volume >= BUDGET_STATES:
+        return None
+    return hook_count(lam, max_volume, 2 if paired else 1)
 
 
 def cmd_hook(args) -> int:
@@ -70,25 +73,29 @@ def cmd_hook(args) -> int:
 def cmd_genfun(args) -> int:
     lam = _parse_shape(args.shape)
     n = args.max_volume
-    est = _estimate_states(lam, n, args.paired)
-    if est > BUDGET_STATES and not args.force:
-        print(f"error: estimated {est} states exceeds the {BUDGET_STATES} "
-              f"budget; rerun with --force", file=sys.stderr)
+    if n < 0:
+        _usage_error(f"--max-volume must be >= 0, got {n}")
+    states = _count_states(lam, n, args.paired)
+    if (states is None or states > BUDGET_STATES) and not args.force:
+        count = f"more than {n}" if states is None else states
+        print(f"error: {count} {'pairs' if args.paired else 'fillings'} exceed the "
+              f"{BUDGET_STATES} budget; rerun with --force", file=sys.stderr)
         return 2
     if args.paired:
-        brute = coupling.pair_genfun_bruteforce(lam, n, jobs=args.jobs)
+        direct = coupling.pair_genfun_transfer(lam, n)
         product = hook_product_pair(lam, n)
     else:
-        brute = QTSeries(n)
+        direct = QTSeries(n)
         for rpp in rpp_core.enumerate_rpps(lam, n):
-            brute.add_term(rpp.volume, 0)
+            direct.add_term(rpp.volume, 0)
         product = hook_product_single(lam, n)
-    ok = brute == product
+    ok = direct == product
+    # "bruteforce" / "brute force" name the direct sum, whichever engine made it
     data = {"shape": list(lam), "max_volume": n, "paired": args.paired,
-            "bruteforce": brute.terms(), "hook_product": product.terms(),
+            "bruteforce": direct.terms(), "hook_product": product.terms(),
             "status": "pass" if ok else "fail"}
     _emit(data, args.format, [
-        f"brute force : {brute}",
+        f"brute force : {direct}",
         f"hook product: {product}",
         f"status: {data['status']}",
     ])
@@ -234,14 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_hook)
 
-    p = sub.add_parser("genfun", help="brute-force generating function vs "
-                                      "the hook product")
+    about = ("generating function summed directly vs the hook product; the "
+             "'bruteforce' field holds the direct sum")
+    p = sub.add_parser("genfun", help=about, description=about)
     p.add_argument("--shape", required=True)
     p.add_argument("--max-volume", type=int, required=True)
-    p.add_argument("--paired", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--paired", action="store_true",
+                   help="pairs with their q,t statistic, summed by the "
+                        "row-transfer engine; without it, single fillings "
+                        "are enumerated")
     p.add_argument("--force", action="store_true",
-                   help="ignore the enumeration budget guard")
+                   help=f"run even when the exact count of fillings (pairs) "
+                        f"exceeds {BUDGET_STATES}")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_genfun)
 

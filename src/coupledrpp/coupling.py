@@ -318,43 +318,63 @@ def _classify(bottoms, tops, site: int) -> str:
     below = bisect_right(bottoms, site) - i
     if below == 1:
         return _ORCHID
-    assert below == 0, f"site {site}: malformed interface data"
+    if below != 0:
+        raise ValueError(f"site {site}: malformed interface data "
+                         f"(bottoms {list(bottoms)}, tops {list(tops)})")
     return _SIENNA
 
 
-def coupled_pairs(pair: PairRPP) -> list[tuple[int, int, int]]:
-    """Locations (type, row, site) of every coupled lozenge pair.
+def _lozenge_masks(bottoms, tops) -> tuple[int, int, int]:
+    """Site bitmasks (green, orchid, sienna) of one row of one tiling, from
+    its ascending bottom and top sites.  Only sites up to the highest path
+    are read: above it a row is all sienna (white) or all orchid (gray),
+    and neither meets a coupled pattern there."""
+    green = orchid = sienna = 0
+    top = max(bottoms[-1] if bottoms else -1, tops[-1] if tops else -1)
+    for site in range(top + 1):
+        kind = _classify(bottoms, tops, site)
+        if kind == _GREEN:
+            green |= 1 << site
+        elif kind == _ORCHID:
+            orchid |= 1 << site
+        else:
+            sienna |= 1 << site
+    return green, orchid, sienna
+
+
+def _row_couplings(white_row: bool, blue, red) -> tuple[int, int, int, int]:
+    """Site masks of the coupled lozenge pairs of types 1..4 in one row,
+    from each color's `_lozenge_masks`.
 
     Type 1: blue orchid against a red top face (hole slices);
     type 2: coinciding orchids (hole slices);
     type 3: coinciding siennas (particle slices);
     type 4: red sienna against a blue top face (particle slices).
     """
+    (b_green, b_orchid, b_sienna), (r_green, r_orchid, r_sienna) = blue, red
+    if white_row:
+        return b_orchid & r_green, b_orchid & r_orchid, 0, 0
+    return 0, 0, b_sienna & r_sienna, b_green & r_sienna
+
+
+def coupled_pairs(pair: PairRPP) -> list[tuple[int, int, int]]:
+    """Locations (type, row, site) of every coupled lozenge pair, by row and
+    then by site; the types are those of `_row_couplings`."""
     if pair.blue.shape != pair.red.shape:
         raise ValueError("pair members must share a shape")
     pattern = rpp_core.interaction_pattern(pair.shape)
     blue_sites = _interface_site_lists(pair.blue)
     red_sites = _interface_site_lists(pair.red)
-    top = 2 + max((max(s) if s else 0 for s in blue_sites + red_sites),
-                  default=0)
     out = []
     for k in range(1, len(pattern) + 1):
-        white_row = pattern[k - 1] == PRECEQ
-        bb, bt = blue_sites[k - 1], blue_sites[k]
-        rb, rt = red_sites[k - 1], red_sites[k]
-        for site in range(top + 1):
-            blue = _classify(bb, bt, site)
-            red = _classify(rb, rt, site)
-            if white_row:
-                if blue == _ORCHID and red == _GREEN:
-                    out.append((1, k, site))
-                elif blue == _ORCHID and red == _ORCHID:
-                    out.append((2, k, site))
-            else:
-                if blue == _SIENNA and red == _SIENNA:
-                    out.append((3, k, site))
-                elif blue == _GREEN and red == _SIENNA:
-                    out.append((4, k, site))
+        masks = _row_couplings(pattern[k - 1] == PRECEQ,
+                               _lozenge_masks(blue_sites[k - 1], blue_sites[k]),
+                               _lozenge_masks(red_sites[k - 1], red_sites[k]))
+        hits = masks[0] | masks[1] | masks[2] | masks[3]  # one type per site
+        for site in range(hits.bit_length()):
+            if hits >> site & 1:
+                kind = next(i for i, m in enumerate(masks, 1) if m >> site & 1)
+                out.append((kind, k, site))
     return out
 
 
@@ -364,18 +384,17 @@ def g_via_lozenges(pair: PairRPP) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force generating function
+# The q,t generating function of pairs
 
 
-def pair_genfun_bruteforce(lam, max_total: int, jobs: int = 1) -> QTSeries:
-    """Sum of q^(total volume) t^g over all pairs with volume <= max_total.
+def pair_genfun_bruteforce(lam, max_total: int) -> QTSeries:
+    """Sum of q^(total volume) t^g over all pairs with volume <= max_total,
+    one pair at a time: the reference oracle for `pair_genfun_transfer`.
 
     Desk scale only; the caller is responsible for keeping the enumeration
     within budget (roughly cells * max_total <= 60).
     """
     lam = normalize(lam)
-    if jobs > 1:
-        return _pair_genfun_parallel(lam, max_total, jobs)
     series = QTSeries(max_total)
     for blue, red in rpp_core.enumerate_pairs(lam, max_total):
         g = g_via_lozenges(make_pair(blue, red))
@@ -383,25 +402,59 @@ def pair_genfun_bruteforce(lam, max_total: int, jobs: int = 1) -> QTSeries:
     return series
 
 
-def _genfun_shard(args):
-    lam, max_total, blue_rows = args
-    blue = rpp_core.validate(lam, blue_rows)
-    out = {}
-    for red in rpp_core.enumerate_rpps(lam, max_total - blue.volume):
-        g = g_via_lozenges(make_pair(blue, red))
-        key = (blue.volume + red.volume, g)
-        out[key] = out.get(key, 0) + 1
-    return out
+def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
+    """The same series as `pair_genfun_bruteforce`, one row of the colored
+    model at a time, without building a filling.
 
-
-def _pair_genfun_parallel(lam, max_total: int, jobs: int) -> QTSeries:
-    from concurrent.futures import ProcessPoolExecutor
-
-    shards = [(lam, max_total, [list(r) for r in blue.rows])
-              for blue in rpp_core.enumerate_rpps(lam, max_total)]
+    g is a sum of per-row terms, each reading interfaces k-1 and k of both
+    colors, and the volume is the sum of the slice sizes.  After interface
+    k a state is a (blue slice, red slice) pair holding the number of
+    partial slice chains per (volume so far, g so far).  Row k extends both
+    slices by every interlacing next slice within the shared volume budget
+    and adds the row's coupled lozenge count to g; the last row closes both
+    chains at ().
+    """
+    lam = normalize(lam)
     series = QTSeries(max_total)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for partial in pool.map(_genfun_shard, shards, chunksize=8):
-            for (n, k), c in sorted(partial.items()):
-                series.add_term(n, k, c)
+    pattern = rpp_core.interaction_pattern(lam)
+    lengths = rpp_core.diagonal_sizes(lam) + [0]
+    zetas = vertex_model.interface_zetas(pattern)
+    states = {((), ()): {(0, 0): 1}}
+    for k, rel in enumerate(pattern, start=1):
+        white_row = rel == PRECEQ
+        lowest = {}  # slice -> least volume of a state holding it
+        for (blue, red), counts in states.items():
+            low = min(v for v, _g in counts)
+            for mu in (blue, red):
+                lowest[mu] = min(low, lowest.get(mu, low))
+        # every next slice of each slice, smallest first, with its row masks
+        moves = {}
+        for mu, low in lowest.items():
+            bottoms = sorted(vertex_model.interface_sites(mu, zetas[k - 1]))
+            moves[mu] = sorted(
+                ((sum(nu), nu, _lozenge_masks(
+                    bottoms, sorted(vertex_model.interface_sites(nu, zetas[k]))))
+                 for nu in rpp_core.next_slices(mu, rel, lengths[k - 1],
+                                                max_total - low)),
+                key=lambda move: move[0])
+        extended = {}
+        for (blue, red), counts in states.items():
+            spare = max_total - min(v for v, _g in counts)
+            for b_size, b_next, b_masks in moves[blue]:
+                if b_size > spare:
+                    break
+                for r_size, r_next, r_masks in moves[red]:
+                    size = b_size + r_size
+                    if size > spare:
+                        break
+                    gain = sum(mask.bit_count() for mask in
+                               _row_couplings(white_row, b_masks, r_masks))
+                    out = extended.setdefault((b_next, r_next), {})
+                    for (v, g), c in counts.items():
+                        if v + size <= max_total:
+                            key = (v + size, g + gain)
+                            out[key] = out.get(key, 0) + c
+        states = extended
+    for (n, g), c in sorted(states.get(((), ()), {}).items()):
+        series.add_term(n, g, c)
     return series

@@ -133,6 +133,18 @@ def hook_product_single(lam, trunc_q: int) -> QTSeries:
     return out
 
 
+def hook_count(lam, trunc_q: int, colors: int = 1) -> int:
+    """Number of fillings (colors=1) or pairs (colors=2) with total volume
+    <= trunc_q >= 0: the coefficient sum of the hook product at t = 1,
+    prod 1/(1-q^hook)^colors, in plain integers."""
+    hooks = partitions.hook_lengths(lam) * colors
+    coeffs = [1] + [0] * (trunc_q if hooks else 0)
+    for h in hooks:
+        for n in range(h, trunc_q + 1):
+            coeffs[n] += coeffs[n - h]
+    return sum(coeffs)
+
+
 def hook_product_pair(lam, trunc_q: int) -> QTSeries:
     """Product over cells of 1/((1 - q^hook)(1 - q^hook t)), truncated."""
     out = QTSeries.one(trunc_q)

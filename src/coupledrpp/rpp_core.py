@@ -236,6 +236,15 @@ def _interlacing_below(prev, max_len: int, budget: int) -> Iterator[tuple[int, .
     yield from gen(1, budget)
 
 
+def next_slices(prev, rel: str, max_len: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Every slice nu that may follow prev across a step of relation rel
+    (prev <= nu for PRECEQ, nu <= prev for SUCCEQ), with len(nu) <= max_len
+    and |nu| <= budget, largest first part first."""
+    if rel == PRECEQ:
+        return _interlacing_above(prev, max_len, budget)
+    return _interlacing_below(prev, max_len, budget)
+
+
 def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
     """Every RPP of the shape with volume <= max_volume, exactly once,
     in lexicographic order of the reading word (rows bottom-up)."""
@@ -256,11 +265,7 @@ def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
                 return
             found.append(from_slices(SliceSequence(pattern, tuple(chain) + ((),))))
             return
-        rel = pattern[k - 1]
-        d = sizes[k - 1]
-        cands = (_interlacing_above(prev, d, max_volume - used) if rel == PRECEQ
-                 else _interlacing_below(prev, d, max_volume - used))
-        for nu in cands:
+        for nu in next_slices(prev, pattern[k - 1], sizes[k - 1], max_volume - used):
             chain.append(nu)
             extend(k + 1, nu, chain, used + sum(nu))
             chain.pop()

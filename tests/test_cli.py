@@ -71,6 +71,29 @@ def test_genfun_paired_json(capsys):
     assert data["bruteforce"] == data["hook_product"]
 
 
+# stdout of this call before the row-transfer engine replaced the
+# pair-by-pair sum; the engine must reproduce it byte for byte
+PAIRED_21_N6_JSON = (
+    '{"bruteforce": [[0, 0, 1], [1, 0, 2], [1, 1, 2], [2, 0, 3], [2, 1, 4], '
+    '[2, 2, 3], [3, 0, 5], [3, 1, 7], [3, 2, 6], [3, 3, 4], [4, 0, 7], '
+    '[4, 1, 12], [4, 2, 11], [4, 3, 8], [4, 4, 5], [5, 0, 9], [5, 1, 17], '
+    '[5, 2, 19], [5, 3, 15], [5, 4, 10], [5, 5, 6], [6, 0, 12], [6, 1, 23], '
+    '[6, 2, 28], [6, 3, 26], [6, 4, 19], [6, 5, 12], [6, 6, 7]], '
+    '"hook_product": [[0, 0, 1], [1, 0, 2], [1, 1, 2], [2, 0, 3], [2, 1, 4], '
+    '[2, 2, 3], [3, 0, 5], [3, 1, 7], [3, 2, 6], [3, 3, 4], [4, 0, 7], '
+    '[4, 1, 12], [4, 2, 11], [4, 3, 8], [4, 4, 5], [5, 0, 9], [5, 1, 17], '
+    '[5, 2, 19], [5, 3, 15], [5, 4, 10], [5, 5, 6], [6, 0, 12], [6, 1, 23], '
+    '[6, 2, 28], [6, 3, 26], [6, 4, 19], [6, 5, 12], [6, 6, 7]], '
+    '"max_volume": 6, "paired": true, "shape": [2, 1], "status": "pass"}\n')
+
+
+def test_genfun_paired_json_bytes(capsys):
+    code, out = run(capsys, "genfun", "--shape", "[2,1]", "--max-volume", "6",
+                    "--paired", "--format", "json")
+    assert code == 0
+    assert out == PAIRED_21_N6_JSON
+
+
 def test_genfun_empty_shape(capsys):
     code, out = run(capsys, "genfun", "--shape", "[]", "--max-volume", "3",
                     "--paired", "--format", "json")
@@ -79,9 +102,30 @@ def test_genfun_empty_shape(capsys):
 
 
 def test_genfun_budget_guard(capsys):
-    code = cli.main(["genfun", "--shape", "[3,2,1]", "--max-volume", "10",
+    # (3,2,1) at N=26 has 14,494,811 pairs, over the 10^7 budget
+    code = cli.main(["genfun", "--shape", "[3,2,1]", "--max-volume", "26",
                      "--paired"])
     assert code == 2  # refused without --force
+    assert "14494811 pairs" in capsys.readouterr().err
+
+
+def test_genfun_budget_counts_exactly(capsys):
+    # 18,263 pairs: within budget, so no --force is needed
+    code, out = run(capsys, "genfun", "--shape", "[3,2,1]", "--max-volume", "10",
+                    "--paired")
+    assert code == 0 and "status: pass" in out
+
+
+def test_genfun_budget_huge_bound(capsys):
+    # refused from the bound alone, without building a series that long
+    code = cli.main(["genfun", "--shape", "[1]", "--max-volume", str(10 ** 12)])
+    assert code == 2
+
+
+def test_genfun_negative_bound_exits_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["genfun", "--shape", "[2,1]", "--max-volume", "-1"])
+    assert err.value.code == 2
 
 
 def test_ybe_smoke(capsys):

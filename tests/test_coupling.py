@@ -177,9 +177,44 @@ def test_pair_genfun_matches_hook_product():
     assert C.pair_genfun_bruteforce((), 4) == hook_product_pair((), 4)
 
 
-def test_pair_genfun_parallel_matches_serial():
-    assert C.pair_genfun_bruteforce((2, 1), 5, jobs=2) == \
-        C.pair_genfun_bruteforce((2, 1), 5)
+def test_classify_rejects_malformed_interfaces():
+    # two bottom paths at or below site 1 and no top path: not a tiling row
+    with pytest.raises(ValueError, match="malformed"):
+        C._classify([0, 1], [], 1)
+    with pytest.raises(ValueError, match="malformed"):
+        C._lozenge_masks([0, 1, 2], [2])
+    assert C._classify([0], [], 0) == C._ORCHID
+    assert C._classify([0], [0], 0) == C._GREEN
+    assert C._classify([1], [0], 1) == C._SIENNA
+
+
+def test_transfer_matches_bruteforce_small_shapes():
+    for lam in P.all_partitions(4):
+        assert C.pair_genfun_transfer(lam, 6) == C.pair_genfun_bruteforce(lam, 6), lam
+
+
+def test_transfer_matches_bruteforce_larger_shapes():
+    assert C.pair_genfun_transfer((3, 2, 1), 8) == C.pair_genfun_bruteforce((3, 2, 1), 8)
+    lam = (4, 4, 3, 3, 1)
+    assert C.pair_genfun_transfer(lam, 7) == C.pair_genfun_bruteforce(lam, 7)
+
+
+@pytest.mark.parametrize("lam,n", [((3, 2, 1), 20), ((4, 3, 2, 1), 16),
+                                   ((4, 4, 3, 3, 1), 12)])
+def test_transfer_matches_hook_product_at_scale(lam, n):
+    # 1.86 M, 4.2 M and 0.42 M pairs: out of the brute force's reach
+    assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
+
+
+def test_transfer_edge_cases():
+    assert C.pair_genfun_transfer((), 4).terms() == [(0, 0, 1)]
+    assert C.pair_genfun_transfer((), 0).terms() == [(0, 0, 1)]
+    assert C.pair_genfun_transfer((2, 1), 0).terms() == [(0, 0, 1)]
+    assert C.pair_genfun_transfer((1,), 2) == C.pair_genfun_bruteforce((1,), 2)
+    assert C.pair_genfun_transfer((1,), 2).terms() == \
+        [(0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 0, 1), (2, 1, 1), (2, 2, 1)]
+    with pytest.raises(ValueError):
+        C.pair_genfun_transfer((1,), -1)
 
 
 def test_pair_json_roundtrip():

@@ -6,6 +6,7 @@ from coupledrpp import partitions as P
 from coupledrpp.qt_series import (
     QTSeries,
     geometric_inverse,
+    hook_count,
     hook_product_pair,
     hook_product_single,
 )
@@ -74,6 +75,15 @@ def test_hook_product_pair_examples():
     assert hook_product_pair((1,), 2) == want
     assert hook_product_pair((1,), 2).t_zero_slice().terms() == \
         [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
+
+
+def test_hook_count_is_the_product_at_t_one():
+    for lam in P.all_partitions(5):
+        for n in (0, 3, 7):
+            assert hook_count(lam, n) == sum(hook_product_single(lam, n).q_coefficients())
+            assert hook_count(lam, n, 2) == sum(hook_product_pair(lam, n).q_coefficients())
+    assert hook_count((3, 2, 1), 8, 2) == 5307
+    assert hook_count((), 10 ** 9, 2) == 1  # no series built for the empty shape
 
 
 def test_pair_t_zero_slice_is_single_product():

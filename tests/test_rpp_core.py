@@ -86,6 +86,18 @@ def test_slice_roundtrip_exhaustive():
             assert R.from_slices(R.to_slices(rpp)) == rpp
 
 
+def test_next_slices_is_the_interlacing_filter():
+    for prev in P.all_partitions(4):
+        for max_len in range(4):
+            for budget in range(7):
+                fits = [nu for nu in P.all_partitions(budget) if len(nu) <= max_len]
+                assert sorted(R.next_slices(prev, PRECEQ, max_len, budget)) == \
+                    sorted(nu for nu in fits if P.interlaces(prev, nu))
+                assert sorted(R.next_slices(prev, SUCCEQ, max_len, budget)) == \
+                    sorted(nu for nu in fits if P.interlaces(nu, prev))
+    assert list(R.next_slices((2, 1), PRECEQ, 2, 4)) == [(3, 1), (2, 2), (2, 1)]
+
+
 def test_enumerate_single_cell():
     rpps = list(R.enumerate_rpps((1,), 4))
     assert [r.rows for r in rpps] == [((v,),) for v in range(5)]
