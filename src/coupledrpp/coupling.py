@@ -402,6 +402,52 @@ def pair_genfun_bruteforce(lam, max_total: int) -> QTSeries:
     return series
 
 
+def _live_moves(lam, pattern, max_total: int) -> list[dict]:
+    """Row by row, every move mu -> nu of one color's slice chain that lies
+    on some chain closing at () with volume <= max_total.
+
+    Each row maps mu to its moves (need, |nu|, nu, masks), smallest need
+    first: need is |nu| plus the least volume the chain still takes after
+    nu, and masks are the row's `_lozenge_masks`.  A forward pass finds the
+    least volume that reaches each slice, a backward pass the least volume
+    that closes from it.
+    """
+    lengths = rpp_core.diagonal_sizes(lam) + [0]
+    zetas = vertex_model.interface_zetas(pattern)
+    reach = [{(): 0}]  # per interface: slice -> least volume up to it
+    steps = []
+    for k, rel in enumerate(pattern, start=1):
+        step, nxt = {}, {}
+        for mu, low in reach[-1].items():
+            step[mu] = [(sum(nu), nu) for nu in rpp_core.next_slices(
+                mu, rel, lengths[k - 1], max_total - low)]
+            for size, nu in step[mu]:
+                if low + size < nxt.get(nu, max_total + 1):
+                    nxt[nu] = low + size
+        steps.append(step)
+        reach.append(nxt)
+    rest = {(): 0} if () in reach[-1] else {}  # slice -> least volume after it
+    rows = []
+    for k in range(len(pattern), 0, -1):
+        row, before = {}, {}
+        for mu, low in reach[k - 1].items():
+            moves = [(size + rest[nu], size, nu) for size, nu in steps[k - 1][mu]
+                     if nu in rest and low + size + rest[nu] <= max_total]
+            if not moves:
+                continue
+            bottoms = sorted(vertex_model.interface_sites(mu, zetas[k - 1]))
+            row[mu] = sorted(
+                ((need, size, nu, _lozenge_masks(
+                    bottoms, sorted(vertex_model.interface_sites(nu, zetas[k]))))
+                 for need, size, nu in moves),
+                key=lambda move: move[0])
+            before[mu] = row[mu][0][0]
+        rows.append(row)
+        rest = before
+    rows.reverse()
+    return rows
+
+
 def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
     """The same series as `pair_genfun_bruteforce`, one row of the colored
     model at a time, without building a filling.
@@ -410,48 +456,33 @@ def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
     colors, and the volume is the sum of the slice sizes.  After interface
     k a state is a (blue slice, red slice) pair holding the number of
     partial slice chains per (volume so far, g so far).  Row k extends both
-    slices by every interlacing next slice within the shared volume budget
-    and adds the row's coupled lozenge count to g; the last row closes both
-    chains at ().
+    slices by the next slices of `_live_moves` and adds the row's coupled
+    lozenge count to g, keeping only partial chains that can still close
+    within the volume budget; the last row closes both chains at ().
     """
     lam = normalize(lam)
     series = QTSeries(max_total)
     pattern = rpp_core.interaction_pattern(lam)
-    lengths = rpp_core.diagonal_sizes(lam) + [0]
-    zetas = vertex_model.interface_zetas(pattern)
     states = {((), ()): {(0, 0): 1}}
-    for k, rel in enumerate(pattern, start=1):
+    for rel, moves in zip(pattern, _live_moves(lam, pattern, max_total)):
         white_row = rel == PRECEQ
-        lowest = {}  # slice -> least volume of a state holding it
-        for (blue, red), counts in states.items():
-            low = min(v for v, _g in counts)
-            for mu in (blue, red):
-                lowest[mu] = min(low, lowest.get(mu, low))
-        # every next slice of each slice, smallest first, with its row masks
-        moves = {}
-        for mu, low in lowest.items():
-            bottoms = sorted(vertex_model.interface_sites(mu, zetas[k - 1]))
-            moves[mu] = sorted(
-                ((sum(nu), nu, _lozenge_masks(
-                    bottoms, sorted(vertex_model.interface_sites(nu, zetas[k]))))
-                 for nu in rpp_core.next_slices(mu, rel, lengths[k - 1],
-                                                max_total - low)),
-                key=lambda move: move[0])
         extended = {}
         for (blue, red), counts in states.items():
             spare = max_total - min(v for v, _g in counts)
-            for b_size, b_next, b_masks in moves[blue]:
-                if b_size > spare:
+            for b_need, b_size, b_next, b_masks in moves[blue]:
+                if b_need > spare:
                     break
-                for r_size, r_next, r_masks in moves[red]:
-                    size = b_size + r_size
-                    if size > spare:
+                for r_need, r_size, r_next, r_masks in moves[red]:
+                    if b_need + r_need > spare:
                         break
-                    gain = sum(mask.bit_count() for mask in
-                               _row_couplings(white_row, b_masks, r_masks))
+                    size = b_size + r_size
+                    room = max_total - b_need - r_need
+                    # a site holds at most one coupled type
+                    m1, m2, m3, m4 = _row_couplings(white_row, b_masks, r_masks)
+                    gain = (m1 | m2 | m3 | m4).bit_count()
                     out = extended.setdefault((b_next, r_next), {})
                     for (v, g), c in counts.items():
-                        if v + size <= max_total:
+                        if v <= room:
                             key = (v + size, g + gain)
                             out[key] = out.get(key, 0) + c
         states = extended

@@ -217,6 +217,27 @@ def test_transfer_edge_cases():
         C.pair_genfun_transfer((1,), -1)
 
 
+@pytest.mark.parametrize("lam,n", [((3, 2, 1), 5), ((4, 1), 4), ((2, 2), 4), ((3,), 6)])
+def test_live_moves_are_the_moves_of_closed_chains(lam, n):
+    # exactly the slice steps taken by some filling of volume <= n
+    pattern = R.interaction_pattern(lam)
+    taken = set()
+    for rpp in R.enumerate_rpps(lam, n):
+        chain = R.to_slices(rpp).slices
+        taken.update((k, chain[k], chain[k + 1]) for k in range(len(pattern)))
+    rows = C._live_moves(lam, pattern, n)
+    live = {(k, mu, nu) for k, row in enumerate(rows)
+            for mu, moves in row.items() for _need, _size, nu, _masks in moves}
+    assert live == taken
+
+
+def test_live_moves_need_the_volume_still_to_come():
+    # (6,) is a weakly increasing row: a first entry a costs at least 6a
+    first = C._live_moves((6,), R.interaction_pattern((6,)), 14)[0][()]
+    assert [(need, size, nu) for need, size, nu, _masks in first] == \
+        [(0, 0, ()), (6, 1, (1,)), (12, 2, (2,))]
+
+
 def test_pair_json_roundtrip():
     text = C.pair_to_json(WORKED_PAIR)
     assert C.pair_from_json(text) == WORKED_PAIR
