@@ -23,14 +23,22 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
+def _checked(what: str, fn, *args):
+    """fn(*args), where fn parses or validates input: malformed input (bad
+    JSON, a missing key, a value the validation rejects) is a usage error,
+    not a traceback.  Failed verifications are return codes, never caught."""
+    try:
+        return fn(*args)
+    except KeyError as exc:
+        _usage_error(f"bad {what}: missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        _usage_error(f"bad {what}: {exc}")
+
+
 def _parse_shape(text: str) -> tuple[int, ...]:
     if text is None:
         _usage_error("a --shape argument is required here")
-    try:
-        data = json.loads(text)
-        return partitions.normalize(data)
-    except (ValueError, TypeError) as exc:
-        _usage_error(f"bad shape {text!r}: {exc}")
+    return _checked(f"shape {text!r}", lambda: partitions.normalize(json.loads(text)))
 
 
 def _read_input(path: str) -> str:
@@ -53,13 +61,21 @@ def _emit(data, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _count_states(lam, max_volume: int, paired: bool) -> int | None:
-    """Exact number of fillings, or pairs, with volume <= max_volume: the
-    hook product at t = 1.  None when the bound alone is over the budget:
-    a nonempty shape has a filling of every volume."""
+def _over_budget(lam, max_volume: int, paired: bool) -> str | None:
+    """Why a run over every filling, or pair, with volume <= max_volume is
+    refused, or None when their exact number (the hook product at t = 1)
+    is within the budget.  A nonempty shape has a filling of every volume,
+    so a bound over the budget is refused without counting."""
+    if max_volume < 0:
+        _usage_error(f"--max-volume must be >= 0, got {max_volume}")
     if lam and max_volume >= BUDGET_STATES:
-        return None
-    return hook_count(lam, max_volume, 2 if paired else 1)
+        count = f"more than {max_volume}"
+    else:
+        count = hook_count(lam, max_volume, 2 if paired else 1)
+        if count <= BUDGET_STATES:
+            return None
+    return (f"{count} {'pairs' if paired else 'fillings'} exceed the "
+            f"{BUDGET_STATES} budget")
 
 
 def cmd_hook(args) -> int:
@@ -73,13 +89,9 @@ def cmd_hook(args) -> int:
 def cmd_genfun(args) -> int:
     lam = _parse_shape(args.shape)
     n = args.max_volume
-    if n < 0:
-        _usage_error(f"--max-volume must be >= 0, got {n}")
-    states = _count_states(lam, n, args.paired)
-    if (states is None or states > BUDGET_STATES) and not args.force:
-        count = f"more than {n}" if states is None else states
-        print(f"error: {count} {'pairs' if args.paired else 'fillings'} exceed the "
-              f"{BUDGET_STATES} budget; rerun with --force", file=sys.stderr)
+    refusal = _over_budget(lam, n, args.paired)
+    if refusal and not args.force:
+        print(f"error: {refusal}; rerun with --force", file=sys.stderr)
         return 2
     if args.paired:
         direct = coupling.pair_genfun_transfer(lam, n)
@@ -103,16 +115,15 @@ def cmd_genfun(args) -> int:
 
 
 def _parse_samples(text: str, arity: int):
-    try:
-        rows = json.loads(text)
+    def parse():
         out = []
-        for row in rows:
+        for row in json.loads(text):
             if len(row) != arity:
-                _usage_error(f"sample {row} needs {arity} entries")
+                raise ValueError(f"sample {row} needs {arity} entries")
             out.append(tuple(Fraction(str(v)) for v in row))
         return out
-    except (ValueError, TypeError) as exc:
-        _usage_error(f"bad samples {text!r}: {exc}")
+
+    return _checked(f"samples {text!r}", parse)
 
 
 def cmd_ybe(args) -> int:
@@ -122,8 +133,9 @@ def cmd_ybe(args) -> int:
         if args.smoke:
             reports = []
             for kind in (vertex_model.WHITE_WHITE, vertex_model.WHITE_GRAY):
-                x, y = samples[0]
-                lhs, rhs = vertex_model._ybe_sides(kind, x, y, (0,) * 6)
+                tables = vertex_model.ybe_tables(kind, *samples[0])
+                lhs, rhs = (side.get((0,) * 6, 0)
+                            for side in vertex_model.ybe_sweep(*tables))
                 reports.append({"kind": kind, "checked": 1,
                                 "violations": [] if lhs == rhs else
                                 [{"boundary": [0] * 6, "lhs": str(lhs), "rhs": str(rhs)}],
@@ -150,6 +162,10 @@ def cmd_ybe(args) -> int:
 def cmd_slide(args) -> int:
     if args.roundtrip:
         lam = _parse_shape(args.shape)
+        refusal = _over_budget(lam, args.max_volume, paired=True)
+        if refusal:
+            print(f"error: {refusal}", file=sys.stderr)
+            return 2
         count = 0
         for rpp in rpp_core.enumerate_rpps(lam, args.max_volume):
             pair = sliding.unslide(rpp)
@@ -170,10 +186,12 @@ def cmd_slide(args) -> int:
         return 0
     text = _read_input(args.input)
     if args.direction == "slide":
-        pair = coupling.pair_from_json(text)
+        pair = _checked("pair", coupling.pair_from_json, text)
+        if not sliding.check_t0_constraints(pair):
+            _usage_error("the pair has g > 0; only g = 0 pairs slide")
         print(rpp_core.rpp_to_json(sliding.slide(pair)))
     else:
-        rpp = rpp_core.rpp_from_json(text)
+        rpp = _checked("filling", rpp_core.rpp_from_json, text)
         print(coupling.pair_to_json(sliding.unslide(rpp)))
     return 0
 
@@ -182,15 +200,15 @@ def cmd_render(args) -> int:
     if args.object == "maya":
         lam = _parse_shape(args.shape)
         width = args.half_width or max(len(lam), lam[0] if lam else 0) + 2
-        out = render.maya_ascii(partitions.maya(lam, width))
+        out = render.maya_ascii(_checked("--half-width", partitions.maya, lam, width))
     elif args.object == "rpp":
         if args.input:
-            rpp = rpp_core.rpp_from_json(_read_input(args.input))
+            rpp = _checked("filling", rpp_core.rpp_from_json, _read_input(args.input))
         else:
             rpp = rpp_core.zero_rpp(_parse_shape(args.shape))
         out = render.rpp_svg(rpp) if args.format == "svg" else render.rpp_ascii(rpp)
     elif args.object == "pair":
-        pair = coupling.pair_from_json(_read_input(args.input))
+        pair = _checked("pair", coupling.pair_from_json, _read_input(args.input))
         if args.format == "svg":
             out = render.pair_svg(pair)
         else:
@@ -198,7 +216,7 @@ def cmd_render(args) -> int:
                 render.rpp_ascii(pair.blue), render.rpp_ascii(pair.red))
     elif args.object == "config":
         if args.input:
-            rpp = rpp_core.rpp_from_json(_read_input(args.input))
+            rpp = _checked("filling", rpp_core.rpp_from_json, _read_input(args.input))
         else:
             rpp = rpp_core.zero_rpp(_parse_shape(args.shape))
         out = vertex_model.config_to_json(vertex_model.rpp_to_config(rpp.shape, rpp))

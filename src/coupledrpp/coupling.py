@@ -30,9 +30,7 @@ from .vertex_model import (
     Monomial,
     VERTICAL,
     WHITE,
-    cross_state,
     cross_weight,
-    vertex_state,
     white_weight,
 )
 
@@ -87,21 +85,6 @@ _GRAY_TABLE_VERBATIM = {
 }
 
 
-def _check_gray_table() -> None:
-    """The published table and the per-color factorization must agree
-    exactly, as monomials in x and t."""
-    x, t = Monomial(1, 0), Monomial(0, 1)
-    for (vb, vr), (xe, te) in _GRAY_TABLE_VERBATIM.items():
-        got = colored_gray_weight(vb, vr, x, t)
-        if got != Monomial(xe, te):
-            raise AssertionError(
-                f"gray table mismatch at {(vb, vr)}: formula {got}, "
-                f"table x^{xe} t^{te}")
-
-
-_check_gray_table()
-
-
 def colored_cross_weight(c_blue, c_red, z, t):
     """Blue crossing weight at z / t^r where r flags a red NW-SE strand."""
     if c_blue not in ALLOWED_CROSSINGS or c_red not in ALLOWED_CROSSINGS:
@@ -121,69 +104,29 @@ COLORED_SAMPLES = (
 )
 
 
-def _colored_ybe_sides(x, y, t, boundary):
-    """Gray-below-white with the cross on the left vs the swapped stack;
-    each boundary edge carries a (blue, red) pair of bits.
+def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
+    """All 4^6 colored boundary assignments at every sample point: gray row
+    x below white row y, each edge a (blue, red) pair of bits.
 
     The crossing parameter is z = x y t: gray weights are white weights at
     1/(x t) up to a per-vertex factor, so the white-white crossing parameter
     y/x turns into x y t.  At t = 1 this is the one-color value x y.
     """
-    i1, i2, i3, j1, j2, j3 = boundary
-    z = x * y * t
-
-    def pair_state(inb, inl, outt, outr):
-        vb = vertex_state(inb[0], inl[0], outt[0], outr[0])
-        vr = vertex_state(inb[1], inl[1], outt[1], outr[1])
-        return None if vb is None or vr is None else (vb, vr)
-
-    def pair_cross(lt, lb, rt, rb):
-        cb = cross_state(lt[0], lb[0], rt[0], rb[0])
-        cr = cross_state(lt[1], lb[1], rt[1], rb[1])
-        return None if cb is None or cr is None else (cb, cr)
-
     edges = [(b, r) for b in (0, 1) for r in (0, 1)]
-
-    lhs = 0
-    for a in edges:
-        for b in edges:
-            c = pair_cross(i1, i2, a, b)
-            if c is None:
-                continue
-            rc = colored_cross_weight(c[0], c[1], z, t)
-            for m in edges:
-                vb = pair_state(i3, b, m, j1)
-                vt = pair_state(m, a, j3, j2)
-                if vb is None or vt is None:
-                    continue
-                lhs += (rc * colored_gray_weight(vb[0], vb[1], x, t)
-                        * colored_white_weight(vt[0], vt[1], y, t))
-
-    rhs = 0
-    for ap in edges:
-        for bp in edges:
-            c = pair_cross(ap, bp, j2, j1)
-            if c is None:
-                continue
-            rc = colored_cross_weight(c[0], c[1], z, t)
-            for m in edges:
-                vb = pair_state(i3, i2, m, bp)
-                vt = pair_state(m, i1, j3, ap)
-                if vb is None or vt is None:
-                    continue
-                rhs += (rc * colored_white_weight(vb[0], vb[1], y, t)
-                        * colored_gray_weight(vt[0], vt[1], x, t))
-    return lhs, rhs
-
-
-def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
-    """All 4^6 colored boundary assignments at every sample point."""
-    edges = [(b, r) for b in (0, 1) for r in (0, 1)]
+    state_pairs = list(product(ALLOWED_STATES, repeat=2))
     violations = []
     checked = 0
     for x, y, t in samples:
+        z = x * y * t
+        sides = vertex_model.ybe_sweep(
+            {tuple(zip(cb, cr)): colored_cross_weight(cb, cr, z, t)
+             for cb, cr in product(ALLOWED_CROSSINGS, repeat=2)},
+            {tuple(zip(vb, vr)): colored_gray_weight(vb, vr, x, t)
+             for vb, vr in state_pairs},
+            {tuple(zip(vb, vr)): colored_white_weight(vb, vr, y, t)
+             for vb, vr in state_pairs})
         for boundary in product(edges, repeat=6):
-            lhs, rhs = _colored_ybe_sides(x, y, t, boundary)
+            lhs, rhs = (side.get(boundary, 0) for side in sides)
             checked += 1
             if lhs != rhs:
                 violations.append({"boundary": [list(e) for e in boundary],

@@ -160,7 +160,8 @@ def maya(lam, half_width: int) -> MayaDiagram:
         raise ValueError("window does not reach the constant boundary pattern")
     right = sum(1 for t in range(0, half_width) if m.is_particle(t))
     left = sum(1 for t in range(-half_width, 0) if not m.is_particle(t))
-    assert right == left, "center is not the balance point"
+    if right != left:
+        raise AssertionError(f"center is not the balance point of {lam}")
     return m
 
 

@@ -256,6 +256,12 @@ def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
     pattern = interaction_pattern(lam)
     sizes = diagonal_sizes(lam)
     n = len(pattern) - 1
+    depth = len(lam)
+    # cells[k-1]: the (row, column) indices that slice k fills, as in to_slices
+    cells = []
+    for k in range(1, n + 1):
+        r_lo, r_hi = diagonal_rows(lam, k - depth)
+        cells.append([(r - 1, r + k - depth - 1) for r in range(r_hi, r_lo - 1, -1)])
 
     found = []
 
@@ -263,24 +269,32 @@ def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
         if k == n + 1:
             if pattern[n] == PRECEQ and prev != ():
                 return
-            found.append(from_slices(SliceSequence(pattern, tuple(chain) + ((),))))
+            rows = [[0] * p for p in lam]
+            for slice_cells, sl in zip(cells, chain):
+                for (r, c), v in zip(slice_cells, sl):
+                    rows[r][c] = v
+            found.append(RPP(lam, tuple(map(tuple, rows))))
             return
         for nu in next_slices(prev, pattern[k - 1], sizes[k - 1], max_volume - used):
             chain.append(nu)
             extend(k + 1, nu, chain, used + sum(nu))
             chain.pop()
 
-    extend(1, (), [()], 0)
+    extend(1, (), [], 0)
     found.sort(key=RPP.reading_word)
     return iter(found)
 
 
 def enumerate_pairs(lam, max_total_volume: int) -> Iterator[tuple[RPP, RPP]]:
-    """Pairs (blue, red) of the same shape with total volume <= the bound."""
-    lam = normalize(lam)
-    blues = list(enumerate_rpps(lam, max_total_volume))
-    for blue in blues:
-        for red in enumerate_rpps(lam, max_total_volume - blue.volume):
+    """Pairs (blue, red) of the same shape with total volume <= the bound,
+    blue-major, each color in the order of `enumerate_rpps`."""
+    fillings = list(enumerate_rpps(lam, max_total_volume))
+    reds = {}  # spare volume -> the fillings within it, in the same order
+    for blue in fillings:
+        spare = max_total_volume - blue.volume
+        if spare not in reds:
+            reds[spare] = [red for red in fillings if red.volume <= spare]
+        for red in reds[spare]:
             yield blue, red
 
 

@@ -140,8 +140,9 @@ def slide(pair: PairRPP) -> RPP:
             target = Cell(r - shift, c - shift)
             if contains(shape, target):
                 rows[target.row - 1][target.col - 1] = source.entry(r, c)
-            else:
-                assert source.entry(r, c) == 0, "cell outside the forced region"
+            elif source.entry(r, c) != 0:
+                raise AssertionError(f"nonzero entry at {Cell(r, c)} slides off "
+                                     f"the shape outside the forced region")
     return rpp_core.validate(shape, rows)
 
 

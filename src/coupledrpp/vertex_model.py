@@ -97,11 +97,6 @@ ALLOWED_CROSSINGS = (CROSS_NWSE, CROSS_TOP, CROSS_BOTTOM, CROSS_BOTH, CROSS_EMPT
 _ALLOWED_CROSS = frozenset(ALLOWED_CROSSINGS)
 
 
-def cross_state(lt, lb, rt, rb) -> CrossState | None:
-    c = CrossState(lt, lb, rt, rb)
-    return c if c in _ALLOWED_CROSS else None
-
-
 def cross_weight(c: CrossState, z):
     """Weights 1-z, z, 1, z, 1 in the order of ALLOWED_CROSSINGS."""
     if c not in _ALLOWED_CROSS:
@@ -258,7 +253,8 @@ def rpp_to_config(lam, rpp: RPP) -> VertexConfig:
         bottoms = interface_sites(chain.slices[k - 1], zetas[k - 1])
         tops = interface_sites(chain.slices[k], zetas[k])
         states = row_states(kind, bottoms, tops, window)
-        assert states is not None, "valid RPP must produce a valid configuration"
+        if states is None:
+            raise AssertionError(f"row {k} of a valid RPP has no configuration")
         rows.append(tuple(states))
     return VertexConfig(lam, chain.pattern, chain.slices, tuple(zetas),
                         window, tuple(rows))
@@ -305,47 +301,60 @@ WHITE_WHITE = "white-white"
 WHITE_GRAY = "white-gray"
 
 
-def _ybe_sides(kind: str, x, y, boundary):
-    """Partition functions of the cross-left and cross-right diagrams."""
-    i1, i2, i3, j1, j2, j3 = boundary
+def ybe_sweep(cross, bottom, top):
+    """Both sides of the Yang-Baxter equation at every boundary
+    (i1, i2, i3, j1, j2, j3), by one sparse contraction of weight tables.
+
+    `cross` maps crossing edges (lt, lb, rt, rb) and `bottom`/`top` map
+    vertex edges (in_bottom, in_left, out_top, out_right) to weights, one
+    entry per allowed state over any edge alphabet.  Returns the dicts
+    boundary -> partition function of the cross-left and cross-right sides
+
+        lhs = sum over a, b, m of R[i1,i2,a,b] B[i3,b,m,j1] T[m,a,j3,j2]
+        rhs = sum over a, b, m of R[a,b,j2,j1] T[i3,i2,m,b] B[m,i1,j3,a]
+
+    where a boundary no nonzero product reaches is missing (its value is 0).
+    On the cross-right side the rows trade places, kind and parameter.
+    """
+    bottom_by_left, bottom_by_right = {}, {}
+    for (ib, il, ot, orr), w in bottom.items():
+        if w:
+            bottom_by_left.setdefault(il, []).append((ib, ot, orr, w))
+            bottom_by_right.setdefault(orr, []).append((ib, il, ot, w))
+    top_by_in, top_by_out = {}, {}
+    for (ib, il, ot, orr), w in top.items():
+        if w:
+            top_by_in.setdefault((ib, il), []).append((ot, orr, w))
+            top_by_out.setdefault((ot, orr), []).append((ib, il, w))
+    lhs, rhs = {}, {}
+    for (lt, lb, rt, rb), r in cross.items():
+        if not r:
+            continue
+        # cross-left: R[i1, i2, a, b] with i1, i2, a, b = lt, lb, rt, rb
+        for i3, m, j1, wb in bottom_by_left.get(rb, ()):
+            for j3, j2, wt in top_by_in.get((m, rt), ()):
+                key = (lt, lb, i3, j1, j2, j3)
+                lhs[key] = lhs.get(key, 0) + r * wb * wt
+        # cross-right: R[a, b, j2, j1] with a, b, j2, j1 = lt, lb, rt, rb
+        for m, i1, j3, wb in bottom_by_right.get(lt, ()):
+            for i3, i2, wt in top_by_out.get((m, lb), ()):
+                key = (i1, i2, i3, rb, rt, j3)
+                rhs[key] = rhs.get(key, 0) + r * wt * wb
+    return lhs, rhs
+
+
+def ybe_tables(kind: str, x, y):
+    """The `ybe_sweep` tables (cross, bottom, top) of one color: a white or
+    gray row at x below a white row at y, crossing at y/x resp. x y."""
     if kind == WHITE_WHITE:
-        z = y / x
-        weigh_bottom = weigh_top = white_weight
+        z, weigh_bottom = y / x, white_weight
     elif kind == WHITE_GRAY:
-        z = y * x
-        weigh_bottom, weigh_top = gray_weight, white_weight
+        z, weigh_bottom = y * x, gray_weight
     else:
         raise ValueError(f"unknown YBE kind {kind!r}")
-
-    lhs = 0
-    for a in (0, 1):
-        for b in (0, 1):
-            c = cross_state(i1, i2, a, b)
-            if c is None:
-                continue
-            rc = cross_weight(c, z)
-            for m in (0, 1):
-                vb = vertex_state(i3, b, m, j1)
-                vt = vertex_state(m, a, j3, j2)
-                if vb is None or vt is None:
-                    continue
-                lhs += rc * weigh_bottom(vb, x) * weigh_top(vt, y)
-
-    # on the swapped side the top row (kind and parameter) moves to the bottom
-    rhs = 0
-    for ap in (0, 1):
-        for bp in (0, 1):
-            c = cross_state(ap, bp, j2, j1)
-            if c is None:
-                continue
-            rc = cross_weight(c, z)
-            for m in (0, 1):
-                vb = vertex_state(i3, i2, m, bp)
-                vt = vertex_state(m, i1, j3, ap)
-                if vb is None or vt is None:
-                    continue
-                rhs += rc * weigh_top(vb, y) * weigh_bottom(vt, x)
-    return lhs, rhs
+    return ({c: cross_weight(c, z) for c in ALLOWED_CROSSINGS},
+            {v: weigh_bottom(v, x) for v in ALLOWED_STATES},
+            {v: white_weight(v, y) for v in ALLOWED_STATES})
 
 
 DEFAULT_SAMPLES = (
@@ -362,9 +371,10 @@ def verify_ybe(kind: str, samples=DEFAULT_SAMPLES) -> dict:
     violations = []
     checked = 0
     for x, y in samples:
+        sides = ybe_sweep(*ybe_tables(kind, x, y))
         for code in range(64):
             boundary = tuple((code >> i) & 1 for i in range(6))
-            lhs, rhs = _ybe_sides(kind, x, y, boundary)
+            lhs, rhs = (side.get(boundary, 0) for side in sides)
             checked += 1
             if lhs != rhs:
                 violations.append({"boundary": list(boundary),

@@ -180,6 +180,50 @@ def test_slide_roundtrip_flag(capsys):
     assert code == 0 and "status: pass" in out
 
 
+def test_slide_roundtrip_budget_guard(capsys):
+    # (3,2,1) at N=30 has 47,563,592 pairs, over the 10^7 budget
+    code = cli.main(["slide", "--roundtrip", "--shape", "[3,2,1]",
+                     "--max-volume", "30"])
+    assert code == 2
+    assert "47563592 pairs" in capsys.readouterr().err
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert err.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_input_missing_key_exits_2(capsys, tmp_path):
+    src = tmp_path / "pair.json"
+    src.write_text(json.dumps({"shape": [1], "blue": {"shape": [1], "rows": [[0]]}}))
+    assert "missing key 'red'" in usage_error(capsys, "slide", "--input", str(src))
+
+
+def test_input_not_json_exits_2(capsys, tmp_path):
+    src = tmp_path / "rpp.json"
+    src.write_text("{shape: [1]")
+    for direction, what in (("slide", "pair"), ("unslide", "filling")):
+        assert f"bad {what}: Expecting" in usage_error(
+            capsys, "slide", "--direction", direction, "--input", str(src))
+    assert "bad filling: Expecting" in usage_error(
+        capsys, "render", "--object", "rpp", "--input", str(src))
+
+
+def test_input_failing_validation_exits_2(capsys, tmp_path):
+    assert "half_width" in usage_error(capsys, "render", "--object", "maya",
+                                       "--shape", "[3,1]", "--half-width", "1")
+    src = tmp_path / "rpp.json"
+    src.write_text(json.dumps({"shape": [2], "rows": [[2, 1]]}))
+    assert "not weakly increasing" in usage_error(
+        capsys, "render", "--object", "config", "--input", str(src))
+    src.write_text(json.dumps({
+        "shape": [1], "blue": {"shape": [1], "rows": [[1]]},
+        "red": {"shape": [1], "rows": [[1]]}}))  # g = 2: it does not slide
+    assert "g > 0" in usage_error(capsys, "slide", "--input", str(src))
+
+
 def test_render_maya(capsys):
     code, out = run(capsys, "render", "--object", "maya", "--shape", "[4,3,2,2,1]")
     assert code == 0

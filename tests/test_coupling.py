@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -40,7 +42,6 @@ def test_colored_gray_table_vs_formula():
     x, t = Monomial(1, 0), Monomial(0, 1)
     for (vb, vr), (xe, te) in C._GRAY_TABLE_VERBATIM.items():
         assert C.colored_gray_weight(vb, vr, x, t) == Monomial(xe, te)
-    C._check_gray_table()
 
 
 def test_colored_gray_change_of_variable():
@@ -99,6 +100,33 @@ def test_colored_ybe_full_sweep():
 def test_colored_ybe_t1_matches_one_color():
     report = C.verify_colored_ybe([(Fraction(1, 2), Fraction(1, 3), Fraction(1))])
     assert report["passed"]
+
+
+def report_digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_colored_ybe_reports_a_broken_weight(monkeypatch):
+    # blue vertical under red horizontal weighs double; the pinned report
+    # (48 violations, their order and strings) is the one found by summing
+    # both sides boundary by boundary
+    true_weight = C.colored_white_weight
+
+    def broken(vb, vr, x, t):
+        w = true_weight(vb, vr, x, t)
+        return 2 * w if (vb, vr) == (V.VERTICAL, V.HORIZONTAL) else w
+
+    monkeypatch.setattr(C, "colored_white_weight", broken)
+    report = C.verify_colored_ybe()
+    assert report["checked"] == 12288 and len(report["violations"]) == 48
+    assert report["violations"][0] == {
+        "boundary": [[0, 0], [0, 1], [1, 0], [0, 1], [0, 0], [1, 0]],
+        "x": "1/2", "y": "1/3", "t": "2/5", "lhs": "1/2", "rhs": "8/15"}
+    assert report["violations"][-1] == {
+        "boundary": [[1, 1], [0, 1], [0, 0], [0, 1], [0, 1], [1, 0]],
+        "x": "1/3", "y": "1/4", "t": "3/7", "lhs": "55/9408", "rhs": "1/336"}
+    assert report_digest(report) == \
+        "bef3cf654e56af4d555848d70cf1d80ca12ccd5e1738d8f920a16c9289706d78"
 
 
 def test_make_pair_shape_mismatch():

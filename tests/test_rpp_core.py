@@ -81,8 +81,9 @@ def test_from_slices_rejects_bad_chains():
 
 
 def test_slice_roundtrip_exhaustive():
+    # from_slices validates, so this also checks every enumerated filling
     for lam in P.all_partitions(5):
-        for rpp in R.enumerate_rpps(lam, 5):
+        for rpp in R.enumerate_rpps(lam, 6):
             assert R.from_slices(R.to_slices(rpp)) == rpp
 
 
@@ -129,6 +130,17 @@ def test_enumerate_empty_shape():
 def test_enumerate_order_is_reading_word_lex():
     words = [r.reading_word() for r in R.enumerate_rpps((3, 1), 4)]
     assert words == sorted(words)
+
+
+def test_enumerate_pairs_is_the_nested_enumeration():
+    def nested(lam, bound):  # reds enumerated afresh for every blue
+        for blue in R.enumerate_rpps(lam, bound):
+            for red in R.enumerate_rpps(lam, bound - blue.volume):
+                yield blue, red
+
+    for lam in [*P.all_partitions(4), (4, 4, 3, 3, 1)]:
+        assert list(R.enumerate_pairs(lam, 6)) == list(nested(lam, 6)), lam
+    assert list(R.enumerate_pairs((2, 1), -1)) == []
 
 
 def test_json_roundtrip():

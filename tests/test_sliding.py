@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from coupledrpp import coupling as C
@@ -125,3 +130,41 @@ def test_counting_small_shapes():
     report = S.verify_t0_counting((3, 1), 6)
     assert report["passed"]
     assert report["singles"] == report["series_single"]
+
+
+INVARIANTS_UNDER_O = """
+from coupledrpp import coupling, partitions, rpp_core, sliding, vertex_model
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except AssertionError as exc:
+        return str(exc)
+    raise SystemExit(f"{fn.__name__} passed a broken invariant")
+
+assert False, "this interpreter must drop assert statements"
+vertex_model.row_states = lambda *args: None
+print(raises(vertex_model.rpp_to_config, (1,), rpp_core.zero_rpp((1,))))
+sliding.check_t0_constraints = lambda pair: True
+sliding.forced_zero_region = lambda pair: []
+blue = rpp_core.validate((2, 2), [[0, 1], [0, 1]])  # (1, 2) slides off the shape
+print(raises(sliding.slide, coupling.make_pair(blue, rpp_core.zero_rpp((2, 2)))))
+partitions.MayaDiagram.is_particle = lambda self, t: True
+print(raises(partitions.maya, (1,), 3))
+"""
+
+
+def test_invariants_raise_under_python_O():
+    # the invariant checks are raised exceptions, not assert statements,
+    # so a broken invariant still stops an optimized interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-O", "-c", INVARIANTS_UNDER_O],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 3
+    assert "no configuration" in lines[0]
+    assert "slides off" in lines[1]
+    assert "balance point" in lines[2]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,11 @@ from coupledrpp import vertex_model as V
 from coupledrpp.vertex_model import GRAY, Monomial, WHITE
 
 X = Fraction(3, 7)
+
+
+def report_digest(report):
+    # sha256 of the report's canonical JSON, to pin whole reports compactly
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
 def test_white_weight_table():
@@ -159,18 +166,52 @@ def test_corner_flip_changes_weight_by_q():
                 assert wu.q_exp - w.q_exp == 1, (rpp.rows, up.rows)
 
 
+def ybe_sides(kind, x, y, boundary):
+    return tuple(side.get(boundary, 0)
+                 for side in V.ybe_sweep(*V.ybe_tables(kind, x, y)))
+
+
 def test_ybe_worked_boundary():
     x, y = Fraction(2, 3), Fraction(1, 5)
-    lhs, rhs = V._ybe_sides(V.WHITE_WHITE, x, y, (1, 0, 0, 0, 1, 0))
+    lhs, rhs = ybe_sides(V.WHITE_WHITE, x, y, (1, 0, 0, 0, 1, 0))
     assert lhs == rhs == y
 
 
 def test_ybe_empty_boundary():
     x, y = Fraction(1, 2), Fraction(1, 3)
-    lhs, rhs = V._ybe_sides(V.WHITE_WHITE, x, y, (0,) * 6)
+    lhs, rhs = ybe_sides(V.WHITE_WHITE, x, y, (0,) * 6)
     assert lhs == rhs == 1
-    lhs, rhs = V._ybe_sides(V.WHITE_GRAY, x, y, (0,) * 6)
+    lhs, rhs = ybe_sides(V.WHITE_GRAY, x, y, (0,) * 6)
     assert lhs == rhs == x
+
+
+def test_ybe_unknown_kind():
+    with pytest.raises(ValueError, match="unknown YBE kind"):
+        V.verify_ybe("gray-gray")
+
+
+def test_ybe_reports_a_broken_weight(monkeypatch):
+    # a white vertical vertex weighs double; the pinned reports (their
+    # violations, order and strings) are the ones found by summing both
+    # sides boundary by boundary
+    true_weight = V.white_weight
+
+    def broken(v, x):
+        return 2 * true_weight(v, x) if v == V.VERTICAL else true_weight(v, x)
+
+    monkeypatch.setattr(V, "white_weight", broken)
+    white_white = V.verify_ybe(V.WHITE_WHITE)
+    white_gray = V.verify_ybe(V.WHITE_GRAY)
+    assert [len(r["violations"]) for r in (white_white, white_gray)] == [10, 20]
+    assert white_white["violations"][0] == {
+        "boundary": [0, 0, 1, 1, 0, 0], "x": "2/3", "y": "1/5",
+        "lhs": "2/3", "rhs": "17/15"}
+    assert white_gray["violations"][-1] == {
+        "boundary": [0, 1, 0, 0, 0, 1], "x": "1/9", "y": "8/3",
+        "lhs": "2/9", "rhs": "1/9"}
+    assert [report_digest(r) for r in (white_white, white_gray)] == [
+        "21a57b3df4761ce3bd088917c55751d8235f103ad11eefa50e2feaaf5d531f10",
+        "c29f8b5439c94cef0fd282fa160a8123619dfae54c14e4ac795d63e8009e3914"]
 
 
 def test_ybe_full_sweeps():
