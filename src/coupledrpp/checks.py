@@ -193,7 +193,7 @@ def check_internal_consistency() -> dict:
                (Fraction(7, 4), Fraction(5, 9))]
     for vb in states:
         for vr in states:
-            xe, te = coupling._GRAY_TABLE_VERBATIM[(vb, vr)]
+            xe, te = coupling.GRAY_TABLE_VERBATIM[(vb, vr)]
             for x, t in samples:
                 if coupling.colored_gray_weight(vb, vr, x, t) != x ** xe * t ** te:
                     failures.append(f"gray-table {vb} {vr}")

@@ -115,12 +115,21 @@ def cmd_genfun(args) -> int:
 
 
 def _parse_samples(text: str, arity: int):
+    """At least one exact point, (x, y) for one color or (x, y, t) for two;
+    the sweeps divide by x resp. t, so that entry must be nonzero."""
+    divisor, name = (0, "x") if arity == 2 else (2, "t")
+
     def parse():
         out = []
         for row in json.loads(text):
             if len(row) != arity:
                 raise ValueError(f"sample {row} needs {arity} entries")
-            out.append(tuple(Fraction(str(v)) for v in row))
+            point = tuple(Fraction(str(v)) for v in row)
+            if point[divisor] == 0:
+                raise ValueError(f"sample {row} has {name} = 0")
+            out.append(point)
+        if not out:
+            raise ValueError("no sample points")
         return out
 
     return _checked(f"samples {text!r}", parse)

@@ -12,6 +12,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from . import rpp_core, vertex_model
@@ -26,7 +27,6 @@ from .vertex_model import (
     EMPTY,
     HORIZONTAL,
     LEFT_TOP,
-    MONOMIAL_ONE,
     Monomial,
     VERTICAL,
     WHITE,
@@ -67,7 +67,7 @@ def colored_gray_weight(v_blue, v_red, x, t):
 # The published 5x5 gray table, (x-exponent, t-exponent) per state pair,
 # rows ordered [empty, vertical, horizontal, bottom-right, left-top] for
 # blue and the same order for red.
-_GRAY_TABLE_VERBATIM = {
+GRAY_TABLE_VERBATIM = {
     (EMPTY, EMPTY): (2, 1), (EMPTY, VERTICAL): (2, 1), (EMPTY, HORIZONTAL): (1, 0),
     (EMPTY, BOTTOM_RIGHT): (1, 0), (EMPTY, LEFT_TOP): (2, 1),
     (VERTICAL, EMPTY): (2, 1), (VERTICAL, VERTICAL): (2, 1),
@@ -197,28 +197,36 @@ def colored_row_weight_explicit(kind, mu_pair, lam_pair, x, t, ell, window):
     return total
 
 
+@lru_cache(maxsize=None)
+def _exponents(kind: str) -> dict:
+    """(x, t) exponents of every state pair's weight in a row of this kind:
+    the published weight at the symbolic point x = Monomial(1, 0),
+    t = Monomial(0, 1)."""
+    weigh = colored_white_weight if kind == WHITE else colored_gray_weight
+    return {(vb, vr): weigh(vb, vr, Monomial(1, 0), Monomial(0, 1))
+            for vb in ALLOWED_STATES for vr in ALLOWED_STATES}
+
+
 def pair_config_weight(pair: PairRPP) -> Monomial:
     """Weight of the superimposed configuration, x_i = q^(+-i), t tracked
     exactly; a monomial q^a t^b."""
     blue_cfg = vertex_model.rpp_to_config(pair.shape, pair.blue)
     red_cfg = vertex_model.rpp_to_config(pair.shape, pair.red)
     window = max(blue_cfg.window, red_cfg.window)
-    t = Monomial(0, 1)
-    total = MONOMIAL_ONE
-    for k in range(1, len(blue_cfg.pattern) + 1):
+    q_exp = t_exp = 0
+    for k, (brow, rrow) in enumerate(zip(blue_cfg.states, red_cfg.states), start=1):
         kind = blue_cfg.kind(k)
-        x = Monomial(-k) if kind == WHITE else Monomial(k)
-        weigh = colored_white_weight if kind == WHITE else colored_gray_weight
-        brow, rrow = blue_cfg.states[k - 1], red_cfg.states[k - 1]
-        for c in range(window):
-            vb = brow[c] if c < len(brow) else _tail_state(kind)
-            vr = rrow[c] if c < len(rrow) else _tail_state(kind)
-            total = total * weigh(vb, vr, x, t)
-    return total
-
-
-def _tail_state(kind):
-    return EMPTY if kind == WHITE else HORIZONTAL
+        exponents = _exponents(kind)
+        tail = EMPTY if kind == WHITE else HORIZONTAL
+        brow += (tail,) * (window - blue_cfg.window)
+        rrow += (tail,) * (window - red_cfg.window)
+        x_deg = 0
+        for states in zip(brow, rrow):
+            w = exponents[states]
+            x_deg += w.q_exp
+            t_exp += w.t_exp
+        q_exp += x_deg * (-k if kind == WHITE else k)
+    return Monomial(q_exp, t_exp)
 
 
 def trivial_t_exponent(lam) -> int:
@@ -241,30 +249,23 @@ def g_via_vertex(pair: PairRPP) -> int:
 # The lozenge-pattern count, computed from the slice chains alone
 
 
-def _interface_site_lists(rpp: RPP):
-    """Ascending occupied sites for every interface of the filling's chain."""
-    chain = rpp_core.to_slices(rpp)
-    zetas = vertex_model.interface_zetas(chain.pattern)
-    return [sorted(vertex_model.interface_sites(sl, z))
-            for sl, z in zip(chain.slices, zetas)]
+GREEN, ORCHID, SIENNA = "green", "orchid", "sienna"
 
 
-_GREEN, _ORCHID, _SIENNA = "green", "orchid", "sienna"
-
-
-def _classify(bottoms, tops, site: int) -> str:
-    """Lozenge type met at a top-interface site: a green top face, the
-    right edge of a descending face (orchid), or of an ascending one."""
+def classify(bottoms, tops, site: int) -> str:
+    """Lozenge type met at a top-interface site, from a row's ascending
+    bottom and top sites: a green top face, the right edge of a descending
+    face (orchid), or of an ascending one (sienna)."""
     i = bisect_right(tops, site)
     if i and tops[i - 1] == site:
-        return _GREEN
+        return GREEN
     below = bisect_right(bottoms, site) - i
     if below == 1:
-        return _ORCHID
+        return ORCHID
     if below != 0:
         raise ValueError(f"site {site}: malformed interface data "
                          f"(bottoms {list(bottoms)}, tops {list(tops)})")
-    return _SIENNA
+    return SIENNA
 
 
 def _lozenge_masks(bottoms, tops) -> tuple[int, int, int]:
@@ -275,14 +276,20 @@ def _lozenge_masks(bottoms, tops) -> tuple[int, int, int]:
     green = orchid = sienna = 0
     top = max(bottoms[-1] if bottoms else -1, tops[-1] if tops else -1)
     for site in range(top + 1):
-        kind = _classify(bottoms, tops, site)
-        if kind == _GREEN:
+        kind = classify(bottoms, tops, site)
+        if kind == GREEN:
             green |= 1 << site
-        elif kind == _ORCHID:
+        elif kind == ORCHID:
             orchid |= 1 << site
         else:
             sienna |= 1 << site
     return green, orchid, sienna
+
+
+def _tiling_masks(rpp: RPP) -> tuple[tuple[int, int, int], ...]:
+    """`_lozenge_masks` of every row of the filling's tiling."""
+    sites = vertex_model.interface_site_lists(rpp)
+    return tuple(_lozenge_masks(b, t) for b, t in zip(sites, sites[1:]))
 
 
 def _row_couplings(white_row: bool, blue, red) -> tuple[int, int, int, int]:
@@ -305,14 +312,12 @@ def coupled_pairs(pair: PairRPP) -> list[tuple[int, int, int]]:
     then by site; the types are those of `_row_couplings`."""
     if pair.blue.shape != pair.red.shape:
         raise ValueError("pair members must share a shape")
-    pattern = rpp_core.interaction_pattern(pair.shape)
-    blue_sites = _interface_site_lists(pair.blue)
-    red_sites = _interface_site_lists(pair.red)
+    pattern = rpp_core.shape_geometry(pair.shape).pattern
+    rows = zip(pattern, pair.blue.derived("lozenges", _tiling_masks),
+               pair.red.derived("lozenges", _tiling_masks))
     out = []
-    for k in range(1, len(pattern) + 1):
-        masks = _row_couplings(pattern[k - 1] == PRECEQ,
-                               _lozenge_masks(blue_sites[k - 1], blue_sites[k]),
-                               _lozenge_masks(red_sites[k - 1], red_sites[k]))
+    for k, (rel, blue, red) in enumerate(rows, start=1):
+        masks = _row_couplings(rel == PRECEQ, blue, red)
         hits = masks[0] | masks[1] | masks[2] | masks[3]  # one type per site
         for site in range(hits.bit_length()):
             if hits >> site & 1:
@@ -355,8 +360,9 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
     least volume that reaches each slice, a backward pass the least volume
     that closes from it.
     """
-    lengths = rpp_core.diagonal_sizes(lam) + [0]
-    zetas = vertex_model.interface_zetas(pattern)
+    geometry = rpp_core.shape_geometry(lam)
+    lengths = [len(cells) for cells in geometry.cells] + [0]
+    zetas = geometry.zetas
     reach = [{(): 0}]  # per interface: slice -> least volume up to it
     steps = []
     for k, rel in enumerate(pattern, start=1):

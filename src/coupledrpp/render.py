@@ -8,7 +8,7 @@ heights (y), so no floating point enters the files.
 from __future__ import annotations
 
 from . import coupling, rpp_core, vertex_model
-from .coupling import PairRPP, _GREEN, _ORCHID, _SIENNA, _classify
+from .coupling import GREEN, ORCHID, SIENNA, PairRPP, classify
 from .partitions import MayaDiagram, hook_table
 from .rpp_core import PRECEQ, RPP
 
@@ -44,7 +44,7 @@ def rpp_ascii(rpp: RPP) -> str:
 # ---------------------------------------------------------------------------
 # SVG tilings
 
-_FILL = {_GREEN: "#b5cc6a", _ORCHID: "#c79ed2", _SIENNA: "#a8765a"}
+_FILL = {GREEN: "#b5cc6a", ORCHID: "#c79ed2", SIENNA: "#a8765a"}
 _XS = 24   # horizontal pixels per interface line
 _YS = 12   # vertical pixels per half unit of height
 
@@ -88,31 +88,31 @@ def _height2(pattern, zetas, k: int, site: int) -> int:
 def _lozenge_points(pattern, zetas, kind: str, k: int, site: int):
     v2 = _height2(pattern, zetas, k, site)
     x = k * _XS
-    if kind == _GREEN:
+    if kind == GREEN:
         return [(x - _XS, -v2 * _YS), (x, -(v2 - 1) * _YS),
                 (x + _XS, -v2 * _YS), (x, -(v2 + 1) * _YS)]
-    shift = 1 if kind == _ORCHID else -1  # height of the left edge
+    shift = 1 if kind == ORCHID else -1  # height of the left edge
     l2 = v2 + shift
     return [(x - _XS, -(l2 - 1) * _YS), (x - _XS, -(l2 + 1) * _YS),
             (x, -(v2 + 1) * _YS), (x, -(v2 - 1) * _YS)]
 
 
 def _draw_tiling(canvas, rpp: RPP, stroke: str, opacity) -> None:
-    pattern = rpp_core.interaction_pattern(rpp.shape)
-    sites = coupling._interface_site_lists(rpp)
-    zetas = vertex_model.interface_zetas(pattern)
+    geometry = rpp_core.shape_geometry(rpp.shape)
+    pattern, zetas = geometry.pattern, geometry.zetas
+    sites = vertex_model.interface_site_lists(rpp)
     top = 2 + max((max(s) if s else 0 for s in sites), default=0)
     for k in range(1, len(pattern) + 1):
         for site in range(top + 1):
-            kind = _classify(sites[k - 1], sites[k], site)
-            if kind == _GREEN:
+            kind = classify(sites[k - 1], sites[k], site)
+            if kind == GREEN:
                 continue  # drawn from the line it sits on, below
             canvas.poly(_lozenge_points(pattern, zetas, kind, k, site),
                         _FILL[kind], stroke, opacity=opacity)
     for k in range(len(pattern) + 1):
         for site in sites[k]:
-            canvas.poly(_lozenge_points(pattern, zetas, _GREEN, k, site),
-                        _FILL[_GREEN], stroke, opacity=opacity)
+            canvas.poly(_lozenge_points(pattern, zetas, GREEN, k, site),
+                        _FILL[GREEN], stroke, opacity=opacity)
 
 
 def rpp_svg(rpp: RPP) -> str:
@@ -126,13 +126,13 @@ def pair_svg(pair: PairRPP) -> str:
     canvas = _Canvas()
     _draw_tiling(canvas, pair.blue, "#2244cc", "0.45")
     _draw_tiling(canvas, pair.red, "#cc2222", "0.45")
-    pattern = rpp_core.interaction_pattern(pair.shape)
-    zetas = vertex_model.interface_zetas(pattern)
+    geometry = rpp_core.shape_geometry(pair.shape)
+    pattern, zetas = geometry.pattern, geometry.zetas
     for kind_code, k, site in coupling.coupled_pairs(pair):
-        shape_kind = _ORCHID if kind_code in (1, 2) else _SIENNA
+        shape_kind = ORCHID if kind_code in (1, 2) else SIENNA
         canvas.poly(_lozenge_points(pattern, zetas, shape_kind, k, site),
                     "none", "#000000", width=3)
         if kind_code in (1, 4):
-            canvas.poly(_lozenge_points(pattern, zetas, _GREEN, k, site),
+            canvas.poly(_lozenge_points(pattern, zetas, GREEN, k, site),
                         "none", "#000000", width=3)
     return canvas.svg()

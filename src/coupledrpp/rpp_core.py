@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple
 
 from . import partitions
-from .partitions import Cell, normalize, part
+from .partitions import BorderStrip, Cell, normalize, part
 
 # Relation symbols for interlacing patterns: row k of the vertex model is
 # white when pattern[k-1] == PRECEQ and gray when it is SUCCEQ.
@@ -24,11 +25,28 @@ SUCCEQ = ">="
 
 @dataclass(frozen=True)
 class RPP:
+    """A filling.  What is derived from it (its slice chain here; its
+    interface sites, configuration, lozenge masks and paths elsewhere) is
+    computed on first use and kept on the instance.  Equality, hash and
+    repr read only the two fields, so a kept datum never changes them."""
+
     shape: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]  # bottom-up
 
     def entry(self, r: int, c: int) -> int:
         return self.rows[r - 1][c - 1]
+
+    @cached_property
+    def chain(self) -> "SliceSequence":
+        """The slice chain; `enumerate_rpps` hands over the one it built."""
+        return to_slices(self)
+
+    def derived(self, name: str, build):
+        """build(self), computed on the first call for `name` and kept."""
+        memo = self.__dict__
+        if name not in memo:
+            memo[name] = build(self)
+        return memo[name]
 
     @property
     def volume(self) -> int:
@@ -103,32 +121,54 @@ def diagonal_rows(shape, s: int) -> tuple[int, int] | None:
     return (r_lo, r_hi)
 
 
-def diagonal_sizes(shape) -> list[int]:
-    """Cell count of each diagonal, ordered like the slice chain (k = 1..n)."""
-    shape = normalize(shape)
+def interface_zetas(pattern) -> list[int]:
+    """Center positions of the interfaces 0..n of the vertex model: start
+    at the number of paths, drop by one per gray (SUCCEQ) row."""
+    zetas = [sum(1 for rel in pattern if rel == SUCCEQ)]
+    for rel in pattern:
+        zetas.append(zetas[-1] - (1 if rel == SUCCEQ else 0))
+    return zetas
+
+
+class ShapeGeometry(NamedTuple):
+    """What the package derives from a shape alone."""
+
+    pattern: tuple[str, ...]
+    # cells[k-1]: 0-based (row, column) indices slice k reads, top first
+    cells: tuple[tuple[tuple[int, int], ...], ...]
+    zetas: tuple[int, ...]
+    strips: tuple[BorderStrip, ...]
+
+
+@lru_cache(maxsize=64)
+def shape_geometry(shape: tuple[int, ...]) -> ShapeGeometry:
+    """The geometry of a normalized shape, built once per shape; the 64
+    most recently used shapes are kept."""
+    if normalize(shape) != shape:
+        raise ValueError(f"shape {shape} is not a normalized partition")
+    pattern = interaction_pattern(shape)
     depth = len(shape)
-    width = shape[0] if shape else 0
-    sizes = []
-    for k in range(1, depth + width):
-        rng = diagonal_rows(shape, k - depth)
-        sizes.append(0 if rng is None else rng[1] - rng[0] + 1)
-    return sizes
+    cells = []
+    for k in range(1, len(pattern)):
+        r_lo, r_hi = diagonal_rows(shape, k - depth)
+        cells.append(tuple((r - 1, r + k - depth - 1)
+                           for r in range(r_hi, r_lo - 1, -1)))
+    return ShapeGeometry(pattern, tuple(cells),
+                         tuple(interface_zetas(pattern)),
+                         tuple(partitions.border_strips(shape)))
 
 
 def to_slices(rpp: RPP) -> SliceSequence:
     """Read the filling along vertical slices, top of each diagonal first."""
-    shape = rpp.shape
-    pattern = interaction_pattern(shape)
-    if not pattern:
+    geometry = shape_geometry(rpp.shape)
+    if not geometry.pattern:
         return SliceSequence((), ((),))
-    depth = len(shape)
+    rows = rpp.rows
     slices = [()]
-    for k in range(1, len(pattern)):
-        r_lo, r_hi = diagonal_rows(shape, k - depth)
-        vals = [rpp.entry(r, r + k - depth) for r in range(r_hi, r_lo - 1, -1)]
-        slices.append(normalize(vals))
+    for cells in geometry.cells:
+        slices.append(normalize([rows[r][c] for r, c in cells]))
     slices.append(())
-    return SliceSequence(pattern, tuple(slices))
+    return SliceSequence(geometry.pattern, tuple(slices))
 
 
 def shape_from_pattern(pattern) -> tuple[int, ...]:
@@ -150,7 +190,6 @@ def shape_from_pattern(pattern) -> tuple[int, ...]:
 def from_slices(ss: SliceSequence) -> RPP:
     """Inverse of to_slices; raises if the chain does not encode an RPP."""
     shape = shape_from_pattern(ss.pattern)
-    depth = len(shape)
     n = len(ss.pattern) - 1
     if len(ss.slices) != n + 2:
         raise ValueError(f"expected {n + 2} slices, got {len(ss.slices)}")
@@ -162,16 +201,13 @@ def from_slices(ss: SliceSequence) -> RPP:
         if not ok:
             raise ValueError(f"slices {a} {rel} {b} violate interlacing at step {k}")
     rows = [[0] * p for p in shape]
-    for k in range(1, n + 1):
+    for k, cells in enumerate(shape_geometry(shape).cells, start=1):
         sl = ss.slices[k]
-        rng = diagonal_rows(shape, k - depth)
-        count = 0 if rng is None else rng[1] - rng[0] + 1
-        if len(sl) > count:
+        if len(sl) > len(cells):
             raise ValueError(f"slice {k} has {len(sl)} parts but the diagonal "
-                             f"holds {count} cells")
-        r_lo, r_hi = rng
-        for j, r in enumerate(range(r_hi, r_lo - 1, -1)):
-            rows[r - 1][r + k - depth - 1] = part(sl, j + 1)
+                             f"holds {len(cells)} cells")
+        for (r, c), v in zip(cells, sl):
+            rows[r][c] = v
     return validate(shape, rows)
 
 
@@ -253,15 +289,9 @@ def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
         return iter(())
     if not lam:
         return iter((RPP((), ()),))
-    pattern = interaction_pattern(lam)
-    sizes = diagonal_sizes(lam)
+    geometry = shape_geometry(lam)
+    pattern, cells = geometry.pattern, geometry.cells
     n = len(pattern) - 1
-    depth = len(lam)
-    # cells[k-1]: the (row, column) indices that slice k fills, as in to_slices
-    cells = []
-    for k in range(1, n + 1):
-        r_lo, r_hi = diagonal_rows(lam, k - depth)
-        cells.append([(r - 1, r + k - depth - 1) for r in range(r_hi, r_lo - 1, -1)])
 
     found = []
 
@@ -273,9 +303,12 @@ def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
             for slice_cells, sl in zip(cells, chain):
                 for (r, c), v in zip(slice_cells, sl):
                     rows[r][c] = v
-            found.append(RPP(lam, tuple(map(tuple, rows))))
+            rpp = RPP(lam, tuple(map(tuple, rows)))
+            rpp.__dict__["chain"] = SliceSequence(pattern, ((), *chain, ()))
+            found.append(rpp)
             return
-        for nu in next_slices(prev, pattern[k - 1], sizes[k - 1], max_volume - used):
+        for nu in next_slices(prev, pattern[k - 1], len(cells[k - 1]),
+                              max_volume - used):
             chain.append(nu)
             extend(k + 1, nu, chain, used + sum(nu))
             chain.pop()

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rpp_core
-from .partitions import BorderStrip, Cell, border_strips, contains, normalize
+from .partitions import BorderStrip, Cell, contains, normalize
 from .coupling import PairRPP, make_pair
 from .qt_series import hook_product_pair, hook_product_single
-from .rpp_core import PRECEQ, RPP, SUCCEQ
+from .rpp_core import PRECEQ, RPP, shape_geometry
 
 
 @dataclass(frozen=True)
@@ -33,29 +33,21 @@ class ColoredPathSystem:
 
 
 def paths_of(rpp: RPP) -> ColoredPathSystem:
-    """Border-strip paths drawn over the stacks, as per-line heights."""
-    shape = rpp.shape
-    strips = tuple(border_strips(shape))
-    pattern = rpp_core.interaction_pattern(shape)
-    zetas = interface_centers(pattern)
-    depth = len(shape)
+    """Border-strip paths drawn over the stacks, as per-line heights,
+    computed once per filling."""
+    return rpp.derived("paths", _paths_of)
+
+
+def _paths_of(rpp: RPP) -> ColoredPathSystem:
+    geometry = shape_geometry(rpp.shape)
+    depth = len(rpp.shape)
     profiles = []
-    for strip in strips:
+    for strip in geometry.strips:
         i = strip.index
         entry_at = {c.col - c.row: rpp.entry(*c) for c in strip.cells}
-        prof = tuple(zetas[k] + entry_at.get(k - depth, 0) - i
-                     for k in range(len(pattern) + 1))
-        profiles.append(prof)
-    return ColoredPathSystem(shape, strips, tuple(profiles))
-
-
-def interface_centers(pattern) -> list[int]:
-    # identical recurrence to the vertex model's interface centers, kept
-    # local so the path system does not depend on that module
-    zetas = [sum(1 for rel in pattern if rel == SUCCEQ)]
-    for rel in pattern:
-        zetas.append(zetas[-1] - (1 if rel == SUCCEQ else 0))
-    return zetas
+        profiles.append(tuple(zeta + entry_at.get(k - depth, 0) - i
+                              for k, zeta in enumerate(geometry.zetas)))
+    return ColoredPathSystem(rpp.shape, geometry.strips, tuple(profiles))
 
 
 def _pieces(profile, pattern, k: int) -> range:
@@ -76,7 +68,7 @@ def check_t0_constraints(pair: PairRPP) -> bool:
     """
     blue = paths_of(pair.blue)
     red = paths_of(pair.red)
-    pattern = rpp_core.interaction_pattern(pair.shape)
+    pattern = shape_geometry(pair.shape).pattern
     m = len(blue.strips)
     lines = range(len(pattern) + 1)
     for i in range(1, m + 1):
@@ -110,7 +102,7 @@ def forced_zero_region(pair: PairRPP) -> list[tuple[str, Cell]]:
     """Cells the constraints force to zero: blue strip i inside the first i
     rows or columns, red strip i inside the first i-1."""
     out = []
-    for strip in border_strips(pair.shape):
+    for strip in shape_geometry(pair.shape).strips:
         i = strip.index
         for cell in strip.cells:
             if cell.row <= i or cell.col <= i:
@@ -130,7 +122,7 @@ def slide(pair: PairRPP) -> RPP:
             raise AssertionError(
                 f"{color} entry at {cell} must be zero when the constraints hold")
     shape = pair.shape
-    strips = border_strips(shape)
+    strips = shape_geometry(shape).strips
     rows = [[0] * p for p in shape]
     for strip in strips:
         k = strip.index
@@ -152,7 +144,7 @@ def unslide(rpp: RPP) -> PairRPP:
     shape = rpp.shape
     blue = [[0] * p for p in shape]
     red = [[0] * p for p in shape]
-    for strip in border_strips(shape):
+    for strip in shape_geometry(shape).strips:
         i = strip.index
         for r, c in strip.cells:
             src_red = Cell(r - (i - 1), c - (i - 1))

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
-from . import rpp_core
 from .partitions import interlaces, normalize, part
-from .rpp_core import PRECEQ, SUCCEQ, RPP
+from .rpp_core import PRECEQ, RPP, shape_geometry
+from .rpp_core import interface_zetas  # noqa: F401  (public here as well)
 
 
 class VertexState(NamedTuple):
@@ -61,9 +62,6 @@ class Monomial:
 
     def __repr__(self):
         return f"q^{self.q_exp}" + (f"*t^{self.t_exp}" if self.t_exp else "")
-
-
-MONOMIAL_ONE = Monomial(0, 0)
 
 
 def white_weight(v: VertexState, x):
@@ -223,14 +221,6 @@ class VertexConfig:
         return WHITE if self.pattern[k - 1] == PRECEQ else GRAY
 
 
-def interface_zetas(pattern) -> list[int]:
-    """Center positions: start at the number of paths, drop by one per gray row."""
-    zetas = [sum(1 for rel in pattern if rel == SUCCEQ)]
-    for rel in pattern:
-        zetas.append(zetas[-1] - (1 if rel == SUCCEQ else 0))
-    return zetas
-
-
 def config_window(interfaces, zetas) -> int:
     top = 0
     for sl, zeta in zip(interfaces, zetas):
@@ -239,24 +229,39 @@ def config_window(interfaces, zetas) -> int:
     return top + 2
 
 
+def interface_site_lists(rpp: RPP) -> tuple[tuple[int, ...], ...]:
+    """Ascending occupied sites of every interface of the filling's chain,
+    computed once per filling."""
+    return rpp.derived("sites", _sites_of)
+
+
+def _sites_of(rpp: RPP):
+    zetas = shape_geometry(rpp.shape).zetas
+    return tuple(tuple(reversed(interface_sites(sl, zeta)))
+                 for sl, zeta in zip(rpp.chain.slices, zetas))
+
+
 def rpp_to_config(lam, rpp: RPP) -> VertexConfig:
-    """The unique path configuration representing the filling."""
-    lam = normalize(lam)
-    if rpp.shape != lam:
-        raise ValueError(f"filling has shape {rpp.shape}, expected {lam}")
-    chain = rpp_core.to_slices(rpp)
-    zetas = interface_zetas(chain.pattern)
-    window = config_window(chain.slices, zetas)
+    """The unique path configuration representing the filling, built once
+    per filling."""
+    if rpp.shape != lam and rpp.shape != normalize(lam):
+        raise ValueError(f"filling has shape {rpp.shape}, expected {normalize(lam)}")
+    return rpp.derived("config", _config_of)
+
+
+def _config_of(rpp: RPP) -> VertexConfig:
+    geometry = shape_geometry(rpp.shape)
+    slices = rpp.chain.slices
+    sites = interface_site_lists(rpp)
+    window = config_window(slices, geometry.zetas)
     rows = []
-    for k, rel in enumerate(chain.pattern, start=1):
+    for k, rel in enumerate(geometry.pattern, start=1):
         kind = WHITE if rel == PRECEQ else GRAY
-        bottoms = interface_sites(chain.slices[k - 1], zetas[k - 1])
-        tops = interface_sites(chain.slices[k], zetas[k])
-        states = row_states(kind, bottoms, tops, window)
+        states = row_states(kind, sites[k - 1][::-1], sites[k][::-1], window)
         if states is None:
             raise AssertionError(f"row {k} of a valid RPP has no configuration")
         rows.append(tuple(states))
-    return VertexConfig(lam, chain.pattern, chain.slices, tuple(zetas),
+    return VertexConfig(rpp.shape, geometry.pattern, slices, geometry.zetas,
                         window, tuple(rows))
 
 
@@ -279,19 +284,25 @@ def A_lambda(lam) -> Monomial:
     return Monomial(-expo, 0)
 
 
+@lru_cache(maxsize=None)
+def _exponents(kind: str) -> dict:
+    """x-exponent (as q_exp) of every state's weight in a row of this kind:
+    the published weight at the symbolic point x = Monomial(1, 0)."""
+    weigh = white_weight if kind == WHITE else gray_weight
+    return {v: weigh(v, Monomial(1, 0)) for v in ALLOWED_STATES}
+
+
 def config_weight_q(lam, rpp: RPP) -> Monomial:
     """Weight of the configuration with x_i = q^(+i) on gray rows and
     q^(-i) on white rows."""
     config = rpp_to_config(lam, rpp)
-    total = MONOMIAL_ONE
+    q_exp = 0
     for k, row in enumerate(config.states, start=1):
-        if config.kind(k) == WHITE:
-            x, weigh = Monomial(-k), white_weight
-        else:
-            x, weigh = Monomial(k), gray_weight
-        for v in row:
-            total = total * weigh(v, x)
-    return total
+        kind = config.kind(k)
+        exponents = _exponents(kind)
+        x_deg = sum(exponents[v].q_exp for v in row)
+        q_exp += x_deg * (-k if kind == WHITE else k)
+    return Monomial(q_exp, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,34 @@ def test_bad_samples_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["ybe", "--samples", '[["1/2"]]'])
     assert err.value.code == 2
+
+
+def cli_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as
+    its traceback and exit status."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "coupledrpp.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_zero_x_sample_exits_2():
+    run = cli_process("ybe", "--samples", '[["0","1"]]')
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert "x = 0" in run.stderr
+
+
+def test_zero_t_sample_exits_2():
+    run = cli_process("ybe", "--mode", "two-color", "--samples", '[["1","1","0"]]')
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert "t = 0" in run.stderr
+
+
+def test_empty_samples_exit_2():
+    run = cli_process("ybe", "--smoke", "--samples", "[]")
+    assert run.returncode == 2 and "Traceback" not in run.stderr
+    assert "no sample points" in run.stderr
 
 
 def test_genfun_single(capsys):

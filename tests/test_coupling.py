@@ -40,7 +40,7 @@ def test_colored_gray_weight_examples():
 def test_colored_gray_table_vs_formula():
     # published table against the per-color factorization, symbolically
     x, t = Monomial(1, 0), Monomial(0, 1)
-    for (vb, vr), (xe, te) in C._GRAY_TABLE_VERBATIM.items():
+    for (vb, vr), (xe, te) in C.GRAY_TABLE_VERBATIM.items():
         assert C.colored_gray_weight(vb, vr, x, t) == Monomial(xe, te)
 
 
@@ -208,12 +208,12 @@ def test_pair_genfun_matches_hook_product():
 def test_classify_rejects_malformed_interfaces():
     # two bottom paths at or below site 1 and no top path: not a tiling row
     with pytest.raises(ValueError, match="malformed"):
-        C._classify([0, 1], [], 1)
+        C.classify([0, 1], [], 1)
     with pytest.raises(ValueError, match="malformed"):
         C._lozenge_masks([0, 1, 2], [2])
-    assert C._classify([0], [], 0) == C._ORCHID
-    assert C._classify([0], [0], 0) == C._GREEN
-    assert C._classify([1], [0], 1) == C._SIENNA
+    assert C.classify([0], [], 0) == C.ORCHID
+    assert C.classify([0], [0], 0) == C.GREEN
+    assert C.classify([1], [0], 1) == C.SIENNA
 
 
 def test_transfer_matches_bruteforce_small_shapes():
@@ -269,3 +269,31 @@ def test_live_moves_need_the_volume_still_to_come():
 def test_pair_json_roundtrip():
     text = C.pair_to_json(WORKED_PAIR)
     assert C.pair_from_json(text) == WORKED_PAIR
+
+
+def test_pair_config_weight_is_the_product_of_vertex_weights():
+    def per_vertex(pair):  # one Monomial product per vertex pair
+        blue_cfg = V.rpp_to_config(pair.shape, pair.blue)
+        red_cfg = V.rpp_to_config(pair.shape, pair.red)
+        window = max(blue_cfg.window, red_cfg.window)
+        t = Monomial(0, 1)
+        total = Monomial(0, 0)
+        for k in range(1, len(blue_cfg.pattern) + 1):
+            kind = blue_cfg.kind(k)
+            x = Monomial(-k) if kind == WHITE else Monomial(k)
+            weigh = C.colored_white_weight if kind == WHITE else C.colored_gray_weight
+            tail = V.EMPTY if kind == WHITE else V.HORIZONTAL
+            brow, rrow = blue_cfg.states[k - 1], red_cfg.states[k - 1]
+            for c in range(window):
+                vb = brow[c] if c < len(brow) else tail
+                vr = rrow[c] if c < len(rrow) else tail
+                total = total * weigh(vb, vr, x, t)
+        return total
+
+    checked = 0
+    for lam in P.all_partitions(4):
+        for blue, red in R.enumerate_pairs(lam, 6):
+            pair = C.make_pair(blue, red)
+            assert C.pair_config_weight(pair) == per_vertex(pair), pair
+            checked += 1
+    assert checked == 2045  # criterion 4's 2044 pairs and the empty one

@@ -1,7 +1,10 @@
 import pytest
 
+from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
+from coupledrpp import sliding as S
+from coupledrpp import vertex_model as V
 from coupledrpp.qt_series import hook_product_single
 from coupledrpp.rpp_core import PRECEQ, SUCCEQ
 
@@ -141,6 +144,57 @@ def test_enumerate_pairs_is_the_nested_enumeration():
     for lam in [*P.all_partitions(4), (4, 4, 3, 3, 1)]:
         assert list(R.enumerate_pairs(lam, 6)) == list(nested(lam, 6)), lam
     assert list(R.enumerate_pairs((2, 1), -1)) == []
+
+
+def test_enumerated_fillings_carry_their_chain(monkeypatch):
+    fillings = {lam: list(R.enumerate_rpps(lam, 5)) for lam in P.all_partitions(5)
+                if lam}  # the empty shape has no slices to build
+
+    def unused(rpp):
+        raise AssertionError("the chain of an enumerated filling was read again")
+
+    monkeypatch.setattr(R, "to_slices", unused)
+    for lam, rpps in fillings.items():
+        for rpp in rpps:
+            rpp.chain  # handed over by the enumeration
+    monkeypatch.undo()
+    for lam, rpps in fillings.items():
+        for rpp in rpps:
+            fresh = R.validate(lam, rpp.rows)
+            assert rpp.chain == R.to_slices(fresh) == fresh.chain, rpp
+            assert V.rpp_to_config(lam, rpp) == V.rpp_to_config(lam, fresh), rpp
+            assert S.paths_of(rpp).profiles == S.paths_of(fresh).profiles, rpp
+
+
+def test_derived_data_leave_equality_hash_and_repr():
+    for rpp in R.enumerate_rpps((3, 2, 1), 4):
+        fresh = R.validate(rpp.shape, rpp.rows)
+        before = (hash(fresh), repr(fresh), R.rpp_to_json(fresh))
+        pair = C.make_pair(fresh, rpp)
+        for compute in (C.g_via_vertex, C.g_via_lozenges, S.check_t0_constraints):
+            compute(pair)
+        assert {"chain", "sites", "config", "lozenges", "paths"} <= set(vars(fresh))
+        assert (hash(fresh), repr(fresh), R.rpp_to_json(fresh)) == before
+        assert fresh == rpp == R.RPP(rpp.shape, rpp.rows)
+        assert hash(fresh) == hash(R.RPP(rpp.shape, rpp.rows))
+        assert repr(fresh) == f"RPP(shape={rpp.shape}, rows={rpp.rows})"
+
+
+def test_shape_geometry_is_shared_and_bounded():
+    lam = (4, 4, 3, 3, 1)
+    geometry = R.shape_geometry(lam)
+    assert R.shape_geometry(lam) is geometry
+    assert geometry.pattern == R.interaction_pattern(lam)
+    assert geometry.zetas == tuple(V.interface_zetas(geometry.pattern))
+    assert geometry.strips == tuple(P.border_strips(lam))
+    for k, cells in enumerate(geometry.cells, start=1):  # diagonal k, top first
+        assert [c - r for r, c in cells] == [k - len(lam)] * len(cells)
+        assert [r for r, _ in cells] == sorted((r for r, _ in cells), reverse=True)
+    assert sorted(cell for cells in geometry.cells for cell in cells) == \
+        sorted((r - 1, c - 1) for r, c in P.cells(lam))
+    assert R.shape_geometry.cache_info().maxsize == 64
+    with pytest.raises(ValueError, match="normalized"):
+        R.shape_geometry((2, 0))
 
 
 def test_json_roundtrip():

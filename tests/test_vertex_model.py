@@ -236,3 +236,24 @@ def test_commutation_exhaustive_small():
 def test_commutation_rejects_degenerate_point():
     with pytest.raises(ValueError, match="xy"):
         V.verify_commutation((1,), (), Fraction(2), Fraction(1, 2), window=3)
+
+
+def test_config_weight_q_is_the_product_of_vertex_weights():
+    def per_vertex(lam, rpp):  # one Monomial product per vertex
+        config = V.rpp_to_config(lam, rpp)
+        total = Monomial(0, 0)
+        for k, row in enumerate(config.states, start=1):
+            if config.kind(k) == WHITE:
+                x, weigh = Monomial(-k), V.white_weight
+            else:
+                x, weigh = Monomial(k), V.gray_weight
+            for v in row:
+                total = total * weigh(v, x)
+        return total
+
+    checked = 0
+    for lam in P.all_partitions(5):
+        for rpp in R.enumerate_rpps(lam, 6):
+            assert V.config_weight_q(lam, rpp) == per_vertex(lam, rpp), rpp
+            checked += 1
+    assert checked == 749
