@@ -232,8 +232,11 @@ def cmd_render(args) -> int:
     else:  # hook table drawing
         out = render.hook_ascii(_parse_shape(args.shape))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            _usage_error(str(exc))
     else:
         print(out)
     return 0

@@ -286,8 +286,15 @@ def _lozenge_masks(bottoms, tops) -> tuple[int, int, int]:
     return green, orchid, sienna
 
 
+def tiling_masks(rpp: RPP) -> tuple[tuple[int, int, int], ...]:
+    """Site bitmasks (green, orchid, sienna) of every row of the filling's
+    tiling, computed once per filling.  They cover the sites up to a row's
+    highest path; above it a white (PRECEQ) row is all sienna and a gray
+    (SUCCEQ) row all orchid."""
+    return rpp.derived("lozenges", _tiling_masks)
+
+
 def _tiling_masks(rpp: RPP) -> tuple[tuple[int, int, int], ...]:
-    """`_lozenge_masks` of every row of the filling's tiling."""
     sites = vertex_model.interface_site_lists(rpp)
     return tuple(_lozenge_masks(b, t) for b, t in zip(sites, sites[1:]))
 
@@ -313,8 +320,7 @@ def coupled_pairs(pair: PairRPP) -> list[tuple[int, int, int]]:
     if pair.blue.shape != pair.red.shape:
         raise ValueError("pair members must share a shape")
     pattern = rpp_core.shape_geometry(pair.shape).pattern
-    rows = zip(pattern, pair.blue.derived("lozenges", _tiling_masks),
-               pair.red.derived("lozenges", _tiling_masks))
+    rows = zip(pattern, tiling_masks(pair.blue), tiling_masks(pair.red))
     out = []
     for k, (rel, blue, red) in enumerate(rows, start=1):
         masks = _row_couplings(rel == PRECEQ, blue, red)

@@ -7,10 +7,12 @@ heights (y), so no floating point enters the files.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from . import coupling, rpp_core, vertex_model
-from .coupling import GREEN, ORCHID, SIENNA, PairRPP, classify
+from .coupling import GREEN, ORCHID, SIENNA, PairRPP
 from .partitions import MayaDiagram, hook_table
-from .rpp_core import PRECEQ, RPP
+from .rpp_core import PRECEQ, RPP, SUCCEQ
 
 PARTICLE, HOLE = "●", "○"  # filled / open circle
 
@@ -55,15 +57,28 @@ class _Canvas:
         self.min_x = self.min_y = 10**9
         self.max_x = self.max_y = -10**9
 
-    def poly(self, points, fill, stroke, width=1, opacity=None):
-        for x, y in points:
-            self.min_x, self.max_x = min(self.min_x, x), max(self.max_x, x)
-            self.min_y, self.max_y = min(self.min_y, y), max(self.max_y, y)
-        attrs = f'fill="{fill}" stroke="{stroke}" stroke-width="{width}"'
-        if opacity is not None:
-            attrs += f' fill-opacity="{opacity}"'
-        pts = " ".join(f"{x},{y}" for x, y in points)
+    def lozenge(self, kind: str, x: int, y: int, attrs: str) -> None:
+        """The lozenge a site at (x, y) of an interface line meets: a green
+        top face centred there, or the orchid (descending) or sienna
+        (ascending) face whose right edge runs through it."""
+        if kind == GREEN:
+            pts = f"{x - _XS},{y} {x},{y + _YS} {x + _XS},{y} {x},{y - _YS}"
+            x0, x1, y0, y1 = x - _XS, x + _XS, y - _YS, y + _YS
+        elif kind == ORCHID:
+            pts = f"{x - _XS},{y} {x - _XS},{y - 2 * _YS} {x},{y - _YS} {x},{y + _YS}"
+            x0, x1, y0, y1 = x - _XS, x, y - 2 * _YS, y + _YS
+        else:
+            pts = f"{x - _XS},{y + 2 * _YS} {x - _XS},{y} {x},{y - _YS} {x},{y + _YS}"
+            x0, x1, y0, y1 = x - _XS, x, y - _YS, y + 2 * _YS
         self.body.append(f'<polygon points="{pts}" {attrs} />')
+        if x0 < self.min_x:
+            self.min_x = x0
+        if x1 > self.max_x:
+            self.max_x = x1
+        if y0 < self.min_y:
+            self.min_y = y0
+        if y1 > self.max_y:
+            self.max_y = y1
 
     def svg(self) -> str:
         if not self.body:
@@ -76,43 +91,41 @@ class _Canvas:
         return "\n".join([head, *self.body, "</svg>"])
 
 
-def _height2(pattern, zetas, k: int, site: int) -> int:
-    """Doubled real height of a site: interface centers rise half a unit per
-    hole slice and fall half a unit per particle slice."""
-    c2 = 0
-    for rel in pattern[:k]:
-        c2 += 1 if rel == PRECEQ else -1
-    return c2 + 2 * (site - zetas[k]) + 1
+def _attrs(fill: str, stroke: str, width: int = 1, opacity=None) -> str:
+    attrs = f'fill="{fill}" stroke="{stroke}" stroke-width="{width}"'
+    return attrs if opacity is None else f'{attrs} fill-opacity="{opacity}"'
 
 
-def _lozenge_points(pattern, zetas, kind: str, k: int, site: int):
-    v2 = _height2(pattern, zetas, k, site)
-    x = k * _XS
-    if kind == GREEN:
-        return [(x - _XS, -v2 * _YS), (x, -(v2 - 1) * _YS),
-                (x + _XS, -v2 * _YS), (x, -(v2 + 1) * _YS)]
-    shift = 1 if kind == ORCHID else -1  # height of the left edge
-    l2 = v2 + shift
-    return [(x - _XS, -(l2 - 1) * _YS), (x - _XS, -(l2 + 1) * _YS),
-            (x, -(v2 + 1) * _YS), (x, -(v2 - 1) * _YS)]
+def _line_heights(geometry) -> list[int]:
+    """y of site 0 on every interface line.  y is minus the doubled real
+    height in _YS units: interface centres rise half a unit per hole slice
+    and fall half a unit per particle slice, and site s lies s units above
+    site 0."""
+    rises = accumulate((1 if rel == PRECEQ else -1 for rel in geometry.pattern),
+                       initial=0)
+    return [-(c2 - 2 * zeta + 1) * _YS for c2, zeta in zip(rises, geometry.zetas)]
 
 
 def _draw_tiling(canvas, rpp: RPP, stroke: str, opacity) -> None:
+    """Row by row the orchid and sienna lozenges of sites 0..top, two above
+    the highest path, then line by line the green top faces."""
     geometry = rpp_core.shape_geometry(rpp.shape)
-    pattern, zetas = geometry.pattern, geometry.zetas
+    heights = _line_heights(geometry)
     sites = vertex_model.interface_site_lists(rpp)
     top = 2 + max((max(s) if s else 0 for s in sites), default=0)
-    for k in range(1, len(pattern) + 1):
+    attrs = {kind: _attrs(fill, stroke, opacity=opacity) for kind, fill in _FILL.items()}
+    every_site = (1 << top + 1) - 1
+    rows = zip(geometry.pattern, coupling.tiling_masks(rpp), heights[1:])
+    for k, (rel, (green, orchid, sienna), y) in enumerate(rows, start=1):
+        if rel == SUCCEQ:  # all orchid above the row's masks
+            orchid |= every_site & ~(green | orchid | sienna)
         for site in range(top + 1):
-            kind = classify(sites[k - 1], sites[k], site)
-            if kind == GREEN:
-                continue  # drawn from the line it sits on, below
-            canvas.poly(_lozenge_points(pattern, zetas, kind, k, site),
-                        _FILL[kind], stroke, opacity=opacity)
-    for k in range(len(pattern) + 1):
-        for site in sites[k]:
-            canvas.poly(_lozenge_points(pattern, zetas, GREEN, k, site),
-                        _FILL[GREEN], stroke, opacity=opacity)
+            if not green >> site & 1:  # drawn from the line it sits on, below
+                kind = ORCHID if orchid >> site & 1 else SIENNA
+                canvas.lozenge(kind, k * _XS, y - 2 * _YS * site, attrs[kind])
+    for k, (line, y) in enumerate(zip(sites, heights)):
+        for site in line:
+            canvas.lozenge(GREEN, k * _XS, y - 2 * _YS * site, attrs[GREEN])
 
 
 def rpp_svg(rpp: RPP) -> str:
@@ -126,13 +139,11 @@ def pair_svg(pair: PairRPP) -> str:
     canvas = _Canvas()
     _draw_tiling(canvas, pair.blue, "#2244cc", "0.45")
     _draw_tiling(canvas, pair.red, "#cc2222", "0.45")
-    geometry = rpp_core.shape_geometry(pair.shape)
-    pattern, zetas = geometry.pattern, geometry.zetas
+    heights = _line_heights(rpp_core.shape_geometry(pair.shape))
+    outline = _attrs("none", "#000000", width=3)
     for kind_code, k, site in coupling.coupled_pairs(pair):
-        shape_kind = ORCHID if kind_code in (1, 2) else SIENNA
-        canvas.poly(_lozenge_points(pattern, zetas, shape_kind, k, site),
-                    "none", "#000000", width=3)
+        y = heights[k] - 2 * _YS * site
+        canvas.lozenge(ORCHID if kind_code in (1, 2) else SIENNA, k * _XS, y, outline)
         if kind_code in (1, 4):
-            canvas.poly(_lozenge_points(pattern, zetas, GREEN, k, site),
-                        "none", "#000000", width=3)
+            canvas.lozenge(GREEN, k * _XS, y, outline)
     return canvas.svg()

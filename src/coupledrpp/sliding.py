@@ -9,6 +9,7 @@ the ones the constraints force to zero, and total volume is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import rpp_core
 from .partitions import BorderStrip, Cell, contains, normalize
@@ -24,12 +25,14 @@ class ColoredPathSystem:
     profiles[i-1][k] is the site of path i's top face on interface line k
     (0..n+1), extended by the zero-entry wall profile where strip i has no
     cell on the corresponding diagonal.  Paths are ordered outermost first,
-    so path 1 is the upper most.
+    so path 1 is the upper most.  steps[i-1][k-1] holds the sites of path
+    i's vertical steps between lines k-1 and k.
     """
 
     shape: tuple[int, ...]
     strips: tuple[BorderStrip, ...]
     profiles: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[range, ...], ...]
 
 
 def paths_of(rpp: RPP) -> ColoredPathSystem:
@@ -47,16 +50,20 @@ def _paths_of(rpp: RPP) -> ColoredPathSystem:
         entry_at = {c.col - c.row: rpp.entry(*c) for c in strip.cells}
         profiles.append(tuple(zeta + entry_at.get(k - depth, 0) - i
                               for k, zeta in enumerate(geometry.zetas)))
-    return ColoredPathSystem(rpp.shape, geometry.strips, tuple(profiles))
+    ascending = [rel == PRECEQ for rel in geometry.pattern]
+    steps = tuple(tuple(_pieces(a, b, up) for a, b, up in zip(p, p[1:], ascending))
+                  for p in profiles)
+    return ColoredPathSystem(rpp.shape, geometry.strips, tuple(profiles), steps)
 
 
-def _pieces(profile, pattern, k: int) -> range:
-    """Sites of the path's vertical steps between lines k-1 and k: it climbs
-    faces in hole slices and descends them in particle slices."""
-    a, b = profile[k - 1], profile[k]
-    if pattern[k - 1] == PRECEQ:
-        return range(a, b)        # ascending: b - a steps
-    return range(b + 1, a)        # descending: a - b - 1 steps
+@lru_cache(maxsize=4096)
+def _pieces(a: int, b: int, ascending: bool) -> range:
+    """Sites of a path's vertical steps between lines at heights a and b: it
+    climbs faces in hole slices and descends them in particle slices.  One
+    range per (a, b, ascending) is shared by every filling."""
+    if ascending:
+        return range(a, b)        # b - a steps
+    return range(b + 1, a)        # a - b - 1 steps
 
 
 def check_t0_constraints(pair: PairRPP) -> bool:
@@ -73,20 +80,17 @@ def check_t0_constraints(pair: PairRPP) -> bool:
     lines = range(len(pattern) + 1)
     for i in range(1, m + 1):
         pb, pr = blue.profiles[i - 1], red.profiles[i - 1]
+        steps_b, steps_r = blue.steps[i - 1], red.steps[i - 1]
         if any(pb[k] > pr[k] for k in lines):
             return False
-        for k in range(1, len(pattern) + 1):
-            sb = _pieces(pb, pattern, k)
-            sr = _pieces(pr, pattern, k)
+        for sb, sr in zip(steps_b, steps_r):
             if max(sb.start, sr.start) < min(sb.stop, sr.stop):
                 return False  # a shared vertical step
         if i + 1 <= m:
-            pr2 = red.profiles[i]
+            pr2, steps_r2 = red.profiles[i], red.steps[i]
             if any(pb[k] <= pr2[k] for k in lines):
                 return False
-            for k in range(1, len(pattern) + 1):
-                sb = _pieces(pb, pattern, k)
-                sr2 = _pieces(pr2, pattern, k)
+            for k, (sb, sr2) in enumerate(zip(steps_b, steps_r2), start=1):
                 if max(sb.start, sr2.start) < min(sb.stop, sr2.stop):
                     return False
                 if pattern[k - 1] == PRECEQ:

@@ -60,14 +60,20 @@ def test_bad_samples_exit_2(capsys):
     assert err.value.code == 2
 
 
-def cli_process(*argv):
+def cli_process(*argv, module="coupledrpp.cli"):
     """The CLI in a fresh interpreter, so an uncaught exception shows as
     its traceback and exit status."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-m", "coupledrpp.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_package_runs_as_a_module():
+    run = cli_process("hook", "--shape", "[2,1]", module="coupledrpp")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "1\n3 1\n"
 
 
 def test_zero_x_sample_exits_2():
@@ -254,6 +260,12 @@ def test_input_failing_validation_exits_2(capsys, tmp_path):
         "shape": [1], "blue": {"shape": [1], "rows": [[1]]},
         "red": {"shape": [1], "rows": [[1]]}}))  # g = 2: it does not slide
     assert "g > 0" in usage_error(capsys, "slide", "--input", str(src))
+
+
+def test_render_unwritable_out_exits_2(capsys, tmp_path):
+    message = usage_error(capsys, "render", "--object", "rpp", "--shape", "[2,1]",
+                          "--out", str(tmp_path / "missing" / "x.svg"))
+    assert message.startswith("error: ") and "missing" in message
 
 
 def test_render_maya(capsys):

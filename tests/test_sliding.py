@@ -32,6 +32,8 @@ def test_paths_zero_filling_hug_the_wall():
     zetas = V.interface_zetas(pattern)
     for i, prof in enumerate(system.profiles, start=1):
         assert prof == tuple(z - i for z in zetas)
+        assert len(system.steps[i - 1]) == len(pattern)
+        assert not any(system.steps[i - 1])  # no vertical step along the wall
 
 
 def test_paths_single_column_height():
