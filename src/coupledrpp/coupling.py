@@ -314,6 +314,33 @@ def _row_couplings(white_row: bool, blue, red) -> tuple[int, int, int, int]:
     return 0, 0, b_sienna & r_sienna, b_green & r_sienna
 
 
+_EVERY_KIND = (-1, -1, -1)  # a color whose every site is of every kind
+
+
+def _move_roles(white_row: bool, bottoms, tops, grown: int) -> tuple[int, int]:
+    """Site masks (as blue, as red) where a move's row, from its ascending
+    bottom and top sites, meets a coupled pair of `_row_couplings` whatever
+    the other color's row is.
+
+    Both types of a row share the kind of one color (blue orchid in white
+    rows, red sienna in gray ones), so the coupled sites of a blue and a
+    red row are exactly the blue row's as-blue AND the red row's as-red.
+    Those sites number the slice's growth `grown` (white) or its shrinkage
+    (gray); a move that breaks this identity raises.
+    """
+    masks = _lozenge_masks(bottoms, tops)
+    as_blue = _row_couplings(white_row, masks, _EVERY_KIND)
+    as_red = _row_couplings(white_row, _EVERY_KIND, masks)
+    roles = (as_blue[0] | as_blue[1] | as_blue[2] | as_blue[3],
+             as_red[0] | as_red[1] | as_red[2] | as_red[3])
+    met = (roles[0] if white_row else roles[1]).bit_count()
+    if met != (grown if white_row else -grown):
+        raise AssertionError(f"{met} coupling sites on a move from sites "
+                             f"{list(bottoms)} to {list(tops)} that changes "
+                             f"the slice size by {grown}")
+    return roles
+
+
 def coupled_pairs(pair: PairRPP) -> list[tuple[int, int, int]]:
     """Locations (type, row, site) of every coupled lozenge pair, by row and
     then by site; the types are those of `_row_couplings`."""
@@ -360,11 +387,12 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
     """Row by row, every move mu -> nu of one color's slice chain that lies
     on some chain closing at () with volume <= max_total.
 
-    Each row maps mu to its moves (need, |nu|, nu, masks), smallest need
+    Each row maps mu to its moves (need, |nu|, nu, roles), smallest need
     first: need is |nu| plus the least volume the chain still takes after
-    nu, and masks are the row's `_lozenge_masks`.  A forward pass finds the
-    least volume that reaches each slice, a backward pass the least volume
-    that closes from it.
+    nu, and roles are the row's `_move_roles`, checked on every move.  A
+    forward pass finds the least volume that reaches each slice, a backward
+    pass the least volume that closes from it and the sites of every slice
+    it keeps.
     """
     geometry = rpp_core.shape_geometry(lam)
     lengths = [len(cells) for cells in geometry.cells] + [0]
@@ -382,25 +410,65 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
         steps.append(step)
         reach.append(nxt)
     rest = {(): 0} if () in reach[-1] else {}  # slice -> least volume after it
+    # slice -> its ascending sites, at the top interface of the row
+    tops = {(): sorted(vertex_model.interface_sites((), zetas[-1]))}
     rows = []
     for k in range(len(pattern), 0, -1):
-        row, before = {}, {}
+        white_row = pattern[k - 1] == PRECEQ
+        row, before, bottoms_of = {}, {}, {}
         for mu, low in reach[k - 1].items():
             moves = [(size + rest[nu], size, nu) for size, nu in steps[k - 1][mu]
                      if nu in rest and low + size + rest[nu] <= max_total]
             if not moves:
                 continue
-            bottoms = sorted(vertex_model.interface_sites(mu, zetas[k - 1]))
+            bottoms = bottoms_of[mu] = sorted(
+                vertex_model.interface_sites(mu, zetas[k - 1]))
             row[mu] = sorted(
-                ((need, size, nu, _lozenge_masks(
-                    bottoms, sorted(vertex_model.interface_sites(nu, zetas[k]))))
+                ((need, size, nu, _move_roles(white_row, bottoms, tops[nu],
+                                              size - sum(mu)))
                  for need, size, nu in moves),
                 key=lambda move: move[0])
             before[mu] = row[mu][0][0]
         rows.append(row)
-        rest = before
+        rest, tops = before, bottoms_of
     rows.reverse()
     return rows
+
+
+def _closed_chains(rows) -> int:
+    """Number of paths from () back to () through the rows of
+    `_live_moves`: at least the number of one-color chains up to the
+    volume bound, and at least the number of partial chains through any
+    live slice, since each of those closes along some path."""
+    chains = {(): 1}
+    for row in rows:
+        nxt = {}
+        for mu, count in chains.items():
+            for _need, _size, nu, _roles in row.get(mu, ()):
+                nxt[nu] = nxt.get(nu, 0) + count
+        chains = nxt
+    return chains.get((), 0)
+
+
+def _fold(parts: dict, bits: int) -> tuple[int, int]:
+    """One packed state from its parts, {least key: packed counts}, each
+    part added at its key's offset.  Horner's rule from the highest key
+    down, in runs of 16 parts and then over the runs' results, so each
+    part is read a bounded number of times per level; one Horner pass over
+    all parts would reread the growing sum once per part."""
+    if len(parts) == 1:
+        return next(iter(parts.items()))
+    items = sorted(parts.items(), reverse=True)
+    while len(items) > 1:
+        runs = []
+        for i in range(0, len(items), 16):
+            least, total = items[i]
+            for key, part in items[i + 1:i + 16]:
+                total = (total << (least - key) * bits) + part
+                least = key
+            runs.append((least, total))
+        items = runs
+    return items[0]
 
 
 def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
@@ -414,33 +482,74 @@ def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
     slices by the next slices of `_live_moves` and adds the row's coupled
     lozenge count to g, keeping only partial chains that can still close
     within the volume budget; the last row closes both chains at ().
+
+    Packed layout (Kronecker substitution): with W = max_total + 1, the
+    count of (v, g) has the key v W + g, and a state is (least key, one
+    int) holding the count of key `least + i` at bits [i B, (i + 1) B).
+    A move pair adds (|blue nu| + |red nu|) W + gain to the least key and
+    leaves the int as it is; the gain is one AND and one popcount of the
+    two moves' `_move_roles`.  The parts reaching a state are summed
+    per least key and folded into one int once per row (`_fold`), which
+    is then cut below the first key that can no longer close within
+    max_total, only when the int reaches that far.
+
+    The key is exact because a partial g never exceeds its partial volume,
+    so every kept count has g < W: a white row's gain is at most its blue
+    orchids, which number |nu| - |mu| <= |nu| for the blue slice nu it
+    adds; a gray row's is at most its red siennas, which number
+    |mu| - |nu| <= |mu| for the red slice mu counted in the row before.
+    `_live_moves` checks this on every move.  A count moved past the bound
+    may reach g >= W before the cut, but then its volume is above the
+    bound too, so it lands at a key the cut drops.  B is a whole number of
+    bytes with 2^B above the square of `_closed_chains`, which bounds the
+    sum of all counts of a state, so no slot carries into the next.
     """
     lam = normalize(lam)
     series = QTSeries(max_total)
     pattern = rpp_core.interaction_pattern(lam)
-    states = {((), ()): {(0, 0): 1}}
-    for rel, moves in zip(pattern, _live_moves(lam, pattern, max_total)):
-        white_row = rel == PRECEQ
-        extended = {}
-        for (blue, red), counts in states.items():
-            spare = max_total - min(v for v, _g in counts)
-            for b_need, b_size, b_next, b_masks in moves[blue]:
+    rows = _live_moves(lam, pattern, max_total)
+    width = max_total + 1
+    bits = 8 * -(-(_closed_chains(rows) ** 2).bit_length() // 8)
+    # per interface: slice -> least volume still to come after it
+    closing = [{mu: moves[0][0] for mu, moves in row.items()} for row in rows[1:]]
+    closing.append({(): 0})
+    states = {((), ()): (0, 1)}
+    for moves, rest in zip(rows, closing):
+        parts = {}  # blue slice -> red slice -> least key -> packed counts
+        for (blue, red), (least, packed) in states.items():
+            spare = max_total - least // width
+            for b_need, b_size, b_next, (as_blue, _) in moves[blue]:
                 if b_need > spare:
                     break
-                for r_need, r_size, r_next, r_masks in moves[red]:
+                base = least + b_size * width
+                by_red = parts.get(b_next)
+                if by_red is None:
+                    by_red = parts[b_next] = {}
+                for r_need, r_size, r_next, (_, as_red) in moves[red]:
                     if b_need + r_need > spare:
                         break
-                    size = b_size + r_size
-                    room = max_total - b_need - r_need
-                    # a site holds at most one coupled type
-                    m1, m2, m3, m4 = _row_couplings(white_row, b_masks, r_masks)
-                    gain = (m1 | m2 | m3 | m4).bit_count()
-                    out = extended.setdefault((b_next, r_next), {})
-                    for (v, g), c in counts.items():
-                        if v <= room:
-                            key = (v + size, g + gain)
-                            out[key] = out.get(key, 0) + c
-        states = extended
-    for (n, g), c in sorted(states.get(((), ()), {}).items()):
-        series.add_term(n, g, c)
+                    key = base + r_size * width + (as_blue & as_red).bit_count()
+                    out = by_red.get(r_next)
+                    if out is None:
+                        by_red[r_next] = {key: packed}
+                    elif key in out:
+                        out[key] += packed
+                    else:
+                        out[key] = packed
+        states = {}
+        for blue, by_red in parts.items():
+            for red, out in by_red.items():
+                least, packed = _fold(out, bits)
+                cut = ((max_total + 1 - rest[blue] - rest[red]) * width - least) * bits
+                if packed.bit_length() > cut:
+                    packed &= (1 << cut) - 1
+                states[(blue, red)] = (least, packed)
+    least, packed = states[((), ())]
+    size = bits // 8
+    data = packed.to_bytes(-(-packed.bit_length() // bits) * size, "little")
+    for i in range(0, len(data), size):
+        count = int.from_bytes(data[i:i + size], "little")
+        if count:
+            n, g = divmod(least + i // size, width)
+            series.add_term(n, g, count)
     return series

@@ -127,10 +127,7 @@ def geometric_inverse(a: int, b: int, trunc_q: int) -> QTSeries:
 
 def hook_product_single(lam, trunc_q: int) -> QTSeries:
     """Product over cells of 1/(1 - q^hook), truncated."""
-    out = QTSeries.one(trunc_q)
-    for h in partitions.hook_lengths(lam):
-        out = out * geometric_inverse(h, 0, trunc_q)
-    return out
+    return _divide_by_hooks(lam, trunc_q, (0,))
 
 
 def hook_count(lam, trunc_q: int, colors: int = 1) -> int:
@@ -147,8 +144,19 @@ def hook_count(lam, trunc_q: int, colors: int = 1) -> int:
 
 def hook_product_pair(lam, trunc_q: int) -> QTSeries:
     """Product over cells of 1/((1 - q^hook)(1 - q^hook t)), truncated."""
-    out = QTSeries.one(trunc_q)
+    return _divide_by_hooks(lam, trunc_q, (0, 1))
+
+
+def _divide_by_hooks(lam, trunc_q: int, t_exponents) -> QTSeries:
+    """1 divided in place by (1 - q^h t^b) for every hook h and every b in
+    t_exponents: c[n][k] += c[n-h][k-b] for n upwards, the recurrence of
+    `hook_count` with t kept.  The t-degree never exceeds the q-degree."""
+    coeffs = [[1]] + [[0] * (n + 1) for n in range(1, trunc_q + 1)]
     for h in partitions.hook_lengths(lam):
-        out = out * geometric_inverse(h, 0, trunc_q)
-        out = out * geometric_inverse(h, 1, trunc_q)
-    return out
+        for b in t_exponents:
+            for n in range(h, trunc_q + 1):
+                row, lower = coeffs[n], coeffs[n - h]
+                end = b + len(lower)
+                row[b:end] = [c + d for c, d in zip(row[b:end], lower)]
+    return QTSeries(trunc_q, {(n, k): c for n, row in enumerate(coeffs)
+                              for k, c in enumerate(row) if c})

@@ -132,6 +132,36 @@ def test_genfun_paired_json_bytes(capsys):
     assert out == PAIRED_21_N6_JSON
 
 
+# stdout of these calls before the packed row-transfer engine and the
+# in-place hook products; both must reproduce it byte for byte
+PAIRED_21_N6_SERIES = (
+    "1 + 2*q + 2*q*t + 3*q^2 + 4*q^2*t + 3*q^2*t^2 + 5*q^3 + 7*q^3*t + "
+    "6*q^3*t^2 + 4*q^3*t^3 + 7*q^4 + 12*q^4*t + 11*q^4*t^2 + 8*q^4*t^3 + "
+    "5*q^4*t^4 + 9*q^5 + 17*q^5*t + 19*q^5*t^2 + 15*q^5*t^3 + 10*q^5*t^4 + "
+    "6*q^5*t^5 + 12*q^6 + 23*q^6*t + 28*q^6*t^2 + 26*q^6*t^3 + 19*q^6*t^4 + "
+    "12*q^6*t^5 + 7*q^6*t^6")
+SINGLE_21_N6_TERMS = ("[[0, 0, 1], [1, 0, 2], [2, 0, 3], [3, 0, 5], [4, 0, 7], "
+                      "[5, 0, 9], [6, 0, 12]]")
+SINGLE_21_N6_SERIES = "1 + 2*q + 3*q^2 + 5*q^3 + 7*q^4 + 9*q^5 + 12*q^6"
+GENFUN_21_N6_STDOUT = {
+    (True, "text"): (f"brute force : {PAIRED_21_N6_SERIES}\n"
+                           f"hook product: {PAIRED_21_N6_SERIES}\nstatus: pass\n"),
+    (False, "json"): (
+        f'{{"bruteforce": {SINGLE_21_N6_TERMS}, "hook_product": {SINGLE_21_N6_TERMS}, '
+        '"max_volume": 6, "paired": false, "shape": [2, 1], "status": "pass"}\n'),
+    (False, "text"): (f"brute force : {SINGLE_21_N6_SERIES}\n"
+                              f"hook product: {SINGLE_21_N6_SERIES}\nstatus: pass\n"),
+}
+
+
+@pytest.mark.parametrize("paired,fmt", sorted(GENFUN_21_N6_STDOUT))
+def test_genfun_bytes(capsys, paired, fmt):
+    code, out = run(capsys, "genfun", "--shape", "[2,1]", "--max-volume", "6",
+                    *(["--paired"] if paired else []), "--format", fmt)
+    assert code == 0
+    assert out == GENFUN_21_N6_STDOUT[(paired, fmt)]
+
+
 def test_genfun_empty_shape(capsys):
     code, out = run(capsys, "genfun", "--shape", "[]", "--max-volume", "3",
                     "--paired", "--format", "json")

@@ -245,6 +245,13 @@ def test_transfer_edge_cases():
         C.pair_genfun_transfer((1,), -1)
 
 
+@pytest.mark.parametrize("lam,n", [((1,), 300), ((6,), 20)])
+def test_transfer_matches_hook_product_on_sparse_states(lam, n):
+    # states holding a few counts at a high g or far above their least
+    # volume, which the packed layout stores from the least key up
+    assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
+
+
 @pytest.mark.parametrize("lam,n", [((3, 2, 1), 5), ((4, 1), 4), ((2, 2), 4), ((3,), 6)])
 def test_live_moves_are_the_moves_of_closed_chains(lam, n):
     # exactly the slice steps taken by some filling of volume <= n
@@ -257,6 +264,41 @@ def test_live_moves_are_the_moves_of_closed_chains(lam, n):
     live = {(k, mu, nu) for k, row in enumerate(rows)
             for mu, moves in row.items() for _need, _size, nu, _masks in moves}
     assert live == taken
+
+
+def test_coupling_sites_bound_g_by_the_volume():
+    # white rows: blue orchids = |nu| - |mu|; gray rows: red siennas =
+    # |mu| - |nu|; the roles are the union of each row's two coupled types
+    cases = [(lam, 8) for lam in P.all_partitions(7)]
+    cases += [((4, 4, 3, 3, 1), 6), ((5, 4), 6), ((3, 3, 3), 6)]
+    moves = 0
+    for lam, n in cases:
+        pattern = R.interaction_pattern(lam)
+        zetas = R.shape_geometry(lam).zetas
+        for k, row in enumerate(C._live_moves(lam, pattern, n), start=1):
+            white = pattern[k - 1] == R.PRECEQ
+            for mu, row_moves in row.items():
+                for _need, size_nu, nu, roles in row_moves:
+                    green, orchid, sienna = C._lozenge_masks(
+                        sorted(V.interface_sites(mu, zetas[k - 1])),
+                        sorted(V.interface_sites(nu, zetas[k])))
+                    if white:
+                        assert orchid.bit_count() == size_nu - sum(mu)
+                        assert roles == (orchid, green | orchid)
+                    else:
+                        assert sienna.bit_count() == sum(mu) - size_nu
+                        assert roles == (sienna | green, sienna)
+                    moves += 1
+    assert moves == 3605
+
+
+def test_engine_rejects_masks_that_break_the_bound(monkeypatch):
+    masks = C._lozenge_masks
+    monkeypatch.setattr(C, "_lozenge_masks", lambda bottoms, tops: tuple(
+        m | (1 << 60) * (kind == 2) for kind, m in enumerate(masks(bottoms, tops))))
+    # a stray sienna in every row: only the gray rows' red role counts it
+    with pytest.raises(AssertionError, match="coupling sites"):
+        C.pair_genfun_transfer((2, 1), 4)
 
 
 def test_live_moves_need_the_volume_still_to_come():

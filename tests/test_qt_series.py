@@ -77,6 +77,17 @@ def test_hook_product_pair_examples():
         [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
 
 
+def test_hook_products_equal_the_products_of_geometric_series():
+    # the in-place division against the product of truncated expansions
+    for lam in P.all_partitions(5):
+        single = pair = QTSeries.one(10)
+        for h in P.hook_lengths(lam):
+            single = single * geometric_inverse(h, 0, 10)
+            pair = pair * geometric_inverse(h, 0, 10) * geometric_inverse(h, 1, 10)
+        assert hook_product_single(lam, 10) == single, lam
+        assert hook_product_pair(lam, 10) == pair, lam
+
+
 def test_hook_count_is_the_product_at_t_one():
     for lam in P.all_partitions(5):
         for n in (0, 3, 7):

@@ -152,6 +152,8 @@ sliding.check_t0_constraints = lambda pair: True
 sliding.forced_zero_region = lambda pair: []
 blue = rpp_core.validate((2, 2), [[0, 1], [0, 1]])  # (1, 2) slides off the shape
 print(raises(sliding.slide, coupling.make_pair(blue, rpp_core.zero_rpp((2, 2)))))
+coupling._lozenge_masks = lambda bottoms, tops: (0, 1 << 60, 0)  # a stray orchid
+print(raises(coupling.pair_genfun_transfer, (2, 1), 4))
 partitions.MayaDiagram.is_particle = lambda self, t: True
 print(raises(partitions.maya, (1,), 3))
 """
@@ -167,7 +169,8 @@ def test_invariants_raise_under_python_O():
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert "no configuration" in lines[0]
     assert "slides off" in lines[1]
-    assert "balance point" in lines[2]
+    assert "coupling sites" in lines[2]
+    assert "balance point" in lines[3]
