@@ -150,13 +150,15 @@ def hook_product_pair(lam, trunc_q: int) -> QTSeries:
 def _divide_by_hooks(lam, trunc_q: int, t_exponents) -> QTSeries:
     """1 divided in place by (1 - q^h t^b) for every hook h and every b in
     t_exponents: c[n][k] += c[n-h][k-b] for n upwards, the recurrence of
-    `hook_count` with t kept.  The t-degree never exceeds the q-degree."""
-    coeffs = [[1]] + [[0] * (n + 1) for n in range(1, trunc_q + 1)]
+    `hook_count` with t kept.  Row n holds t-degrees 0..n max(t_exponents),
+    since every hook is at least 1: one entry per row when t never shows."""
+    top = max(t_exponents)
+    coeffs = [[1]] + [[0] * (n * top + 1) for n in range(1, trunc_q + 1)]
     for h in partitions.hook_lengths(lam):
         for b in t_exponents:
             for n in range(h, trunc_q + 1):
-                row, lower = coeffs[n], coeffs[n - h]
-                end = b + len(lower)
-                row[b:end] = [c + d for c, d in zip(row[b:end], lower)]
+                row = coeffs[n]
+                for k, c in enumerate(coeffs[n - h], b):
+                    row[k] += c
     return QTSeries(trunc_q, {(n, k): c for n, row in enumerate(coeffs)
                               for k, c in enumerate(row) if c})

@@ -252,6 +252,21 @@ def test_transfer_matches_hook_product_on_sparse_states(lam, n):
     assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
 
 
+@pytest.mark.parametrize("lam,n", [((6,), 20), ((3, 2, 1), 12), ((4, 1), 15)])
+def test_kept_states_stop_at_the_volume_bound(lam, n, monkeypatch):
+    # every state kept after a row is cut to at most N + 1 volumes of
+    # N + 1 slots; the parts `_fold` reads are those states, unshifted
+    fold, longest = C._fold, []
+
+    def watched(parts, bits):
+        longest.append(max(part.bit_length() for part in parts.values()) / bits)
+        return fold(parts, bits)
+
+    monkeypatch.setattr(C, "_fold", watched)
+    assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
+    assert 0 < max(longest) <= (n + 1) ** 2
+
+
 @pytest.mark.parametrize("lam,n", [((3, 2, 1), 5), ((4, 1), 4), ((2, 2), 4), ((3,), 6)])
 def test_live_moves_are_the_moves_of_closed_chains(lam, n):
     # exactly the slice steps taken by some filling of volume <= n

@@ -88,6 +88,12 @@ def test_hook_products_equal_the_products_of_geometric_series():
         assert hook_product_pair(lam, 10) == pair, lam
 
 
+def test_hook_product_single_keeps_one_coefficient_per_q_degree():
+    # no t-degrees stored in single mode: 10^5 + 1 terms in linear space
+    series = hook_product_single((1,), 10 ** 5)
+    assert series.terms() == [(n, 0, 1) for n in range(10 ** 5 + 1)]
+
+
 def test_hook_count_is_the_product_at_t_one():
     for lam in P.all_partitions(5):
         for n in (0, 3, 7):
