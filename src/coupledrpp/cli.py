@@ -208,7 +208,9 @@ def cmd_slide(args) -> int:
 def cmd_render(args) -> int:
     if args.object == "maya":
         lam = _parse_shape(args.shape)
-        width = args.half_width or max(len(lam), lam[0] if lam else 0) + 2
+        width = args.half_width
+        if width is None:
+            width = max(len(lam), lam[0] if lam else 0) + 2
         out = render.maya_ascii(_checked("--half-width", partitions.maya, lam, width))
     elif args.object == "rpp":
         if args.input:

@@ -23,11 +23,13 @@ class Cell(NamedTuple):
 
 
 def normalize(parts) -> tuple[int, ...]:
-    """Canonical form: tuple, weakly decreasing, trailing zeros stripped."""
+    """Canonical form: tuple, weakly decreasing, trailing zeros stripped.
+    Parts must be ints (not bools, floats or strings)."""
     out = []
     prev = None
     for p in parts:
-        p = int(p)
+        if type(p) is not int:
+            raise TypeError(f"part {p!r} is not an integer")
         if p < 0:
             raise ValueError(f"negative part {p}")
         if prev is not None and p > prev:

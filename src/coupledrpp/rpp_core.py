@@ -57,15 +57,18 @@ class RPP:
 
 
 def validate(shape, rows) -> RPP:
-    """Check shape/filling agreement and monotonicity; raise on the first offense."""
+    """Check shape/filling agreement, integer entries and monotonicity;
+    raise on the first offense."""
     shape = normalize(shape)
-    rows = tuple(tuple(int(v) for v in row) for row in rows)
+    rows = tuple(map(tuple, rows))
     if len(rows) != len(shape):
         raise ValueError(f"{len(rows)} rows for shape of length {len(shape)}")
     for r, (row, want) in enumerate(zip(rows, shape), start=1):
         if len(row) != want:
             raise ValueError(f"row {r} has {len(row)} entries, expected {want}")
         for v in row:
+            if type(v) is not int:
+                raise TypeError(f"entry {v!r} in row {r} is not an integer")
             if v < 0:
                 raise ValueError(f"negative entry in row {r}")
     for r, row in enumerate(rows, start=1):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .partitions import interlaces, normalize, part
-from .rpp_core import PRECEQ, RPP, shape_geometry
+from .rpp_core import PRECEQ, RPP, SUCCEQ, next_slices, shape_geometry
 from .rpp_core import interface_zetas  # noqa: F401  (public here as well)
 
 
@@ -399,37 +399,6 @@ def verify_ybe(kind: str, samples=DEFAULT_SAMPLES) -> dict:
 # Row commutation (the two-row swap identity)
 
 
-def _interlacing_above_capped(base_list, cap1: int):
-    """Partitions nu with mu <= nu for every mu in base_list and nu_1 <= cap1."""
-    def gen(i, upper):
-        lo = max(part(mu, i) for mu in base_list)
-        hi = min(upper, *(part(mu, i - 1) for mu in base_list)) if i > 1 else upper
-        for v in range(lo, hi + 1):
-            if v == 0:
-                yield ()
-                continue
-            for rest in gen(i + 1, v):
-                yield (v,) + rest
-
-    yield from gen(1, cap1)
-
-
-def _interlacing_below_both(mu, lam):
-    """Partitions nu with nu <= mu and nu <= lam."""
-    def gen(i, upper):
-        lo = max(part(mu, i + 1), part(lam, i + 1))
-        hi = min(part(mu, i), part(lam, i), upper)
-        for v in range(lo, hi + 1):
-            if v == 0:
-                yield ()
-                continue
-            for rest in gen(i + 1, v):
-                yield (v,) + rest
-
-    big = sum(mu) + sum(lam) + 1
-    yield from gen(1, big)
-
-
 def verify_commutation(mu, lam, x, y, window: int) -> dict:
     """Exact check of: (gray x below, white y above) summed over the middle
     interface equals (1 - xy) times the swapped stack.
@@ -445,12 +414,16 @@ def verify_commutation(mu, lam, x, y, window: int) -> dict:
     cap = max(part(mu, 1), part(lam, 1)) + window
 
     lhs = 0
-    for nu in _interlacing_below_both(mu, lam):
-        lhs += x ** (sum(mu) - sum(nu)) * y ** (sum(lam) - sum(nu))
+    for nu in next_slices(mu, SUCCEQ, len(mu), sum(mu)):  # nu <= mu
+        if interlaces(nu, lam):
+            lhs += x ** (sum(mu) - sum(nu)) * y ** (sum(lam) - sum(nu))
 
     partial = 0
     at_cap = 0
-    for nu in _interlacing_above_capped([mu, lam], cap):
+    # mu <= nu gives nu_i <= mu_(i-1), so nu_1 <= cap bounds |nu| by cap + |mu|
+    for nu in next_slices(mu, PRECEQ, len(mu) + 1, cap + sum(mu)):
+        if part(nu, 1) > cap or not interlaces(lam, nu):
+            continue
         term = y ** (sum(nu) - sum(mu)) * x ** (sum(nu) - sum(lam))
         if part(nu, 1) == cap:
             at_cap += term

@@ -292,6 +292,29 @@ def test_input_failing_validation_exits_2(capsys, tmp_path):
     assert "g > 0" in usage_error(capsys, "slide", "--input", str(src))
 
 
+@pytest.mark.parametrize("shape", ["[2.7,1]", '"21"', "[true,1]", "[2,1.0]"])
+def test_non_integer_shape_exits_2(capsys, shape):
+    assert "not an integer" in usage_error(capsys, "hook", "--shape", shape)
+
+
+@pytest.mark.parametrize("entry", [1.5, "3", False])
+def test_non_integer_entry_exits_2(capsys, tmp_path, entry):
+    src = tmp_path / "in.json"
+    rows = [[0, entry], [3]]
+    src.write_text(json.dumps({"shape": [2, 1], "rows": rows}))
+    assert "not an integer" in usage_error(capsys, "render", "--object", "rpp",
+                                           "--input", str(src))
+    src.write_text(json.dumps({"shape": [2, 1], "blue": {"shape": [2, 1], "rows": rows},
+                               "red": {"shape": [2, 1], "rows": [[0, 0], [3]]}}))
+    assert "not an integer" in usage_error(capsys, "render", "--object", "pair",
+                                           "--input", str(src))
+
+
+def test_maya_zero_half_width_exits_2(capsys):
+    assert "half_width 0" in usage_error(capsys, "render", "--object", "maya",
+                                         "--shape", "[3,1]", "--half-width", "0")
+
+
 def test_render_unwritable_out_exits_2(capsys, tmp_path):
     message = usage_error(capsys, "render", "--object", "rpp", "--shape", "[2,1]",
                           "--out", str(tmp_path / "missing" / "x.svg"))

@@ -51,8 +51,33 @@ SVG_DIGESTS = {
 
 @pytest.mark.parametrize("case", sorted(SVG_DIGESTS))
 def test_svg_bytes_are_pinned(case):
+    """Each pin holds with the polygon memo cleared, and with it warm from
+    every other case drawn first, in case order and in reverse order."""
     texts, want = SVG_DIGESTS[case]
+    render._polygon.cache_clear()
     assert _digest(texts()) == want
+    others = [other for other in sorted(SVG_DIGESTS) if other != case]
+    for order in (others, others[::-1]):
+        render._polygon.cache_clear()
+        for other in order:
+            SVG_DIGESTS[other][0]()
+        assert _digest(texts()) == want
+
+
+def test_polygon_memo_stays_bounded():
+    """A 16 x 16 pair draws more distinct polygons than the memo keeps; the
+    memo stops at its maxsize and the drawing does not change."""
+    n = 16
+    shape = (n,) * n
+    pair = _pair(shape, [[r + c for c in range(n)] for r in range(n)],
+                 [[2 * (r + c) for c in range(n)] for r in range(n)])
+    render._polygon.cache_clear()
+    svg = render.pair_svg(pair)
+    info = render._polygon.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+    assert render.pair_svg(pair) == svg
+    assert render._polygon.cache_info().currsize <= info.maxsize
 
 
 def test_drawn_kinds_are_the_classified_kinds():
