@@ -245,7 +245,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    report = checks.run_all(args.budget_seconds)
+    budget = args.budget_seconds
+    if budget is not None and not budget >= 0:  # NaN compares false
+        _usage_error(f"--budget-seconds must be a number >= 0, got {budget}")
+    report = checks.run_all(budget)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
     else:

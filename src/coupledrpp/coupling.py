@@ -12,7 +12,6 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from . import rpp_core, vertex_model
@@ -142,9 +141,15 @@ def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
 
 @dataclass(frozen=True)
 class PairRPP:
+    """A (blue, red) pair of fillings of one shape.  Like a filling, it
+    keeps what is derived from it (its coupled lozenge pairs) on the
+    instance; equality, hash and repr read only the three fields."""
+
     shape: tuple[int, ...]
     blue: RPP
     red: RPP
+
+    derived = RPP.derived
 
 
 def make_pair(blue: RPP, red: RPP) -> PairRPP:
@@ -197,35 +202,27 @@ def colored_row_weight_explicit(kind, mu_pair, lam_pair, x, t, ell, window):
     return total
 
 
-@lru_cache(maxsize=None)
-def _exponents(kind: str) -> dict:
-    """(x, t) exponents of every state pair's weight in a row of this kind:
-    the published weight at the symbolic point x = Monomial(1, 0),
-    t = Monomial(0, 1)."""
-    weigh = colored_white_weight if kind == WHITE else colored_gray_weight
-    return {(vb, vr): weigh(vb, vr, Monomial(1, 0), Monomial(0, 1))
-            for vb in ALLOWED_STATES for vr in ALLOWED_STATES}
-
-
 def pair_config_weight(pair: PairRPP) -> Monomial:
     """Weight of the superimposed configuration, x_i = q^(+-i), t tracked
-    exactly; a monomial q^a t^b."""
-    blue_cfg = vertex_model.rpp_to_config(pair.shape, pair.blue)
-    red_cfg = vertex_model.rpp_to_config(pair.shape, pair.red)
-    window = max(blue_cfg.window, red_cfg.window)
+    exactly; a monomial q^a t^b.
+
+    Row i's x-degree is the sum of both colors' (`config_weight_q`).  Its
+    t-degree counts, in a white row, blue right exits at sites red occupies
+    and, in a gray row, red's top exits plus the sites where blue has no
+    right exit and red is EMPTY.
+    """
+    blue = vertex_model.rpp_to_config(pair.shape, pair.blue).masks
+    red = vertex_model.rpp_to_config(pair.shape, pair.red).masks
+    pattern = rpp_core.shape_geometry(pair.shape).pattern
     q_exp = t_exp = 0
-    for k, (brow, rrow) in enumerate(zip(blue_cfg.states, red_cfg.states), start=1):
-        kind = blue_cfg.kind(k)
-        exponents = _exponents(kind)
-        tail = EMPTY if kind == WHITE else HORIZONTAL
-        brow += (tail,) * (window - blue_cfg.window)
-        rrow += (tail,) * (window - red_cfg.window)
-        x_deg = 0
-        for states in zip(brow, rrow):
-            w = exponents[states]
-            x_deg += w.q_exp
-            t_exp += w.t_exp
-        q_exp += x_deg * (-k if kind == WHITE else k)
+    for k, (rel, (b_right, _, _), (r_right, r_occupied, r_top)) in enumerate(
+            zip(pattern, blue, red), start=1):
+        if rel == PRECEQ:
+            q_exp -= k * (b_right.bit_count() + r_right.bit_count())
+            t_exp += (b_right & r_occupied).bit_count()
+        else:
+            q_exp += k * ((~b_right).bit_count() + (~r_right).bit_count())
+            t_exp += r_top.bit_count() + (~b_right & ~r_occupied).bit_count()
     return Monomial(q_exp, t_exp)
 
 
@@ -343,7 +340,12 @@ def _move_roles(white_row: bool, bottoms, tops, grown: int) -> tuple[int, int]:
 
 def coupled_pairs(pair: PairRPP) -> list[tuple[int, int, int]]:
     """Locations (type, row, site) of every coupled lozenge pair, by row and
-    then by site; the types are those of `_row_couplings`."""
+    then by site; the types are those of `_row_couplings`.  Found once per
+    pair."""
+    return list(pair.derived("couplings", _coupled_pairs))
+
+
+def _coupled_pairs(pair: PairRPP) -> tuple[tuple[int, int, int], ...]:
     if pair.blue.shape != pair.red.shape:
         raise ValueError("pair members must share a shape")
     pattern = rpp_core.shape_geometry(pair.shape).pattern
@@ -356,12 +358,12 @@ def coupled_pairs(pair: PairRPP) -> list[tuple[int, int, int]]:
             if hits >> site & 1:
                 kind = next(i for i, m in enumerate(masks, 1) if m >> site & 1)
                 out.append((kind, k, site))
-    return out
+    return tuple(out)
 
 
 def g_via_lozenges(pair: PairRPP) -> int:
     """Independent count of the same statistic, straight from the tilings."""
-    return len(coupled_pairs(pair))
+    return len(pair.derived("couplings", _coupled_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 from . import partitions
-from .partitions import BorderStrip, Cell, normalize, part
+from .partitions import Cell, normalize, part
 
 # Relation symbols for interlacing patterns: row k of the vertex model is
 # white when pattern[k-1] == PRECEQ and gray when it is SUCCEQ.
@@ -140,7 +140,6 @@ class ShapeGeometry(NamedTuple):
     # cells[k-1]: 0-based (row, column) indices slice k reads, top first
     cells: tuple[tuple[tuple[int, int], ...], ...]
     zetas: tuple[int, ...]
-    strips: tuple[BorderStrip, ...]
 
 
 @lru_cache(maxsize=64)
@@ -156,9 +155,7 @@ def shape_geometry(shape: tuple[int, ...]) -> ShapeGeometry:
         r_lo, r_hi = diagonal_rows(shape, k - depth)
         cells.append(tuple((r - 1, r + k - depth - 1)
                            for r in range(r_hi, r_lo - 1, -1)))
-    return ShapeGeometry(pattern, tuple(cells),
-                         tuple(interface_zetas(pattern)),
-                         tuple(partitions.border_strips(shape)))
+    return ShapeGeometry(pattern, tuple(cells), tuple(interface_zetas(pattern)))
 
 
 def to_slices(rpp: RPP) -> SliceSequence:
@@ -172,6 +169,22 @@ def to_slices(rpp: RPP) -> SliceSequence:
         slices.append(normalize([rows[r][c] for r, c in cells]))
     slices.append(())
     return SliceSequence(geometry.pattern, tuple(slices))
+
+
+def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
+    """The filling of a normalized shape whose diagonal k holds slices[k-1],
+    top first and zero past its parts, validated.  It keeps the chain of
+    these slices, which must be normalized partitions that fit their
+    diagonals."""
+    geometry = shape_geometry(shape)
+    rows = [[0] * p for p in shape]
+    for cells, sl in zip(geometry.cells, slices):
+        for (r, c), v in zip(cells, sl):
+            rows[r][c] = v
+    rpp = validate(shape, rows)
+    chain = ((), *slices, ()) if geometry.pattern else ((),)
+    rpp.__dict__["chain"] = SliceSequence(geometry.pattern, chain)
+    return rpp
 
 
 def shape_from_pattern(pattern) -> tuple[int, ...]:
@@ -203,15 +216,12 @@ def from_slices(ss: SliceSequence) -> RPP:
         ok = partitions.interlaces(a, b) if rel == PRECEQ else partitions.interlaces(b, a)
         if not ok:
             raise ValueError(f"slices {a} {rel} {b} violate interlacing at step {k}")
-    rows = [[0] * p for p in shape]
-    for k, cells in enumerate(shape_geometry(shape).cells, start=1):
-        sl = ss.slices[k]
+    inner = ss.slices[1:-1]
+    for k, (cells, sl) in enumerate(zip(shape_geometry(shape).cells, inner), start=1):
         if len(sl) > len(cells):
             raise ValueError(f"slice {k} has {len(sl)} parts but the diagonal "
                              f"holds {len(cells)} cells")
-        for (r, c), v in zip(cells, sl):
-            rows[r][c] = v
-    return validate(shape, rows)
+    return from_diagonals(shape, [normalize(sl) for sl in inner])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 A pair with g = 0 collapses to a single RPP of the same shape: red strip i
 slides diagonally down-left i-1 steps onto border strip 2i-1, blue strip i
-slides i steps onto strip 2i.  Entries pushed off the diagram are exactly
-the ones the constraints force to zero, and total volume is preserved.
+slides i steps onto strip 2i.  Border strip i is the i-th cell from the top
+of every diagonal it meets, and slice k of the chain reads diagonal k from
+the top, so sliding riffles the two chains diagonal by diagonal: red's
+parts fill the odd positions and blue's the even ones.  Entries pushed off
+the diagram are exactly the ones the constraints force to zero, and total
+volume is preserved.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rpp_core
-from .partitions import BorderStrip, Cell, contains, normalize
+from .partitions import Cell, border_strips, normalize
 from .coupling import PairRPP, make_pair
 from .qt_series import hook_product_pair, hook_product_single
 from .rpp_core import PRECEQ, RPP, shape_geometry
@@ -23,14 +27,14 @@ class ColoredPathSystem:
     """Heights of the border-strip paths of one filling.
 
     profiles[i-1][k] is the site of path i's top face on interface line k
-    (0..n+1), extended by the zero-entry wall profile where strip i has no
-    cell on the corresponding diagonal.  Paths are ordered outermost first,
-    so path 1 is the upper most.  steps[i-1][k-1] holds the sites of path
-    i's vertical steps between lines k-1 and k.
+    (0..n+1): the interface centre plus part i of slice k, minus i, which
+    is the zero-entry wall profile where strip i has no cell on diagonal k.
+    There is one path per cell of the longest diagonal, outermost first, so
+    path 1 is the upper most.  steps[i-1][k-1] holds the sites of path i's
+    vertical steps between lines k-1 and k.
     """
 
     shape: tuple[int, ...]
-    strips: tuple[BorderStrip, ...]
     profiles: tuple[tuple[int, ...], ...]
     steps: tuple[tuple[range, ...], ...]
 
@@ -43,17 +47,15 @@ def paths_of(rpp: RPP) -> ColoredPathSystem:
 
 def _paths_of(rpp: RPP) -> ColoredPathSystem:
     geometry = shape_geometry(rpp.shape)
-    depth = len(rpp.shape)
-    profiles = []
-    for strip in geometry.strips:
-        i = strip.index
-        entry_at = {c.col - c.row: rpp.entry(*c) for c in strip.cells}
-        profiles.append(tuple(zeta + entry_at.get(k - depth, 0) - i
-                              for k, zeta in enumerate(geometry.zetas)))
+    paths = max(map(len, geometry.cells), default=0)
+    # line k holds zeta_k + part i of slice k - i for the paths i = 1..paths
+    lines = [[zeta + v - i for i, v in enumerate(sl + (0,) * (paths - len(sl)), 1)]
+             for zeta, sl in zip(geometry.zetas, rpp.chain.slices)]
+    profiles = tuple(zip(*lines))
     ascending = [rel == PRECEQ for rel in geometry.pattern]
     steps = tuple(tuple(_pieces(a, b, up) for a, b, up in zip(p, p[1:], ascending))
                   for p in profiles)
-    return ColoredPathSystem(rpp.shape, geometry.strips, tuple(profiles), steps)
+    return ColoredPathSystem(rpp.shape, profiles, steps)
 
 
 @lru_cache(maxsize=4096)
@@ -76,7 +78,7 @@ def check_t0_constraints(pair: PairRPP) -> bool:
     blue = paths_of(pair.blue)
     red = paths_of(pair.red)
     pattern = shape_geometry(pair.shape).pattern
-    m = len(blue.strips)
+    m = len(blue.profiles)
     lines = range(len(pattern) + 1)
     for i in range(1, m + 1):
         pb, pr = blue.profiles[i - 1], red.profiles[i - 1]
@@ -106,7 +108,7 @@ def forced_zero_region(pair: PairRPP) -> list[tuple[str, Cell]]:
     """Cells the constraints force to zero: blue strip i inside the first i
     rows or columns, red strip i inside the first i-1."""
     out = []
-    for strip in shape_geometry(pair.shape).strips:
+    for strip in border_strips(pair.shape):
         i = strip.index
         for cell in strip.cells:
             if cell.row <= i or cell.col <= i:
@@ -117,48 +119,33 @@ def forced_zero_region(pair: PairRPP) -> list[tuple[str, Cell]]:
 
 
 def slide(pair: PairRPP) -> RPP:
-    """Merge a g = 0 pair into one RPP of the same shape and total volume."""
+    """Merge a g = 0 pair into one RPP of the same shape and total volume:
+    on every diagonal, red's parts and blue's parts riffled."""
     if not check_t0_constraints(pair):
         raise ValueError("pair has a coupled lozenge pair; sliding undefined")
-    for color, cell in forced_zero_region(pair):
-        source = pair.blue if color == "blue" else pair.red
-        if source.entry(*cell) != 0:
-            raise AssertionError(
-                f"{color} entry at {cell} must be zero when the constraints hold")
-    shape = pair.shape
-    strips = shape_geometry(shape).strips
-    rows = [[0] * p for p in shape]
-    for strip in strips:
-        k = strip.index
-        i = (k + 1) // 2  # source strip index
-        source, shift = (pair.red, i - 1) if k % 2 else (pair.blue, i)
-        for r, c in strips[i - 1].cells:
-            target = Cell(r - shift, c - shift)
-            if contains(shape, target):
-                rows[target.row - 1][target.col - 1] = source.entry(r, c)
-            elif source.entry(r, c) != 0:
-                raise AssertionError(f"nonzero entry at {Cell(r, c)} slides off "
-                                     f"the shape outside the forced region")
-    return rpp_core.validate(shape, rows)
+    merged = []
+    diagonals = zip(shape_geometry(pair.shape).cells,
+                    pair.blue.chain.slices[1:], pair.red.chain.slices[1:])
+    for k, (cells, blue, red) in enumerate(diagonals, start=1):
+        riffle = [0] * (2 * max(len(blue), len(red)))
+        riffle[0:2 * len(red):2] = red
+        riffle[1:2 * len(blue):2] = blue
+        if any(riffle[len(cells):]):
+            raise AssertionError(f"a nonzero entry of slice {k} slides off "
+                                 f"the shape outside the forced region")
+        del riffle[len(cells):]
+        while riffle and not riffle[-1]:
+            riffle.pop()
+        merged.append(tuple(riffle))
+    return rpp_core.from_diagonals(pair.shape, merged)
 
 
 def unslide(rpp: RPP) -> PairRPP:
-    """The unique g = 0 pair sliding back to the filling: odd strips climb to
-    red, even strips to blue, missing strips filled with zeros."""
-    shape = rpp.shape
-    blue = [[0] * p for p in shape]
-    red = [[0] * p for p in shape]
-    for strip in shape_geometry(shape).strips:
-        i = strip.index
-        for r, c in strip.cells:
-            src_red = Cell(r - (i - 1), c - (i - 1))
-            if contains(shape, src_red):
-                red[r - 1][c - 1] = rpp.entry(*src_red)
-            src_blue = Cell(r - i, c - i)
-            if contains(shape, src_blue):
-                blue[r - 1][c - 1] = rpp.entry(*src_blue)
-    return make_pair(rpp_core.validate(shape, blue),
-                     rpp_core.validate(shape, red))
+    """The unique g = 0 pair sliding back to the filling: on every diagonal
+    the odd positions go to red and the even ones to blue."""
+    slices = rpp.chain.slices[1:-1]
+    return make_pair(rpp_core.from_diagonals(rpp.shape, [sl[1::2] for sl in slices]),
+                     rpp_core.from_diagonals(rpp.shape, [sl[0::2] for sl in slices]))
 
 
 def verify_t0_counting(lam, max_volume: int) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .partitions import interlaces, normalize, part
@@ -113,9 +113,12 @@ def cross_weight(c: CrossState, z):
 def interface_sites(slice_partition, zeta: int) -> list[int]:
     """Occupied sites (descending) of an interface holding zeta paths: the
     partition's Maya sites shifted right by the center position zeta."""
-    if len(slice_partition) > zeta:
+    n = len(slice_partition)
+    if n > zeta:
         raise ValueError(f"slice {slice_partition} too long for {zeta} paths")
-    return [zeta + part(slice_partition, i) - i for i in range(1, zeta + 1)]
+    # past the partition's parts the sites are zeta - i, down to 0
+    return ([zeta + v - i for i, v in enumerate(slice_partition, start=1)]
+            + list(range(zeta - n - 1, -1, -1)))
 
 
 def pair_paths(kind: str, bottoms: list[int], tops: list[int]):
@@ -170,6 +173,25 @@ def row_states(kind: str, bottoms: list[int], tops: list[int],
     return states
 
 
+def row_masks(kind: str, bottoms: list[int], tops: list[int]):
+    """Site masks (out_right, occupied, out_top) of the unique row
+    configuration, or None: the sites whose vertex sends a path right, is
+    not EMPTY, or sends a path up.  A gray row's exit run has no end, so its
+    first two masks are negative ints, and ~out_right is finite."""
+    matched = pair_paths(kind, bottoms, tops)
+    if matched is None:
+        return None
+    pairs, exit_site = matched
+    right = occupied = top = 0
+    if exit_site is not None:
+        right = occupied = -1 << exit_site
+    for a, b in pairs:
+        right |= (1 << b) - (1 << a)
+        occupied |= (2 << b) - (1 << a)
+        top |= 1 << b
+    return right, occupied, top
+
+
 def row_weight_closed(kind: str, mu, lam, x, ell: int = 0):
     """Closed-form row weight: white x^(|lam|-|mu|) iff mu <= lam, gray
     x^(|mu|-|lam|+ell) iff lam <= mu; None when no configuration exists."""
@@ -215,10 +237,25 @@ class VertexConfig:
     interfaces: tuple[tuple[int, ...], ...]
     zetas: tuple[int, ...]            # center position of each interface
     window: int
-    states: tuple[tuple[VertexState, ...], ...]  # states[k-1] is row k
+    # masks[k-1]: row k's (out_right, occupied, out_top) sites, see row_masks
+    masks: tuple[tuple[int, int, int], ...]
 
     def kind(self, k: int) -> str:
         return WHITE if self.pattern[k - 1] == PRECEQ else GRAY
+
+    @cached_property
+    def states(self) -> tuple[tuple[VertexState, ...], ...]:
+        """states[k-1] is row k, vertex by vertex over the window; built on
+        the first read and kept."""
+        sites = [interface_sites(sl, zeta)
+                 for sl, zeta in zip(self.interfaces, self.zetas)]
+        rows = []
+        for k in range(1, len(self.pattern) + 1):
+            states = row_states(self.kind(k), sites[k - 1], sites[k], self.window)
+            if states is None:
+                raise AssertionError(f"row {k} of a valid RPP has no configuration")
+            rows.append(tuple(states))
+        return tuple(rows)
 
 
 def config_window(interfaces, zetas) -> int:
@@ -253,16 +290,15 @@ def _config_of(rpp: RPP) -> VertexConfig:
     geometry = shape_geometry(rpp.shape)
     slices = rpp.chain.slices
     sites = interface_site_lists(rpp)
-    window = config_window(slices, geometry.zetas)
-    rows = []
+    masks = []
     for k, rel in enumerate(geometry.pattern, start=1):
         kind = WHITE if rel == PRECEQ else GRAY
-        states = row_states(kind, sites[k - 1][::-1], sites[k][::-1], window)
-        if states is None:
+        row = row_masks(kind, sites[k - 1][::-1], sites[k][::-1])
+        if row is None:
             raise AssertionError(f"row {k} of a valid RPP has no configuration")
-        rows.append(tuple(states))
+        masks.append(row)
     return VertexConfig(rpp.shape, geometry.pattern, slices, geometry.zetas,
-                        window, tuple(rows))
+                        config_window(slices, geometry.zetas), tuple(masks))
 
 
 def config_to_json(config: VertexConfig) -> str:
@@ -284,24 +320,18 @@ def A_lambda(lam) -> Monomial:
     return Monomial(-expo, 0)
 
 
-@lru_cache(maxsize=None)
-def _exponents(kind: str) -> dict:
-    """x-exponent (as q_exp) of every state's weight in a row of this kind:
-    the published weight at the symbolic point x = Monomial(1, 0)."""
-    weigh = white_weight if kind == WHITE else gray_weight
-    return {v: weigh(v, Monomial(1, 0)) for v in ALLOWED_STATES}
-
-
 def config_weight_q(lam, rpp: RPP) -> Monomial:
     """Weight of the configuration with x_i = q^(+i) on gray rows and
-    q^(-i) on white rows."""
+    q^(-i) on white rows: row i's x-degree counts its right exits (white)
+    or the sites without one (gray)."""
     config = rpp_to_config(lam, rpp)
     q_exp = 0
-    for k, row in enumerate(config.states, start=1):
-        kind = config.kind(k)
-        exponents = _exponents(kind)
-        x_deg = sum(exponents[v].q_exp for v in row)
-        q_exp += x_deg * (-k if kind == WHITE else k)
+    for k, (rel, (right, _occupied, _top)) in enumerate(
+            zip(config.pattern, config.masks), start=1):
+        if rel == PRECEQ:
+            q_exp -= k * right.bit_count()
+        else:
+            q_exp += k * (~right).bit_count()
     return Monomial(q_exp, 0)
 
 

@@ -379,3 +379,15 @@ def test_verify_all_budget_skip(capsys):
     code, out = run(capsys, "verify-all", "--budget-seconds", "0")
     assert code == 1
     assert "skipped" in out
+
+
+def test_verify_all_nan_budget_exits_2(capsys):
+    # NaN compares false with every elapsed time, so it would mean no budget
+    message = usage_error(capsys, "verify-all", "--budget-seconds", "nan")
+    assert message.startswith("error: ") and "--budget-seconds" in message
+
+
+def test_verify_all_negative_budget_exits_2(capsys):
+    # a negative budget would skip every criterion and report a failure
+    message = usage_error(capsys, "verify-all", "--budget-seconds", "-1")
+    assert message.startswith("error: ") and "--budget-seconds" in message

@@ -354,3 +354,18 @@ def test_pair_config_weight_is_the_product_of_vertex_weights():
             assert C.pair_config_weight(pair) == per_vertex(pair), pair
             checked += 1
     assert checked == 2045  # criterion 4's 2044 pairs and the empty one
+
+
+def test_coupled_pairs_kept_on_the_pair_leave_equality_hash_and_repr():
+    pair = C.make_pair(WORKED_BLUE, WORKED_RED)
+    fresh = C.PairRPP(pair.shape, pair.blue, pair.red)
+    before = (hash(pair), repr(pair))
+    found = C.coupled_pairs(pair)
+    assert "couplings" in vars(pair) and "couplings" not in vars(fresh)
+    found.append(None)  # the caller's copy; the kept list stays as found
+    assert C.coupled_pairs(pair) == C.coupled_pairs(fresh) == found[:-1]
+    assert C.g_via_lozenges(pair) == len(found) - 1 == 6
+    assert (hash(pair), repr(pair)) == before
+    assert pair == fresh and hash(pair) == hash(fresh)
+    assert repr(pair) == (f"PairRPP(shape={pair.shape}, blue={pair.blue!r}, "
+                          f"red={pair.red!r})")

@@ -87,7 +87,9 @@ def test_slice_roundtrip_exhaustive():
     # from_slices validates, so this also checks every enumerated filling
     for lam in P.all_partitions(5):
         for rpp in R.enumerate_rpps(lam, 6):
-            assert R.from_slices(R.to_slices(rpp)) == rpp
+            chain = R.to_slices(rpp)
+            out = R.from_slices(chain)
+            assert out == rpp and vars(out)["chain"] == chain  # handed over
 
 
 def test_next_slices_is_the_interlacing_filter():
@@ -162,7 +164,11 @@ def test_enumerated_fillings_carry_their_chain(monkeypatch):
         for rpp in rpps:
             fresh = R.validate(lam, rpp.rows)
             assert rpp.chain == R.to_slices(fresh) == fresh.chain, rpp
-            assert V.rpp_to_config(lam, rpp) == V.rpp_to_config(lam, fresh), rpp
+            config, fresh_config = V.rpp_to_config(lam, rpp), V.rpp_to_config(lam, fresh)
+            assert config == fresh_config, rpp
+            # the states are built on first read, outside the dataclass fields
+            assert config.masks == fresh_config.masks, rpp
+            assert config.states == fresh_config.states, rpp
             assert S.paths_of(rpp).profiles == S.paths_of(fresh).profiles, rpp
 
 
@@ -186,7 +192,10 @@ def test_shape_geometry_is_shared_and_bounded():
     assert R.shape_geometry(lam) is geometry
     assert geometry.pattern == R.interaction_pattern(lam)
     assert geometry.zetas == tuple(V.interface_zetas(geometry.pattern))
-    assert geometry.strips == tuple(P.border_strips(lam))
+    assert "strips" not in geometry._fields
+    # one path per border strip: as many as the longest diagonal has cells
+    assert max(map(len, geometry.cells)) == len(P.border_strips(lam)) == \
+        len(S.paths_of(R.zero_rpp(lam)).profiles)
     for k, cells in enumerate(geometry.cells, start=1):  # diagonal k, top first
         assert [c - r for r, c in cells] == [k - len(lam)] * len(cells)
         assert [r for r, _ in cells] == sorted((r for r, _ in cells), reverse=True)

@@ -122,6 +122,96 @@ def test_roundtrips_exhaustive():
                 assert S.unslide(S.slide(pair)) == pair
 
 
+def _strip_slide(pair):
+    """Sliding as the strips move: red strip i onto strip 2i-1, blue strip i
+    onto strip 2i, cell by cell."""
+    shape = pair.shape
+    strips = P.border_strips(shape)
+    rows = [[0] * p for p in shape]
+    for strip in strips:
+        k = strip.index
+        i = (k + 1) // 2  # source strip index
+        source, shift = (pair.red, i - 1) if k % 2 else (pair.blue, i)
+        for r, c in strips[i - 1].cells:
+            target = P.Cell(r - shift, c - shift)
+            if P.contains(shape, target):
+                rows[target.row - 1][target.col - 1] = source.entry(r, c)
+            elif source.entry(r, c) != 0:
+                raise AssertionError(f"nonzero entry at {(r, c)} slides off")
+    return R.validate(shape, rows)
+
+
+def _strip_unslide(rpp):
+    """Unsliding as the strips move: odd strips climb to red, even strips
+    to blue, cells with no source left at zero."""
+    shape = rpp.shape
+    blue = [[0] * p for p in shape]
+    red = [[0] * p for p in shape]
+    for strip in P.border_strips(shape):
+        i = strip.index
+        for r, c in strip.cells:
+            src_red = P.Cell(r - (i - 1), c - (i - 1))
+            if P.contains(shape, src_red):
+                red[r - 1][c - 1] = rpp.entry(*src_red)
+            src_blue = P.Cell(r - i, c - i)
+            if P.contains(shape, src_blue):
+                blue[r - 1][c - 1] = rpp.entry(*src_blue)
+    return C.make_pair(R.validate(shape, blue), R.validate(shape, red))
+
+
+def _carries_fresh_chain(rpp):
+    return rpp.__dict__["chain"] == R.to_slices(R.validate(rpp.shape, rpp.rows))
+
+
+def test_riffle_equals_moving_strips():
+    cases = [(lam, 5) for lam in P.all_partitions(6)]
+    slid = unslid = 0
+    for lam, bound in [*cases, ((4, 4, 3, 3, 1), 3)]:
+        for rpp in R.enumerate_rpps(lam, bound):
+            unslid += 1
+            pair = S.unslide(rpp)
+            assert pair == _strip_unslide(rpp), rpp
+            assert _carries_fresh_chain(pair.blue) and _carries_fresh_chain(pair.red)
+        for blue, red in R.enumerate_pairs(lam, bound):
+            pair = C.make_pair(blue, red)
+            if S.check_t0_constraints(pair):
+                out = S.slide(pair)
+                assert out == _strip_slide(pair), pair
+                assert _carries_fresh_chain(out), pair
+                slid += 1
+    assert slid == unslid == 1010  # a bijection at every volume
+
+
+def test_forced_region_is_what_slides_off():
+    # blue part i of a diagonal with L cells lands at position 2i, red part
+    # i at 2i-1: past L it slides off
+    shapes = list(P.all_partitions(12))
+    assert len(shapes) == 272
+    for lam in shapes:
+        off = set()
+        for cells in R.shape_geometry(lam).cells if lam else ():
+            for i, (r, c) in enumerate(cells, start=1):
+                if 2 * i > len(cells):
+                    off.add(("blue", P.Cell(r + 1, c + 1)))
+                if 2 * i - 1 > len(cells):
+                    off.add(("red", P.Cell(r + 1, c + 1)))
+        zero = R.zero_rpp(lam)
+        region = S.forced_zero_region(C.make_pair(zero, zero))
+        assert len(region) == len(set(region))
+        assert set(region) == off, lam
+
+
+def test_slid_fillings_carry_their_chain_on_the_empty_shape():
+    empty = R.zero_rpp(())
+    pair = S.unslide(empty)
+    assert pair == C.make_pair(empty, empty)
+    out = S.slide(pair)
+    assert out == empty
+    for rpp in (pair.blue, pair.red, out):
+        assert rpp.__dict__["chain"] == R.to_slices(empty)
+        assert rpp.chain.slices == ((),)
+
+
 def test_counting_single_cell():
     report = S.verify_t0_counting((1,), 5)
     assert report["passed"]
@@ -146,8 +236,10 @@ def raises(fn, *args):
     raise SystemExit(f"{fn.__name__} passed a broken invariant")
 
 assert False, "this interpreter must drop assert statements"
-vertex_model.row_states = lambda *args: None
+config = vertex_model.rpp_to_config((1,), rpp_core.zero_rpp((1,)))
+vertex_model.pair_paths = lambda *args: None
 print(raises(vertex_model.rpp_to_config, (1,), rpp_core.zero_rpp((1,))))
+print(raises(lambda: config.states))  # built on the first read
 sliding.check_t0_constraints = lambda pair: True
 sliding.forced_zero_region = lambda pair: []
 blue = rpp_core.validate((2, 2), [[0, 1], [0, 1]])  # (1, 2) slides off the shape
@@ -169,8 +261,9 @@ def test_invariants_raise_under_python_O():
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert "no configuration" in lines[0]
-    assert "slides off" in lines[1]
-    assert "coupling sites" in lines[2]
-    assert "balance point" in lines[3]
+    assert "no configuration" in lines[1]
+    assert "slides off" in lines[2]
+    assert "coupling sites" in lines[3]
+    assert "balance point" in lines[4]
