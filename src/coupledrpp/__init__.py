@@ -59,9 +59,7 @@ from .coupling import (
     verify_colored_ybe,
 )
 from .sliding import (
-    ColoredPathSystem,
     check_t0_constraints,
-    paths_of,
     slide,
     unslide,
     verify_t0_counting,

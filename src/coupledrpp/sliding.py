@@ -1,19 +1,38 @@
 """The zero-interaction regime: path constraints and the sliding bijection.
 
+Path i of a filling stands at zeta_k + part i of slice k - i on interface
+line k, and in row k its vertical steps are the sites zeta_(k-1) - i +
+[min, max) of its parts on lines k-1 and k.  The offsets cancel, so the
+path order of a g = 0 pair is a set of inequalities on parts.  With b
+and r the blue and red parts, zero past a slice's length (the wall):
+
+- line k: r_(k,i+1) <= b_(k,i) <= r_(k,i);
+- row k: blue i's steps miss red i's, and red i+1's shifted down by one;
+- white row: not b_(k-1,i) < r_(k,i+1) <= b_(k,i) (blue does not climb
+  past red i+1's top face);
+- gray row: not r_(k,i+1) <= b_(k,i) < r_(k-1,i+1) (red does not descend
+  past blue's).
+
+Given the lines, the three row rules of row k come to two inequalities
+between its lower slice lo and its upper slice hi (lo = k-1, hi = k on
+white rows; lo = k, hi = k-1 on gray ones): b_(hi,i) <= r_(lo,i) and
+r_(hi,i+1) <= b_(lo,i).  Since each chain interlaces, these two imply
+line k, so they are all `check_t0_constraints` tests.
+
 A pair with g = 0 collapses to a single RPP of the same shape: red strip i
 slides diagonally down-left i-1 steps onto border strip 2i-1, blue strip i
 slides i steps onto strip 2i.  Border strip i is the i-th cell from the top
 of every diagonal it meets, and slice k of the chain reads diagonal k from
 the top, so sliding riffles the two chains diagonal by diagonal: red's
-parts fill the odd positions and blue's the even ones.  Entries pushed off
-the diagram are exactly the ones the constraints force to zero, and total
-volume is preserved.
+parts fill the odd positions and blue's the even ones.  The inequalities
+above say that these riffles interlace as the shape's slices must.
+Entries pushed off the diagram are exactly the ones the constraints force
+to zero, and total volume is preserved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from operator import ge
 
 from . import rpp_core
 from .partitions import Cell, border_strips, normalize
@@ -22,85 +41,21 @@ from .qt_series import hook_product_pair, hook_product_single
 from .rpp_core import PRECEQ, RPP, shape_geometry
 
 
-@dataclass(frozen=True)
-class ColoredPathSystem:
-    """Heights of the border-strip paths of one filling.
-
-    profiles[i-1][k] is the site of path i's top face on interface line k
-    (0..n+1): the interface centre plus part i of slice k, minus i, which
-    is the zero-entry wall profile where strip i has no cell on diagonal k.
-    There is one path per cell of the longest diagonal, outermost first, so
-    path 1 is the upper most.  steps[i-1][k-1] holds the sites of path i's
-    vertical steps between lines k-1 and k.
-    """
-
-    shape: tuple[int, ...]
-    profiles: tuple[tuple[int, ...], ...]
-    steps: tuple[tuple[range, ...], ...]
-
-
-def paths_of(rpp: RPP) -> ColoredPathSystem:
-    """Border-strip paths drawn over the stacks, as per-line heights,
-    computed once per filling."""
-    return rpp.derived("paths", _paths_of)
-
-
-def _paths_of(rpp: RPP) -> ColoredPathSystem:
-    geometry = shape_geometry(rpp.shape)
-    paths = max(map(len, geometry.cells), default=0)
-    # line k holds zeta_k + part i of slice k - i for the paths i = 1..paths
-    lines = [[zeta + v - i for i, v in enumerate(sl + (0,) * (paths - len(sl)), 1)]
-             for zeta, sl in zip(geometry.zetas, rpp.chain.slices)]
-    profiles = tuple(zip(*lines))
-    ascending = [rel == PRECEQ for rel in geometry.pattern]
-    steps = tuple(tuple(_pieces(a, b, up) for a, b, up in zip(p, p[1:], ascending))
-                  for p in profiles)
-    return ColoredPathSystem(rpp.shape, profiles, steps)
-
-
-@lru_cache(maxsize=4096)
-def _pieces(a: int, b: int, ascending: bool) -> range:
-    """Sites of a path's vertical steps between lines at heights a and b: it
-    climbs faces in hole slices and descends them in particle slices.  One
-    range per (a, b, ascending) is shared by every filling."""
-    if ascending:
-        return range(a, b)        # b - a steps
-    return range(b + 1, a)        # a - b - 1 steps
-
-
 def check_t0_constraints(pair: PairRPP) -> bool:
-    """Path-order test equivalent to g = 0.
-
-    Blue path i stays weakly below red path i and strictly above red path
-    i+1, where paths may touch only if they immediately separate: shared
-    vertical steps and steps onto the other color's top face are ruled out.
-    """
-    blue = paths_of(pair.blue)
-    red = paths_of(pair.red)
-    pattern = shape_geometry(pair.shape).pattern
-    m = len(blue.profiles)
-    lines = range(len(pattern) + 1)
-    for i in range(1, m + 1):
-        pb, pr = blue.profiles[i - 1], red.profiles[i - 1]
-        steps_b, steps_r = blue.steps[i - 1], red.steps[i - 1]
-        if any(pb[k] > pr[k] for k in lines):
+    """Path-order test equivalent to g = 0, read off the two slice chains:
+    row by row, blue's upper slice lies within red's lower one, and red's
+    upper slice, past its first part, within blue's lower one.  It stops
+    at the first row that fails, lengths first."""
+    blue, red = pair.blue.chain.slices, pair.red.chain.slices
+    rows = zip(pair.blue.chain.pattern, blue, blue[1:], red, red[1:])
+    for rel, b0, b1, r0, r1 in rows:
+        if rel == PRECEQ:
+            b_lo, b_hi, r_lo, r_hi = b0, b1, r0, r1
+        else:
+            b_lo, b_hi, r_lo, r_hi = b1, b0, r1, r0
+        if not (len(b_hi) <= len(r_lo) and len(r_hi) <= len(b_lo) + 1
+                and all(map(ge, r_lo, b_hi)) and all(map(ge, b_lo, r_hi[1:]))):
             return False
-        for sb, sr in zip(steps_b, steps_r):
-            if max(sb.start, sr.start) < min(sb.stop, sr.stop):
-                return False  # a shared vertical step
-        if i + 1 <= m:
-            pr2, steps_r2 = red.profiles[i], red.steps[i]
-            if any(pb[k] <= pr2[k] for k in lines):
-                return False
-            for k, (sb, sr2) in enumerate(zip(steps_b, steps_r2), start=1):
-                if max(sb.start, sr2.start) < min(sb.stop, sr2.stop):
-                    return False
-                if pattern[k - 1] == PRECEQ:
-                    if pr2[k] in sb:
-                        return False  # blue climbs past red's top face
-                else:
-                    if pb[k] in sr2:
-                        return False  # red descends past blue's top face
     return True
 
 

@@ -169,7 +169,6 @@ def test_enumerated_fillings_carry_their_chain(monkeypatch):
             # the states are built on first read, outside the dataclass fields
             assert config.masks == fresh_config.masks, rpp
             assert config.states == fresh_config.states, rpp
-            assert S.paths_of(rpp).profiles == S.paths_of(fresh).profiles, rpp
 
 
 def test_derived_data_leave_equality_hash_and_repr():
@@ -179,7 +178,7 @@ def test_derived_data_leave_equality_hash_and_repr():
         pair = C.make_pair(fresh, rpp)
         for compute in (C.g_via_vertex, C.g_via_lozenges, S.check_t0_constraints):
             compute(pair)
-        assert {"chain", "sites", "config", "lozenges", "paths"} <= set(vars(fresh))
+        assert {"chain", "sites", "config", "lozenges"} <= set(vars(fresh))
         assert (hash(fresh), repr(fresh), R.rpp_to_json(fresh)) == before
         assert fresh == rpp == R.RPP(rpp.shape, rpp.rows)
         assert hash(fresh) == hash(R.RPP(rpp.shape, rpp.rows))
@@ -194,8 +193,7 @@ def test_shape_geometry_is_shared_and_bounded():
     assert geometry.zetas == tuple(V.interface_zetas(geometry.pattern))
     assert "strips" not in geometry._fields
     # one path per border strip: as many as the longest diagonal has cells
-    assert max(map(len, geometry.cells)) == len(P.border_strips(lam)) == \
-        len(S.paths_of(R.zero_rpp(lam)).profiles)
+    assert max(map(len, geometry.cells)) == len(P.border_strips(lam))
     for k, cells in enumerate(geometry.cells, start=1):  # diagonal k, top first
         assert [c - r for r, c in cells] == [k - len(lam)] * len(cells)
         assert [r for r, _ in cells] == sorted((r for r, _ in cells), reverse=True)

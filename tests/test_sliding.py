@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,29 +19,141 @@ OUT_RPP = R.validate(SHAPE, [[0, 0, 1, 3], [1, 2, 2, 4], [1, 4, 4], [2, 4, 4], [
 SHIFTED_PAIR = C.make_pair(IN_BLUE, IN_RED)
 
 
+def _paths(rpp):
+    """The border-strip paths of a filling, as the path-order test once
+    drew them: profiles[i-1][k] is the site of path i's top face on line k,
+    the interface centre plus part i of slice k, minus i; steps[i-1][k-1]
+    holds the sites of path i's vertical steps between lines k-1 and k."""
+    geometry = R.shape_geometry(rpp.shape)
+    paths = max(map(len, geometry.cells), default=0)
+    lines = [[zeta + v - i for i, v in enumerate(sl + (0,) * (paths - len(sl)), 1)]
+             for zeta, sl in zip(geometry.zetas, rpp.chain.slices)]
+    profiles = tuple(zip(*lines))
+    ascending = [rel == R.PRECEQ for rel in geometry.pattern]
+    steps = tuple(tuple(_pieces(a, b, up) for a, b, up in zip(p, p[1:], ascending))
+                  for p in profiles)
+    return profiles, steps
+
+
+def _pieces(a, b, ascending):
+    """Sites of a path's vertical steps between lines at heights a and b: it
+    climbs faces in hole slices and descends them in particle slices."""
+    if ascending:
+        return range(a, b)        # b - a steps
+    return range(b + 1, a)        # a - b - 1 steps
+
+
+def _t0_by_paths(pair):
+    """The path-order test on drawn paths, the oracle of the inequalities
+    on parts: blue path i stays weakly below red path i and strictly above
+    red path i+1, where paths may touch only if they immediately separate."""
+    blue_profiles, blue_steps = _paths(pair.blue)
+    red_profiles, red_steps = _paths(pair.red)
+    pattern = R.shape_geometry(pair.shape).pattern
+    m = len(blue_profiles)
+    lines = range(len(pattern) + 1)
+    for i in range(1, m + 1):
+        pb, pr = blue_profiles[i - 1], red_profiles[i - 1]
+        steps_b, steps_r = blue_steps[i - 1], red_steps[i - 1]
+        if any(pb[k] > pr[k] for k in lines):
+            return False
+        for sb, sr in zip(steps_b, steps_r):
+            if max(sb.start, sr.start) < min(sb.stop, sr.stop):
+                return False  # a shared vertical step
+        if i + 1 <= m:
+            pr2, steps_r2 = red_profiles[i], red_steps[i]
+            if any(pb[k] <= pr2[k] for k in lines):
+                return False
+            for k, (sb, sr2) in enumerate(zip(steps_b, steps_r2), start=1):
+                if max(sb.start, sr2.start) < min(sb.stop, sr2.stop):
+                    return False
+                if pattern[k - 1] == R.PRECEQ:
+                    if pr2[k] in sb:
+                        return False  # blue climbs past red's top face
+                else:
+                    if pb[k] in sr2:
+                        return False  # red descends past blue's top face
+    return True
+
+
+def _random_filling(rng, shape, still):
+    """A filling of the shape with entries <= 4: each cell repeats the
+    larger of its left and lower neighbours with probability `still`,
+    else exceeds it by one."""
+    rows = []
+    for width in shape:
+        row = []
+        for c in range(width):
+            floor = max(row[-1] if row else 0, rows[-1][c] if rows else 0)
+            row.append(floor if rng.random() < still else min(4, floor + 1))
+        rows.append(row)
+    return R.validate(shape, rows)
+
+
 def test_paths_one_per_strip():
-    rpp = R.validate(SHAPE, [[0, 0, 1, 3], [1, 2, 2, 4], [1, 4, 4], [2, 4, 4], [3]])
-    system = S.paths_of(rpp)
-    assert len(system.profiles) == len(P.border_strips(SHAPE)) == 3
+    profiles, _ = _paths(OUT_RPP)
+    assert len(profiles) == len(P.border_strips(SHAPE)) == 3
     assert all(len(prof) == len(R.interaction_pattern(SHAPE)) + 1
-               for prof in system.profiles)
+               for prof in profiles)
 
 
 def test_paths_zero_filling_hug_the_wall():
-    system = S.paths_of(R.zero_rpp((3, 2)))
+    profiles, steps = _paths(R.zero_rpp((3, 2)))
     pattern = R.interaction_pattern((3, 2))
     zetas = V.interface_zetas(pattern)
-    for i, prof in enumerate(system.profiles, start=1):
+    for i, prof in enumerate(profiles, start=1):
         assert prof == tuple(z - i for z in zetas)
-        assert len(system.steps[i - 1]) == len(pattern)
-        assert not any(system.steps[i - 1])  # no vertical step along the wall
+        assert len(steps[i - 1]) == len(pattern)
+        assert not any(steps[i - 1])  # no vertical step along the wall
 
 
 def test_paths_single_column_height():
-    system = S.paths_of(R.validate((1,), [[5]]))
+    profiles, _ = _paths(R.validate((1,), [[5]]))
     # one strip; the face sits five units above the wall on the middle line
-    assert system.profiles[0][1] - V.interface_zetas(
-        R.interaction_pattern((1,)))[1] == 4
+    assert profiles[0][1] - V.interface_zetas(R.interaction_pattern((1,)))[1] == 4
+
+
+def test_constraints_equal_path_order_exhaustively():
+    bounds = dict(zip(range(1, 9), (10, 9, 8, 7, 6, 5, 4, 4)))
+    cases = [(lam, bounds[n]) for n in bounds for lam in P.partitions_of(n)]
+    counts = []
+    for lam, bound in [*cases, (SHAPE, 6)]:
+        pairs = accepted = 0
+        for blue, red in R.enumerate_pairs(lam, bound):
+            pair = C.make_pair(blue, red)
+            t0 = S.check_t0_constraints(pair)
+            assert t0 == _t0_by_paths(pair), pair
+            pairs += 1
+            accepted += t0
+        counts.append((pairs, accepted))
+    assert tuple(map(sum, zip(*counts[:-1]))) == (16155, 2690)
+    assert counts[-1] == (3263, 331)
+
+
+def test_constraints_equal_path_order_on_random_pairs():
+    rng = random.Random(2025)
+    shapes = {n: list(P.partitions_of(n)) for n in range(10, 21)}
+    accepted = []
+    for _ in range(200):
+        shape = rng.choice(shapes[rng.randint(10, 20)])
+        blue, red, single = (_random_filling(rng, shape, rng.choice((0.5, 0.9)))
+                             for _ in range(3))
+        for pair in (C.make_pair(blue, red), S.unslide(single)):
+            t0 = S.check_t0_constraints(pair)
+            assert t0 == _t0_by_paths(pair) == (C.g_via_lozenges(pair) == 0), pair
+            accepted.append(t0)
+    assert all(accepted[1::2])  # every unslid filling
+    assert 0 < sum(accepted[0::2]) < 200
+
+
+def test_constraints_keep_nothing_on_the_fillings():
+    blue, red = (R.validate(SHAPE, rpp.rows) for rpp in (IN_BLUE, IN_RED))
+    pair = C.make_pair(blue, red)
+    assert S.check_t0_constraints(pair)
+    assert not S.check_t0_constraints(C.make_pair(red, blue))
+    for rpp in (blue, red):
+        assert set(vars(rpp)) == {"shape", "rows", "chain"}
+    assert set(vars(pair)) == {"shape", "blue", "red"}
 
 
 def test_constraints_on_worked_examples():
@@ -50,6 +163,12 @@ def test_constraints_on_worked_examples():
     assert not S.check_t0_constraints(coupled)
     zero = C.make_pair(R.zero_rpp((3, 1)), R.zero_rpp((3, 1)))
     assert S.check_t0_constraints(zero)
+    # blue's upper slice lies within red's lower one on every row; only
+    # red's second part on the middle diagonal, 2 > blue's 1, breaks the order
+    crossing = C.make_pair(R.validate((3, 3, 3), [[0, 0, 0], [0, 0, 1], [0, 1, 1]]),
+                           R.validate((3, 3, 3), [[0, 0, 2], [0, 2, 3], [1, 3, 3]]))
+    assert not S.check_t0_constraints(crossing)
+    assert not _t0_by_paths(crossing) and C.g_via_lozenges(crossing) > 0
 
 
 def test_constraints_equal_zero_interaction():
