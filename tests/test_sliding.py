@@ -20,8 +20,8 @@ SHIFTED_PAIR = C.make_pair(IN_BLUE, IN_RED)
 
 
 def _paths(rpp):
-    """The border-strip paths of a filling, as the path-order test once
-    drew them: profiles[i-1][k] is the site of path i's top face on line k,
+    """The border-strip paths of a filling, drawn site by site:
+    profiles[i-1][k] is the site of path i's top face on line k,
     the interface centre plus part i of slice k, minus i; steps[i-1][k-1]
     holds the sites of path i's vertical steps between lines k-1 and k."""
     geometry = R.shape_geometry(rpp.shape)
@@ -79,7 +79,7 @@ def _t0_by_paths(pair):
 def _random_filling(rng, shape, still):
     """A filling of the shape with entries <= 4: each cell repeats the
     larger of its left and lower neighbours with probability `still`,
-    else exceeds it by one."""
+    else exceeds it by one, up to 4."""
     rows = []
     for width in shape:
         row = []
