@@ -9,7 +9,6 @@ patterns directly on the superimposed tilings.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -189,8 +188,8 @@ def colored_row_weight_explicit(kind, mu_pair, lam_pair, x, t, ell, window):
             raise ValueError(f"partitions too long for {ell} columns left of center")
         states = vertex_model.row_states(
             kind,
-            vertex_model.interface_sites(mu, zb),
-            vertex_model.interface_sites(lam, zt),
+            vertex_model.interface_mask(mu, zb),
+            vertex_model.interface_mask(lam, zt),
             window)
         if states is None:
             return None
@@ -249,31 +248,32 @@ def g_via_vertex(pair: PairRPP) -> int:
 GREEN, ORCHID, SIENNA = "green", "orchid", "sienna"
 
 
-def classify(bottoms, tops, site: int) -> str:
-    """Lozenge type met at a top-interface site, from a row's ascending
-    bottom and top sites: a green top face, the right edge of a descending
-    face (orchid), or of an ascending one (sienna)."""
-    i = bisect_right(tops, site)
-    if i and tops[i - 1] == site:
+def classify(bottom: int, top: int, site: int) -> str:
+    """Lozenge type met at a top-interface site, from a row's bottom and
+    top interface masks: a green top face, the right edge of a descending
+    face (orchid), or of an ascending one (sienna).  The last two differ in
+    the number of paths passing the site, bottom sites at or below it less
+    top sites at or below it: one for orchid, none for sienna."""
+    if top >> site & 1:
         return GREEN
-    below = bisect_right(bottoms, site) - i
+    upto = (2 << site) - 1
+    below = (bottom & upto).bit_count() - (top & upto).bit_count()
     if below == 1:
         return ORCHID
     if below != 0:
         raise ValueError(f"site {site}: malformed interface data "
-                         f"(bottoms {list(bottoms)}, tops {list(tops)})")
+                         f"(bottom {bottom:b}, top {top:b})")
     return SIENNA
 
 
-def _lozenge_masks(bottoms, tops) -> tuple[int, int, int]:
+def _lozenge_masks(bottom: int, top: int) -> tuple[int, int, int]:
     """Site bitmasks (green, orchid, sienna) of one row of one tiling, from
-    its ascending bottom and top sites.  Only sites up to the highest path
+    its bottom and top interface masks.  Only sites up to the highest path
     are read: above it a row is all sienna (white) or all orchid (gray),
     and neither meets a coupled pattern there."""
     green = orchid = sienna = 0
-    top = max(bottoms[-1] if bottoms else -1, tops[-1] if tops else -1)
-    for site in range(top + 1):
-        kind = classify(bottoms, tops, site)
+    for site in range(max(bottom.bit_length(), top.bit_length())):
+        kind = classify(bottom, top, site)
         if kind == GREEN:
             green |= 1 << site
         elif kind == ORCHID:
@@ -292,8 +292,8 @@ def tiling_masks(rpp: RPP) -> tuple[tuple[int, int, int], ...]:
 
 
 def _tiling_masks(rpp: RPP) -> tuple[tuple[int, int, int], ...]:
-    sites = vertex_model.interface_site_lists(rpp)
-    return tuple(_lozenge_masks(b, t) for b, t in zip(sites, sites[1:]))
+    masks = vertex_model.interface_masks(rpp)
+    return tuple(_lozenge_masks(b, t) for b, t in zip(masks, masks[1:]))
 
 
 def _row_couplings(white_row: bool, blue, red) -> tuple[int, int, int, int]:
@@ -314,9 +314,10 @@ def _row_couplings(white_row: bool, blue, red) -> tuple[int, int, int, int]:
 _EVERY_KIND = (-1, -1, -1)  # a color whose every site is of every kind
 
 
-def _move_roles(white_row: bool, bottoms, tops, grown: int) -> tuple[int, int]:
-    """Site masks (as blue, as red) where a move's row, from its ascending
-    bottom and top sites, meets a coupled pair of `_row_couplings` whatever
+def _move_roles(white_row: bool, bottom: int, top: int,
+                grown: int) -> tuple[int, int]:
+    """Site masks (as blue, as red) where a move's row, from its bottom and
+    top interface masks, meets a coupled pair of `_row_couplings` whatever
     the other color's row is.
 
     Both types of a row share the kind of one color (blue orchid in white
@@ -325,7 +326,7 @@ def _move_roles(white_row: bool, bottoms, tops, grown: int) -> tuple[int, int]:
     Those sites number the slice's growth `grown` (white) or its shrinkage
     (gray); a move that breaks this identity raises.
     """
-    masks = _lozenge_masks(bottoms, tops)
+    masks = _lozenge_masks(bottom, top)
     as_blue = _row_couplings(white_row, masks, _EVERY_KIND)
     as_red = _row_couplings(white_row, _EVERY_KIND, masks)
     roles = (as_blue[0] | as_blue[1] | as_blue[2] | as_blue[3],
@@ -333,7 +334,7 @@ def _move_roles(white_row: bool, bottoms, tops, grown: int) -> tuple[int, int]:
     met = (roles[0] if white_row else roles[1]).bit_count()
     if met != (grown if white_row else -grown):
         raise AssertionError(f"{met} coupling sites on a move from sites "
-                             f"{list(bottoms)} to {list(tops)} that changes "
+                             f"{bottom:#b} to {top:#b} that changes "
                              f"the slice size by {grown}")
     return roles
 
@@ -393,8 +394,8 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
     first: need is |nu| plus the least volume the chain still takes after
     nu, and roles are the row's `_move_roles`, checked on every move.  A
     forward pass finds the least volume that reaches each slice, a backward
-    pass the least volume that closes from it and the sites of every slice
-    it keeps.
+    pass the least volume that closes from it and the interface mask of
+    every slice it keeps.
     """
     geometry = rpp_core.shape_geometry(lam)
     lengths = [len(cells) for cells in geometry.cells] + [0]
@@ -412,8 +413,8 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
         steps.append(step)
         reach.append(nxt)
     rest = {(): 0} if () in reach[-1] else {}  # slice -> least volume after it
-    # slice -> its ascending sites, at the top interface of the row
-    tops = {(): sorted(vertex_model.interface_sites((), zetas[-1]))}
+    # slice -> its interface mask, at the top interface of the row
+    tops = {(): vertex_model.interface_mask((), zetas[-1])}
     rows = []
     for k in range(len(pattern), 0, -1):
         white_row = pattern[k - 1] == PRECEQ
@@ -423,10 +424,9 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
                      if nu in rest and low + size + rest[nu] <= max_total]
             if not moves:
                 continue
-            bottoms = bottoms_of[mu] = sorted(
-                vertex_model.interface_sites(mu, zetas[k - 1]))
+            bottom = bottoms_of[mu] = vertex_model.interface_mask(mu, zetas[k - 1])
             row[mu] = sorted(
-                ((need, size, nu, _move_roles(white_row, bottoms, tops[nu],
+                ((need, size, nu, _move_roles(white_row, bottom, tops[nu],
                                               size - sum(mu)))
                  for need, size, nu in moves),
                 key=lambda move: move[0])

@@ -116,8 +116,8 @@ def _draw_tiling(polygons: list, rpp: RPP, stroke: str, opacity) -> None:
     the highest path, then line by line the green top faces."""
     geometry = rpp_core.shape_geometry(rpp.shape)
     heights = _line_heights(geometry)
-    sites = vertex_model.interface_site_lists(rpp)
-    top = 2 + max((max(s) if s else 0 for s in sites), default=0)
+    masks = vertex_model.interface_masks(rpp)
+    top = vertex_model.config_window(masks)
     attrs = {kind: _attrs(fill, stroke, opacity=opacity) for kind, fill in _FILL.items()}
     every_site = (1 << top + 1) - 1
     draw = polygons.append
@@ -129,9 +129,10 @@ def _draw_tiling(polygons: list, rpp: RPP, stroke: str, opacity) -> None:
             if not green >> site & 1:  # drawn from the line it sits on, below
                 kind = ORCHID if orchid >> site & 1 else SIENNA
                 draw(_polygon(kind, k * _XS, y - 2 * _YS * site, attrs[kind]))
-    for k, (line, y) in enumerate(zip(sites, heights)):
-        for site in line:
-            draw(_polygon(GREEN, k * _XS, y - 2 * _YS * site, attrs[GREEN]))
+    for k, (line, y) in enumerate(zip(masks, heights)):
+        for site in range(line.bit_length()):
+            if line >> site & 1:
+                draw(_polygon(GREEN, k * _XS, y - 2 * _YS * site, attrs[GREEN]))
 
 
 def rpp_svg(rpp: RPP) -> str:

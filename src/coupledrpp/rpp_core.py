@@ -26,7 +26,7 @@ SUCCEQ = ">="
 @dataclass(frozen=True)
 class RPP:
     """A filling.  What is derived from it (its slice chain here; its
-    interface sites, configuration and lozenge masks elsewhere) is
+    interface masks, configuration and lozenge masks elsewhere) is
     computed on first use and kept on the instance.  Equality, hash and
     repr read only the two fields, so a kept datum never changes them."""
 

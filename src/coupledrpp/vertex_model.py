@@ -1,10 +1,10 @@
 """One-color five-vertex model: weights, row transfer, YBE, weight bijection.
 
 Rows live on a finite window of cells 0..window-1.  Interface k carries the
-particle sites of the k-th slice partition, shifted so that the number of
-columns left of the interface center equals the number of paths still in
-play; white rows keep the center fixed, gray rows move it one column left
-and send one path out to the right.
+particle sites of the k-th slice partition as one int bitmask, its Maya
+diagram shifted so that the number of columns left of the interface center
+equals the number of paths still in play; white rows keep the center fixed,
+gray rows move it one column left and send one path out to the right.
 """
 
 from __future__ import annotations
@@ -110,86 +110,61 @@ def cross_weight(c: CrossState, z):
 # Rows
 
 
-def interface_sites(slice_partition, zeta: int) -> list[int]:
-    """Occupied sites (descending) of an interface holding zeta paths: the
-    partition's Maya sites shifted right by the center position zeta."""
+def interface_mask(slice_partition, zeta: int) -> int:
+    """Occupied sites of an interface holding zeta paths, as a bitmask: the
+    partition's Maya diagram shifted right by the center position zeta, bit
+    zeta + v - i for its i-th part v and bits 0..zeta-n-1 past its n parts."""
     n = len(slice_partition)
     if n > zeta:
         raise ValueError(f"slice {slice_partition} too long for {zeta} paths")
-    # past the partition's parts the sites are zeta - i, down to 0
-    return ([zeta + v - i for i, v in enumerate(slice_partition, start=1)]
-            + list(range(zeta - n - 1, -1, -1)))
+    mask = (1 << zeta - n) - 1
+    for i, v in enumerate(slice_partition, start=1):
+        mask |= 1 << zeta + v - i
+    return mask
 
 
-def pair_paths(kind: str, bottoms: list[int], tops: list[int]):
-    """Match bottom to top sites; gray rows send the topmost bottom site out
-    to the right.  Returns (pairs, exit_site) or None when no configuration
-    satisfies the boundary."""
-    if kind == WHITE:
-        if len(bottoms) != len(tops):
-            return None
-        pairs = list(zip(bottoms, tops))
-        exit_site = None
-    else:
-        if len(bottoms) != len(tops) + 1:
-            return None
-        exit_site = bottoms[0]
-        pairs = list(zip(bottoms[1:], tops))
-        if tops and exit_site <= tops[0]:
-            return None
-    for a, b in pairs:
-        if b < a:
-            return None
-    # paths may not collide: each pair must sit strictly below the previous
-    for (a1, _b1), (_a2, b2) in zip(pairs, pairs[1:]):
-        if b2 >= a1:
-            return None
-    return pairs, exit_site
+def row_masks(kind: str, bottom: int, top: int):
+    """Site masks (out_right, occupied, out_top) of the unique row
+    configuration between interface masks `bottom` and `top`, or None: the
+    sites whose vertex sends a path right, is not EMPTY, or sends a path up.
 
-
-def row_states(kind: str, bottoms: list[int], tops: list[int],
-               window: int) -> list[VertexState] | None:
-    """Per-cell states of the unique row configuration, or None."""
-    matched = pair_paths(kind, bottoms, tops)
-    if matched is None:
+    Paths run up and right over disjoint site intervals, one from each
+    bottom site to the next top site at or above it, so the intervals sum
+    to top - bottom and, with their top ends, to 2 top - bottom.  A gray
+    row sends its highest bottom site out to the right for good, which
+    makes the first two masks negative ints (~out_right is finite).  The
+    configuration exists exactly when the site counts match (the gray
+    bottom holds one more), no interval covers a top site, and a gray
+    row's exit lies above every top site."""
+    extra = 0 if kind == WHITE else 1
+    if bottom.bit_count() != top.bit_count() + extra:
         return None
-    pairs, exit_site = matched
-    need = max([s for s in bottoms + tops] + [0]) + 2
+    right = top - bottom
+    if right & top or (extra and top.bit_length() >= bottom.bit_length()):
+        return None
+    return right, right + top, top
+
+
+def row_states(kind: str, bottom: int, top: int,
+               window: int) -> list[VertexState] | None:
+    """Per-cell states of the unique row configuration, or None; vertex c
+    reads (bottom bit c, out_right bit c-1, top bit c, out_right bit c)."""
+    masks = row_masks(kind, bottom, top)
+    if masks is None:
+        return None
+    right = masks[0]
+    need = max(1, bottom.bit_length(), top.bit_length()) + 1
     if window < need:
         raise ValueError(f"window {window} too narrow; need >= {need}")
-    states = [EMPTY] * window
-    if exit_site is not None:
-        states[exit_site] = BOTTOM_RIGHT
-        for c in range(exit_site + 1, window):
-            states[c] = HORIZONTAL
-    for a, b in pairs:
-        if a == b:
-            states[a] = VERTICAL
-        else:
-            states[a] = BOTTOM_RIGHT
-            for c in range(a + 1, b):
-                states[c] = HORIZONTAL
-            states[b] = LEFT_TOP
+    states = []
+    for c in range(window):
+        v = vertex_state(bottom >> c & 1, right << 1 >> c & 1,
+                         top >> c & 1, right >> c & 1)
+        if v is None:
+            raise AssertionError(f"site {c} of a {kind} row from {bottom:b} "
+                                 f"to {top:b} is no allowed vertex")
+        states.append(v)
     return states
-
-
-def row_masks(kind: str, bottoms: list[int], tops: list[int]):
-    """Site masks (out_right, occupied, out_top) of the unique row
-    configuration, or None: the sites whose vertex sends a path right, is
-    not EMPTY, or sends a path up.  A gray row's exit run has no end, so its
-    first two masks are negative ints, and ~out_right is finite."""
-    matched = pair_paths(kind, bottoms, tops)
-    if matched is None:
-        return None
-    pairs, exit_site = matched
-    right = occupied = top = 0
-    if exit_site is not None:
-        right = occupied = -1 << exit_site
-    for a, b in pairs:
-        right |= (1 << b) - (1 << a)
-        occupied |= (2 << b) - (1 << a)
-        top |= 1 << b
-    return right, occupied, top
 
 
 def row_weight_closed(kind: str, mu, lam, x, ell: int = 0):
@@ -214,9 +189,8 @@ def row_weight_explicit(kind: str, mu, lam, x, ell: int, window: int):
         zeta_bottom, zeta_top = ell + 1, ell
     if len(mu) > zeta_bottom or len(lam) > zeta_top:
         raise ValueError(f"partitions too long for {ell} columns left of center")
-    bottoms = interface_sites(mu, zeta_bottom)
-    tops = interface_sites(lam, zeta_top)
-    states = row_states(kind, bottoms, tops, window)
+    states = row_states(kind, interface_mask(mu, zeta_bottom),
+                        interface_mask(lam, zeta_top), window)
     if states is None:
         return None
     weigh = white_weight if kind == WHITE else gray_weight
@@ -247,35 +221,30 @@ class VertexConfig:
     def states(self) -> tuple[tuple[VertexState, ...], ...]:
         """states[k-1] is row k, vertex by vertex over the window; built on
         the first read and kept."""
-        sites = [interface_sites(sl, zeta)
+        masks = [interface_mask(sl, zeta)
                  for sl, zeta in zip(self.interfaces, self.zetas)]
         rows = []
         for k in range(1, len(self.pattern) + 1):
-            states = row_states(self.kind(k), sites[k - 1], sites[k], self.window)
+            states = row_states(self.kind(k), masks[k - 1], masks[k], self.window)
             if states is None:
                 raise AssertionError(f"row {k} of a valid RPP has no configuration")
             rows.append(tuple(states))
         return tuple(rows)
 
 
-def config_window(interfaces, zetas) -> int:
-    top = 0
-    for sl, zeta in zip(interfaces, zetas):
-        if zeta:
-            top = max(top, zeta + part(sl, 1) - 1)
-    return top + 2
+def config_window(masks) -> int:
+    """The site two above the highest path of the interface masks (two
+    above site 0 when there is none): a row's vertices sit at the sites
+    below it, and a drawn tiling reaches up to it."""
+    return 1 + max(1, *(mask.bit_length() for mask in masks))
 
 
-def interface_site_lists(rpp: RPP) -> tuple[tuple[int, ...], ...]:
-    """Ascending occupied sites of every interface of the filling's chain,
+def interface_masks(rpp: RPP) -> tuple[int, ...]:
+    """The `interface_mask` of every interface of the filling's chain,
     computed once per filling."""
-    return rpp.derived("sites", _sites_of)
-
-
-def _sites_of(rpp: RPP):
-    zetas = shape_geometry(rpp.shape).zetas
-    return tuple(tuple(reversed(interface_sites(sl, zeta)))
-                 for sl, zeta in zip(rpp.chain.slices, zetas))
+    return rpp.derived("masks", lambda rpp: tuple(
+        interface_mask(sl, zeta)
+        for sl, zeta in zip(rpp.chain.slices, shape_geometry(rpp.shape).zetas)))
 
 
 def rpp_to_config(lam, rpp: RPP) -> VertexConfig:
@@ -288,17 +257,15 @@ def rpp_to_config(lam, rpp: RPP) -> VertexConfig:
 
 def _config_of(rpp: RPP) -> VertexConfig:
     geometry = shape_geometry(rpp.shape)
-    slices = rpp.chain.slices
-    sites = interface_site_lists(rpp)
-    masks = []
+    masks = interface_masks(rpp)
+    rows = []
     for k, rel in enumerate(geometry.pattern, start=1):
-        kind = WHITE if rel == PRECEQ else GRAY
-        row = row_masks(kind, sites[k - 1][::-1], sites[k][::-1])
+        row = row_masks(WHITE if rel == PRECEQ else GRAY, masks[k - 1], masks[k])
         if row is None:
             raise AssertionError(f"row {k} of a valid RPP has no configuration")
-        masks.append(row)
-    return VertexConfig(rpp.shape, geometry.pattern, slices, geometry.zetas,
-                        config_window(slices, geometry.zetas), tuple(masks))
+        rows.append(row)
+    return VertexConfig(rpp.shape, geometry.pattern, rpp.chain.slices,
+                        geometry.zetas, config_window(masks), tuple(rows))
 
 
 def config_to_json(config: VertexConfig) -> str:

@@ -208,12 +208,12 @@ def test_pair_genfun_matches_hook_product():
 def test_classify_rejects_malformed_interfaces():
     # two bottom paths at or below site 1 and no top path: not a tiling row
     with pytest.raises(ValueError, match="malformed"):
-        C.classify([0, 1], [], 1)
+        C.classify(0b11, 0, 1)
     with pytest.raises(ValueError, match="malformed"):
-        C._lozenge_masks([0, 1, 2], [2])
-    assert C.classify([0], [], 0) == C.ORCHID
-    assert C.classify([0], [0], 0) == C.GREEN
-    assert C.classify([1], [0], 1) == C.SIENNA
+        C._lozenge_masks(0b111, 0b100)
+    assert C.classify(0b1, 0, 0) == C.ORCHID
+    assert C.classify(0b1, 0b1, 0) == C.GREEN
+    assert C.classify(0b10, 0b1, 1) == C.SIENNA
 
 
 def test_transfer_matches_bruteforce_small_shapes():
@@ -295,8 +295,8 @@ def test_coupling_sites_bound_g_by_the_volume():
             for mu, row_moves in row.items():
                 for _need, size_nu, nu, roles in row_moves:
                     green, orchid, sienna = C._lozenge_masks(
-                        sorted(V.interface_sites(mu, zetas[k - 1])),
-                        sorted(V.interface_sites(nu, zetas[k])))
+                        V.interface_mask(mu, zetas[k - 1]),
+                        V.interface_mask(nu, zetas[k]))
                     if white:
                         assert orchid.bit_count() == size_nu - sum(mu)
                         assert roles == (orchid, green | orchid)
@@ -309,8 +309,8 @@ def test_coupling_sites_bound_g_by_the_volume():
 
 def test_engine_rejects_masks_that_break_the_bound(monkeypatch):
     masks = C._lozenge_masks
-    monkeypatch.setattr(C, "_lozenge_masks", lambda bottoms, tops: tuple(
-        m | (1 << 60) * (kind == 2) for kind, m in enumerate(masks(bottoms, tops))))
+    monkeypatch.setattr(C, "_lozenge_masks", lambda bottom, top: tuple(
+        m | (1 << 60) * (kind == 2) for kind, m in enumerate(masks(bottom, top))))
     # a stray sienna in every row: only the gray rows' red role counts it
     with pytest.raises(AssertionError, match="coupling sites"):
         C.pair_genfun_transfer((2, 1), 4)

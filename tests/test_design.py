@@ -1,0 +1,60 @@
+"""Design rules of the package that no behaviour test sees."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coupledrpp"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source: str, siblings) -> list[str]:
+    """Every `_private` name of a sibling module that `source` imports, or
+    reads as an attribute of a name bound to a sibling module."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if path[0] != "coupledrpp":
+                    continue
+                path = path[1:]
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(".".join([*path, alias.name]))
+                elif not path and alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                path = alias.name.split(".")
+                if path[0] == "coupledrpp" and len(path) == 2 and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_the_scan_finds_private_names():
+    source = ("from . import coupling, rpp_core as core\n"
+              "from .render import _polygon, pair_svg\n"
+              "from coupledrpp.sliding import _private_helper\n"
+              "import coupledrpp.vertex_model as vm\n"
+              "coupling._live_moves, core.__name__, core.shape_geometry\n"
+              "vm._ALLOWED, other._hidden\n")
+    siblings = {"coupling", "rpp_core", "render", "sliding", "vertex_model"}
+    assert private_reads(source, siblings) == [
+        "render._polygon", "sliding._private_helper", "coupling._live_moves",
+        "vm._ALLOWED"]
+
+
+def test_no_module_reads_a_private_name_of_a_sibling():
+    files = sorted(PACKAGE.glob("*.py"))
+    siblings = {path.stem for path in files}
+    assert {"coupling", "render", "vertex_model"} <= siblings
+    found = {path.name: private_reads(path.read_text(), siblings) for path in files}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -91,14 +91,14 @@ def test_drawn_kinds_are_the_classified_kinds():
     for n in range(1, 5):
         for lam in partitions.all_partitions(n):
             for rpp in rpp_core.enumerate_rpps(lam, 4):
-                sites = vertex_model.interface_site_lists(rpp)
-                top = 2 + max(max(s) if s else 0 for s in sites)
+                masks = vertex_model.interface_masks(rpp)
+                top = 2 + max(max(m.bit_length() - 1, 0) for m in masks)
                 want = []
-                for k in range(1, len(sites)):
-                    kinds = [coupling.classify(sites[k - 1], sites[k], site)
+                for k in range(1, len(masks)):
+                    kinds = [coupling.classify(masks[k - 1], masks[k], site)
                              for site in range(top + 1)]
                     want += [fills[kind] for kind in kinds if kind != coupling.GREEN]
-                want += [fills[coupling.GREEN]] * sum(len(s) for s in sites)
+                want += [fills[coupling.GREEN]] * sum(m.bit_count() for m in masks)
                 svg = render.rpp_svg(rpp)
                 drawn = [line.split('fill="', 1)[1].split('"', 1)[0]
                          for line in svg.splitlines() if line.startswith("<polygon")]

@@ -356,14 +356,14 @@ def raises(fn, *args):
 
 assert False, "this interpreter must drop assert statements"
 config = vertex_model.rpp_to_config((1,), rpp_core.zero_rpp((1,)))
-vertex_model.pair_paths = lambda *args: None
+vertex_model.row_masks = lambda *args: None
 print(raises(vertex_model.rpp_to_config, (1,), rpp_core.zero_rpp((1,))))
 print(raises(lambda: config.states))  # built on the first read
 sliding.check_t0_constraints = lambda pair: True
 sliding.forced_zero_region = lambda pair: []
 blue = rpp_core.validate((2, 2), [[0, 1], [0, 1]])  # (1, 2) slides off the shape
 print(raises(sliding.slide, coupling.make_pair(blue, rpp_core.zero_rpp((2, 2)))))
-coupling._lozenge_masks = lambda bottoms, tops: (0, 1 << 60, 0)  # a stray orchid
+coupling._lozenge_masks = lambda bottom, top: (0, 1 << 60, 0)  # a stray orchid
 print(raises(coupling.pair_genfun_transfer, (2, 1), 4))
 partitions.MayaDiagram.is_particle = lambda self, t: True
 print(raises(partitions.maya, (1,), 3))

@@ -257,3 +257,96 @@ def test_config_weight_q_is_the_product_of_vertex_weights():
             assert V.config_weight_q(lam, rpp) == per_vertex(lam, rpp), rpp
             checked += 1
     assert checked == 749
+
+
+# The list encoding the row algebra replaced, kept as its oracle: sites are
+# descending lists, and each bottom site is matched to a top site.
+
+def _pair_paths(kind, bottoms, tops):
+    if kind == WHITE:
+        if len(bottoms) != len(tops):
+            return None
+        pairs = list(zip(bottoms, tops))
+        exit_site = None
+    else:
+        if len(bottoms) != len(tops) + 1:
+            return None
+        exit_site = bottoms[0]
+        pairs = list(zip(bottoms[1:], tops))
+        if tops and exit_site <= tops[0]:
+            return None
+    for a, b in pairs:
+        if b < a:
+            return None
+    # paths may not collide: each pair must sit strictly below the previous
+    for (a1, _b1), (_a2, b2) in zip(pairs, pairs[1:]):
+        if b2 >= a1:
+            return None
+    return pairs, exit_site
+
+
+def _row_states_by_pairs(kind, bottoms, tops, window):
+    matched = _pair_paths(kind, bottoms, tops)
+    if matched is None:
+        return None
+    pairs, exit_site = matched
+    need = max([s for s in bottoms + tops] + [0]) + 2
+    if window < need:
+        raise ValueError(f"window {window} too narrow; need >= {need}")
+    states = [V.EMPTY] * window
+    if exit_site is not None:
+        states[exit_site] = V.BOTTOM_RIGHT
+        for c in range(exit_site + 1, window):
+            states[c] = V.HORIZONTAL
+    for a, b in pairs:
+        if a == b:
+            states[a] = V.VERTICAL
+        else:
+            states[a] = V.BOTTOM_RIGHT
+            for c in range(a + 1, b):
+                states[c] = V.HORIZONTAL
+            states[b] = V.LEFT_TOP
+    return states
+
+
+def _row_masks_by_pairs(kind, bottoms, tops):
+    matched = _pair_paths(kind, bottoms, tops)
+    if matched is None:
+        return None
+    pairs, exit_site = matched
+    right = occupied = top = 0
+    if exit_site is not None:
+        right = occupied = -1 << exit_site
+    for a, b in pairs:
+        right |= (1 << b) - (1 << a)
+        occupied |= (2 << b) - (1 << a)
+        top |= 1 << b
+    return right, occupied, top
+
+
+def test_row_algebra_equals_path_pairing():
+    # every bottom and top site set of at most 5 sites in 0..7, both kinds,
+    # mismatched site counts included
+    from itertools import combinations
+    site_sets = [s[::-1] for n in range(6) for s in combinations(range(8), n)]
+    masks = [sum(1 << s for s in sites) for sites in site_sets]
+    checked = rows = 0
+    for kind in (WHITE, GRAY):
+        for bottoms, bottom in zip(site_sets, masks):
+            for tops, top in zip(site_sets, masks):
+                want = _row_masks_by_pairs(kind, bottoms, tops)
+                assert V.row_masks(kind, bottom, top) == want, (kind, bottoms, tops)
+                window = max(bottoms + tops + (0,)) + 2
+                assert V.row_states(kind, bottom, top, window) == \
+                    _row_states_by_pairs(kind, list(bottoms), list(tops), window)
+                checked += 1
+                rows += want is not None
+    assert checked == 95922
+    assert rows == 1490 + 894  # white, gray
+
+
+def test_row_states_refuse_a_vertex_outside_the_five(monkeypatch):
+    # out_right at site 0 with no path entering it
+    monkeypatch.setattr(V, "row_masks", lambda kind, bottom, top: (1, 1, 0))
+    with pytest.raises(AssertionError, match="no allowed vertex"):
+        V.row_states(WHITE, 0, 0, 3)
