@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import and_, sub
 
 from . import rpp_core, vertex_model
 from .partitions import normalize
@@ -208,21 +209,15 @@ def pair_config_weight(pair: PairRPP) -> Monomial:
     Row i's x-degree is the sum of both colors' (`config_weight_q`).  Its
     t-degree counts, in a white row, blue right exits at sites red occupies
     and, in a gray row, red's top exits plus the sites where blue has no
-    right exit and red is EMPTY.
+    right exit and red is EMPTY.  Both fillings keep their share
+    (`filling_weight`), so a pair costs one AND and one popcount per row.
     """
-    blue = vertex_model.rpp_to_config(pair.shape, pair.blue).masks
-    red = vertex_model.rpp_to_config(pair.shape, pair.red).masks
-    pattern = rpp_core.shape_geometry(pair.shape).pattern
-    q_exp = t_exp = 0
-    for k, (rel, (b_right, _, _), (r_right, r_occupied, r_top)) in enumerate(
-            zip(pattern, blue, red), start=1):
-        if rel == PRECEQ:
-            q_exp -= k * (b_right.bit_count() + r_right.bit_count())
-            t_exp += (b_right & r_occupied).bit_count()
-        else:
-            q_exp += k * ((~b_right).bit_count() + (~r_right).bit_count())
-            t_exp += r_top.bit_count() + (~b_right & ~r_occupied).bit_count()
-    return Monomial(q_exp, t_exp)
+    if pair.blue.shape != pair.red.shape:
+        raise ValueError("pair members must share a shape")
+    blue = vertex_model.filling_weight(pair.blue)
+    red = vertex_model.filling_weight(pair.red)
+    met = sum(map(int.bit_count, map(and_, blue.as_blue, red.as_red)))
+    return Monomial(blue.q_exp + red.q_exp, red.gray_tops + met)
 
 
 def trivial_t_exponent(lam) -> int:
@@ -296,75 +291,84 @@ def _tiling_masks(rpp: RPP) -> tuple[tuple[int, int, int], ...]:
     return tuple(_lozenge_masks(b, t) for b, t in zip(masks, masks[1:]))
 
 
-def _row_couplings(white_row: bool, blue, red) -> tuple[int, int, int, int]:
-    """Site masks of the coupled lozenge pairs of types 1..4 in one row,
-    from each color's `_lozenge_masks`.
+def _row_roles(white_row: bool, lozenges, grown: int) -> tuple[int, int]:
+    """Site masks (as blue, as red) of one row of one color, from its
+    `_lozenge_masks`: the sites where the row meets a coupled lozenge pair
+    whatever the other color's row is.  The coupled pairs are of four types:
 
-    Type 1: blue orchid against a red top face (hole slices);
-    type 2: coinciding orchids (hole slices);
-    type 3: coinciding siennas (particle slices);
-    type 4: red sienna against a blue top face (particle slices).
-    """
-    (b_green, b_orchid, b_sienna), (r_green, r_orchid, r_sienna) = blue, red
-    if white_row:
-        return b_orchid & r_green, b_orchid & r_orchid, 0, 0
-    return 0, 0, b_sienna & r_sienna, b_green & r_sienna
-
-
-_EVERY_KIND = (-1, -1, -1)  # a color whose every site is of every kind
-
-
-def _move_roles(white_row: bool, bottom: int, top: int,
-                grown: int) -> tuple[int, int]:
-    """Site masks (as blue, as red) where a move's row, from its bottom and
-    top interface masks, meets a coupled pair of `_row_couplings` whatever
-    the other color's row is.
+    type 1: blue orchid against a red top face (white rows);
+    type 2: coinciding orchids (white rows);
+    type 3: coinciding siennas (gray rows);
+    type 4: red sienna against a blue top face (gray rows).
 
     Both types of a row share the kind of one color (blue orchid in white
     rows, red sienna in gray ones), so the coupled sites of a blue and a
     red row are exactly the blue row's as-blue AND the red row's as-red.
     Those sites number the slice's growth `grown` (white) or its shrinkage
-    (gray); a move that breaks this identity raises.
+    (gray); a row that breaks this identity raises.  The engine's moves and
+    the fillings' rows both pass through here.
     """
-    masks = _lozenge_masks(bottom, top)
-    as_blue = _row_couplings(white_row, masks, _EVERY_KIND)
-    as_red = _row_couplings(white_row, _EVERY_KIND, masks)
-    roles = (as_blue[0] | as_blue[1] | as_blue[2] | as_blue[3],
-             as_red[0] | as_red[1] | as_red[2] | as_red[3])
+    green, orchid, sienna = lozenges
+    if white_row:
+        roles = orchid, green | orchid
+    else:
+        roles = sienna | green, sienna
     met = (roles[0] if white_row else roles[1]).bit_count()
     if met != (grown if white_row else -grown):
-        raise AssertionError(f"{met} coupling sites on a move from sites "
-                             f"{bottom:#b} to {top:#b} that changes "
-                             f"the slice size by {grown}")
+        kind = "white" if white_row else "gray"
+        raise AssertionError(f"{met} coupling sites on a {kind} row of lozenges "
+                             f"{lozenges} that changes the slice size by {grown}")
     return roles
+
+
+def _filling_roles(rpp: RPP) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The `_row_roles` of every row of the filling, as blue and as red,
+    computed once per filling from its `tiling_masks` and slice sizes."""
+    return rpp.derived("roles", _roles_of)
+
+
+def _roles_of(rpp: RPP) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    sizes = [sum(sl) for sl in rpp.chain.slices]
+    pattern = rpp_core.shape_geometry(rpp.shape).pattern
+    roles = [_row_roles(rel == PRECEQ, lozenges, grown)
+             for rel, lozenges, grown in zip(
+                 pattern, tiling_masks(rpp), map(sub, sizes[1:], sizes))]
+    return tuple(blue for blue, _ in roles), tuple(red for _, red in roles)
+
+
+def _row_hits(pair: PairRPP):
+    """Per row, the sites of the pair's coupled lozenge pairs: blue's
+    as-blue AND red's as-red."""
+    if pair.blue.shape != pair.red.shape:
+        raise ValueError("pair members must share a shape")
+    return map(and_, _filling_roles(pair.blue)[0], _filling_roles(pair.red)[1])
 
 
 def coupled_pairs(pair: PairRPP) -> list[tuple[int, int, int]]:
     """Locations (type, row, site) of every coupled lozenge pair, by row and
-    then by site; the types are those of `_row_couplings`.  Found once per
-    pair."""
+    then by site; the types are those of `_row_roles`.  Found once per
+    pair, on the first call."""
     return list(pair.derived("couplings", _coupled_pairs))
 
 
 def _coupled_pairs(pair: PairRPP) -> tuple[tuple[int, int, int], ...]:
-    if pair.blue.shape != pair.red.shape:
-        raise ValueError("pair members must share a shape")
+    # a white row's hit is type 1 on a red top face, else 2; a gray row's
+    # is type 4 on a blue top face, else 3
     pattern = rpp_core.shape_geometry(pair.shape).pattern
-    rows = zip(pattern, tiling_masks(pair.blue), tiling_masks(pair.red))
+    rows = zip(pattern, _row_hits(pair), tiling_masks(pair.blue), tiling_masks(pair.red))
     out = []
-    for k, (rel, blue, red) in enumerate(rows, start=1):
-        masks = _row_couplings(rel == PRECEQ, blue, red)
-        hits = masks[0] | masks[1] | masks[2] | masks[3]  # one type per site
+    for k, (rel, hits, (b_green, _, _), (r_green, _, _)) in enumerate(rows, start=1):
+        green, types = (r_green, (2, 1)) if rel == PRECEQ else (b_green, (3, 4))
         for site in range(hits.bit_length()):
             if hits >> site & 1:
-                kind = next(i for i, m in enumerate(masks, 1) if m >> site & 1)
-                out.append((kind, k, site))
+                out.append((types[green >> site & 1], k, site))
     return tuple(out)
 
 
 def g_via_lozenges(pair: PairRPP) -> int:
-    """Independent count of the same statistic, straight from the tilings."""
-    return len(pair.derived("couplings", _coupled_pairs))
+    """Independent count of the same statistic, straight from the tilings:
+    per row, one AND and one popcount of the two fillings' kept roles."""
+    return sum(map(int.bit_count, _row_hits(pair)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +396,7 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
 
     Each row maps mu to its moves (need, |nu|, nu, roles), smallest need
     first: need is |nu| plus the least volume the chain still takes after
-    nu, and roles are the row's `_move_roles`, checked on every move.  A
+    nu, and roles are the row's `_row_roles`, checked on every move.  A
     forward pass finds the least volume that reaches each slice, a backward
     pass the least volume that closes from it and the interface mask of
     every slice it keeps.
@@ -426,8 +430,8 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
                 continue
             bottom = bottoms_of[mu] = vertex_model.interface_mask(mu, zetas[k - 1])
             row[mu] = sorted(
-                ((need, size, nu, _move_roles(white_row, bottom, tops[nu],
-                                              size - sum(mu)))
+                ((need, size, nu, _row_roles(
+                    white_row, _lozenge_masks(bottom, tops[nu]), size - sum(mu)))
                  for need, size, nu in moves),
                 key=lambda move: move[0])
             before[mu] = row[mu][0][0]
@@ -490,7 +494,7 @@ def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
     int) holding the count of key `least + i` at bits [i B, (i + 1) B).
     A move pair adds (|blue nu| + |red nu|) W + gain to the least key and
     leaves the int as it is; the gain is one AND and one popcount of the
-    two moves' `_move_roles`.  The parts reaching a state are summed
+    two moves' `_row_roles`.  The parts reaching a state are summed
     per least key and folded into one int once per row (`_fold`), which
     is then cut below the first key that can no longer close within
     max_total, only when the int reaches that far.

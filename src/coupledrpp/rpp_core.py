@@ -25,10 +25,11 @@ SUCCEQ = ">="
 
 @dataclass(frozen=True)
 class RPP:
-    """A filling.  What is derived from it (its slice chain here; its
-    interface masks, configuration and lozenge masks elsewhere) is
-    computed on first use and kept on the instance.  Equality, hash and
-    repr read only the two fields, so a kept datum never changes them."""
+    """A filling.  What is derived from it (its volume and slice chain
+    here; its interface masks, weight, configuration, lozenge and role
+    masks elsewhere) is computed on first use and kept on the instance.
+    Equality, hash and repr read only the two fields, so a kept datum
+    never changes them."""
 
     shape: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]  # bottom-up
@@ -48,9 +49,11 @@ class RPP:
             memo[name] = build(self)
         return memo[name]
 
-    @property
+    @cached_property
     def volume(self) -> int:
-        return sum(sum(row) for row in self.rows)
+        """The sum of the entries; `enumerate_rpps` and `from_diagonals`
+        hand over the one they know."""
+        return sum(map(sum, self.rows))
 
     def reading_word(self) -> tuple[int, ...]:
         return tuple(v for row in self.rows for v in row)
@@ -184,6 +187,7 @@ def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
     rpp = validate(shape, rows)
     chain = ((), *slices, ()) if geometry.pattern else ((),)
     rpp.__dict__["chain"] = SliceSequence(geometry.pattern, chain)
+    rpp.__dict__["volume"] = sum(map(sum, slices))
     return rpp
 
 
@@ -318,6 +322,7 @@ def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
                     rows[r][c] = v
             rpp = RPP(lam, tuple(map(tuple, rows)))
             rpp.__dict__["chain"] = SliceSequence(pattern, ((), *chain, ()))
+            rpp.__dict__["volume"] = used
             found.append(rpp)
             return
         for nu in next_slices(prev, pattern[k - 1], len(cells[k - 1]),

@@ -247,25 +247,73 @@ def interface_masks(rpp: RPP) -> tuple[int, ...]:
         for sl, zeta in zip(rpp.chain.slices, shape_geometry(rpp.shape).zetas)))
 
 
+def _check_shape(lam, rpp: RPP) -> None:
+    if rpp.shape != lam and rpp.shape != normalize(lam):
+        raise ValueError(f"filling has shape {rpp.shape}, expected {normalize(lam)}")
+
+
+def _rows_of(rpp: RPP) -> tuple[tuple[int, int, int], ...]:
+    """The `row_masks` of every row of the filling; raises if one is None."""
+    pattern = shape_geometry(rpp.shape).pattern
+    masks = interface_masks(rpp)
+    rows = []
+    for k, rel in enumerate(pattern, start=1):
+        row = row_masks(WHITE if rel == PRECEQ else GRAY, masks[k - 1], masks[k])
+        if row is None:
+            raise AssertionError(f"row {k} of a valid RPP has no configuration")
+        rows.append(row)
+    return tuple(rows)
+
+
 def rpp_to_config(lam, rpp: RPP) -> VertexConfig:
     """The unique path configuration representing the filling, built once
     per filling."""
-    if rpp.shape != lam and rpp.shape != normalize(lam):
-        raise ValueError(f"filling has shape {rpp.shape}, expected {normalize(lam)}")
+    _check_shape(lam, rpp)
     return rpp.derived("config", _config_of)
 
 
 def _config_of(rpp: RPP) -> VertexConfig:
     geometry = shape_geometry(rpp.shape)
-    masks = interface_masks(rpp)
-    rows = []
-    for k, rel in enumerate(geometry.pattern, start=1):
-        row = row_masks(WHITE if rel == PRECEQ else GRAY, masks[k - 1], masks[k])
-        if row is None:
-            raise AssertionError(f"row {k} of a valid RPP has no configuration")
-        rows.append(row)
-    return VertexConfig(rpp.shape, geometry.pattern, rpp.chain.slices,
-                        geometry.zetas, config_window(masks), tuple(rows))
+    return VertexConfig(rpp.shape, geometry.pattern, rpp.chain.slices, geometry.zetas,
+                        config_window(interface_masks(rpp)), _rows_of(rpp))
+
+
+class FillingWeight(NamedTuple):
+    """A filling's share of the configuration weights under x_i = q^(+i)
+    on gray rows and q^(-i) on white rows (`config_weight_q`)."""
+
+    q_exp: int                   # the x-degree of all rows
+    gray_tops: int               # top exits of the gray rows
+    # per row, site masks whose AND over (blue, red) holds the row's t
+    # factors besides red's top exits: right exits resp. occupied sites
+    # on white rows, the sites without either on gray rows (finite: a
+    # gray row's exit runs right for good)
+    as_blue: tuple[int, ...]
+    as_red: tuple[int, ...]
+
+
+def filling_weight(rpp: RPP) -> FillingWeight:
+    """The filling's `FillingWeight`, read off its `row_masks` without
+    building a `VertexConfig`; computed once per filling."""
+    return rpp.derived("weight", _weight_of)
+
+
+def _weight_of(rpp: RPP) -> FillingWeight:
+    pattern = shape_geometry(rpp.shape).pattern
+    q_exp = gray_tops = 0
+    as_blue, as_red = [], []
+    for k, (rel, (right, occupied, top)) in enumerate(
+            zip(pattern, _rows_of(rpp)), start=1):
+        if rel == PRECEQ:
+            q_exp -= k * right.bit_count()
+            as_blue.append(right)
+            as_red.append(occupied)
+        else:
+            q_exp += k * (~right).bit_count()
+            gray_tops += top.bit_count()
+            as_blue.append(~right)
+            as_red.append(~occupied)
+    return FillingWeight(q_exp, gray_tops, tuple(as_blue), tuple(as_red))
 
 
 def config_to_json(config: VertexConfig) -> str:
@@ -291,15 +339,8 @@ def config_weight_q(lam, rpp: RPP) -> Monomial:
     """Weight of the configuration with x_i = q^(+i) on gray rows and
     q^(-i) on white rows: row i's x-degree counts its right exits (white)
     or the sites without one (gray)."""
-    config = rpp_to_config(lam, rpp)
-    q_exp = 0
-    for k, (rel, (right, _occupied, _top)) in enumerate(
-            zip(config.pattern, config.masks), start=1):
-        if rel == PRECEQ:
-            q_exp -= k * right.bit_count()
-        else:
-            q_exp += k * (~right).bit_count()
-    return Monomial(q_exp, 0)
+    _check_shape(lam, rpp)
+    return Monomial(filling_weight(rpp).q_exp, 0)
 
 
 # ---------------------------------------------------------------------------

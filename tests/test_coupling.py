@@ -177,6 +177,8 @@ def test_g_oracles_agree_exhaustively():
         for blue, red in R.enumerate_pairs(lam, 6):
             pair = C.make_pair(blue, red)
             assert C.g_via_vertex(pair) == C.g_via_lozenges(pair), pair
+            # the locations are decoded apart from the count
+            assert len(C.coupled_pairs(pair)) == C.g_via_lozenges(pair), pair
 
 
 def test_pair_weight_bijection_exhaustively():

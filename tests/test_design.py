@@ -3,6 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
+from coupledrpp import coupling, partitions, rpp_core, vertex_model
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coupledrpp"
 
 
@@ -58,3 +62,33 @@ def test_no_module_reads_a_private_name_of_a_sibling():
     assert {"coupling", "render", "vertex_model"} <= siblings
     found = {path.name: private_reads(path.read_text(), siblings) for path in files}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _fresh_pairs():
+    """Pairs of fillings of small shapes with nothing derived kept yet."""
+    return [coupling.make_pair(rpp_core.RPP(blue.shape, blue.rows),
+                               rpp_core.RPP(red.shape, red.rows))
+            for lam in partitions.all_partitions(4) if lam
+            for blue, red in rpp_core.enumerate_pairs(lam, 4)]
+
+
+def _refuse(*args):
+    raise AssertionError("read by the other g route")
+
+
+def test_the_two_g_routes_read_apart(monkeypatch):
+    # the lozenge count reads no vertex row masks, the vertex t-degree no
+    # lozenge masks; both read the fillings' interface masks
+    want = [coupling.g_via_vertex(pair) for pair in _fresh_pairs()]
+    assert sum(want) > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(vertex_model, "row_masks", _refuse)
+        with pytest.raises(AssertionError, match="other g route"):
+            coupling.g_via_vertex(_fresh_pairs()[-1])
+        assert [coupling.g_via_lozenges(pair) for pair in _fresh_pairs()] == want
+    with monkeypatch.context() as patch:
+        patch.setattr(coupling, "_lozenge_masks", _refuse)
+        patch.setattr(coupling, "classify", _refuse)
+        with pytest.raises(AssertionError, match="other g route"):
+            coupling.g_via_lozenges(_fresh_pairs()[-1])
+        assert [coupling.g_via_vertex(pair) for pair in _fresh_pairs()] == want

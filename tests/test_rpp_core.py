@@ -178,7 +178,10 @@ def test_derived_data_leave_equality_hash_and_repr():
         pair = C.make_pair(fresh, rpp)
         for compute in (C.g_via_vertex, C.g_via_lozenges, S.check_t0_constraints):
             compute(pair)
-        assert {"chain", "masks", "config", "lozenges"} <= set(vars(fresh))
+        V.rpp_to_config(fresh.shape, fresh)
+        assert fresh.volume == sum(map(sum, rpp.rows))
+        assert {"chain", "masks", "weight", "config", "lozenges", "roles",
+                "volume"} <= set(vars(fresh))
         assert (hash(fresh), repr(fresh), R.rpp_to_json(fresh)) == before
         assert fresh == rpp == R.RPP(rpp.shape, rpp.rows)
         assert hash(fresh) == hash(R.RPP(rpp.shape, rpp.rows))

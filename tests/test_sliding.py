@@ -279,7 +279,11 @@ def _strip_unslide(rpp):
 
 
 def _carries_fresh_chain(rpp):
-    return rpp.__dict__["chain"] == R.to_slices(R.validate(rpp.shape, rpp.rows))
+    """The chain and volume handed over by `from_diagonals` are those a
+    fresh filling computes."""
+    fresh = R.validate(rpp.shape, rpp.rows)
+    return (rpp.__dict__["chain"] == R.to_slices(fresh)
+            and rpp.__dict__["volume"] == fresh.volume == sum(map(sum, rpp.rows)))
 
 
 def test_riffle_equals_moving_strips():
@@ -365,6 +369,8 @@ blue = rpp_core.validate((2, 2), [[0, 1], [0, 1]])  # (1, 2) slides off the shap
 print(raises(sliding.slide, coupling.make_pair(blue, rpp_core.zero_rpp((2, 2)))))
 coupling._lozenge_masks = lambda bottom, top: (0, 1 << 60, 0)  # a stray orchid
 print(raises(coupling.pair_genfun_transfer, (2, 1), 4))
+zero = rpp_core.zero_rpp((2, 1))  # its first row is white, where orchids count
+print(raises(coupling.g_via_lozenges, coupling.make_pair(zero, zero)))
 partitions.MayaDiagram.is_particle = lambda self, t: True
 print(raises(partitions.maya, (1,), 3))
 """
@@ -380,9 +386,10 @@ def test_invariants_raise_under_python_O():
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert "no configuration" in lines[0]
     assert "no configuration" in lines[1]
     assert "slides off" in lines[2]
     assert "coupling sites" in lines[3]
-    assert "balance point" in lines[4]
+    assert "coupling sites" in lines[4]
+    assert "balance point" in lines[5]
