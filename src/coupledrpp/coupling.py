@@ -310,13 +310,12 @@ def _row_roles(white_row: bool, lozenges, grown: int) -> tuple[int, int]:
     """
     green, orchid, sienna = lozenges
     if white_row:
-        roles = orchid, green | orchid
+        roles, growth = (orchid, green | orchid), orchid.bit_count()
     else:
-        roles = sienna | green, sienna
-    met = (roles[0] if white_row else roles[1]).bit_count()
-    if met != (grown if white_row else -grown):
+        roles, growth = (sienna | green, sienna), -sienna.bit_count()
+    if growth != grown:
         kind = "white" if white_row else "gray"
-        raise AssertionError(f"{met} coupling sites on a {kind} row of lozenges "
+        raise AssertionError(f"{abs(growth)} coupling sites on a {kind} row of lozenges "
                              f"{lozenges} that changes the slice size by {grown}")
     return roles
 
@@ -328,12 +327,15 @@ def _filling_roles(rpp: RPP) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _roles_of(rpp: RPP) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    sizes = [sum(sl) for sl in rpp.chain.slices]
-    pattern = rpp_core.shape_geometry(rpp.shape).pattern
-    roles = [_row_roles(rel == PRECEQ, lozenges, grown)
-             for rel, lozenges, grown in zip(
-                 pattern, tiling_masks(rpp), map(sub, sizes[1:], sizes))]
-    return tuple(blue for blue, _ in roles), tuple(red for _, red in roles)
+    chain = rpp.chain
+    sizes = list(map(sum, chain.slices))
+    as_blue, as_red = [], []
+    for rel, lozenges, grown in zip(chain.pattern, tiling_masks(rpp),
+                                    map(sub, sizes[1:], sizes)):
+        blue, red = _row_roles(rel == PRECEQ, lozenges, grown)
+        as_blue.append(blue)
+        as_red.append(red)
+    return tuple(as_blue), tuple(as_red)
 
 
 def _row_hits(pair: PairRPP):
@@ -359,9 +361,10 @@ def _coupled_pairs(pair: PairRPP) -> tuple[tuple[int, int, int], ...]:
     out = []
     for k, (rel, hits, (b_green, _, _), (r_green, _, _)) in enumerate(rows, start=1):
         green, types = (r_green, (2, 1)) if rel == PRECEQ else (b_green, (3, 4))
-        for site in range(hits.bit_length()):
-            if hits >> site & 1:
-                out.append((types[green >> site & 1], k, site))
+        while hits:
+            site = (hits & -hits).bit_length() - 1  # the lowest hit
+            out.append((types[green >> site & 1], k, site))
+            hits &= hits - 1
     return tuple(out)
 
 
