@@ -310,13 +310,14 @@ def _row_roles(white_row: bool, lozenges, grown: int) -> tuple[int, int]:
     """
     green, orchid, sienna = lozenges
     if white_row:
-        roles, growth = (orchid, green | orchid), orchid.bit_count()
-    else:
-        roles, growth = (sienna | green, sienna), -sienna.bit_count()
-    if growth != grown:
+        roles, met = (orchid, green | orchid), orchid.bit_count()
+    else:  # a gray row's slice shrinks by its coupling sites
+        roles, met = (sienna | green, sienna), -sienna.bit_count()
+    if met != grown:
         kind = "white" if white_row else "gray"
-        raise AssertionError(f"{abs(growth)} coupling sites on a {kind} row of lozenges "
-                             f"{lozenges} that changes the slice size by {grown}")
+        raise AssertionError(f"{abs(met)} coupling sites on a {kind} row of "
+                             f"lozenges {lozenges} that changes the slice size "
+                             f"by {grown}")
     return roles
 
 
@@ -357,9 +358,10 @@ def _coupled_pairs(pair: PairRPP) -> tuple[tuple[int, int, int], ...]:
     # a white row's hit is type 1 on a red top face, else 2; a gray row's
     # is type 4 on a blue top face, else 3
     pattern = rpp_core.shape_geometry(pair.shape).pattern
-    rows = zip(pattern, _row_hits(pair), tiling_masks(pair.blue), tiling_masks(pair.red))
+    rows = zip(pattern, _row_hits(pair),
+               tiling_masks(pair.blue), tiling_masks(pair.red))
     out = []
-    for k, (rel, hits, (b_green, _, _), (r_green, _, _)) in enumerate(rows, start=1):
+    for k, (rel, hits, (b_green, _, _), (r_green, _, _)) in enumerate(rows, 1):
         green, types = (r_green, (2, 1)) if rel == PRECEQ else (b_green, (3, 4))
         while hits:
             site = (hits & -hits).bit_length() - 1  # the lowest hit
