@@ -263,19 +263,23 @@ def classify(bottom: int, top: int, site: int) -> str:
 
 def _lozenge_masks(bottom: int, top: int) -> tuple[int, int, int]:
     """Site bitmasks (green, orchid, sienna) of one row of one tiling, from
-    its bottom and top interface masks.  Only sites up to the highest path
-    are read: above it a row is all sienna (white) or all orchid (gray),
-    and neither meets a coupled pattern there."""
-    green = orchid = sienna = 0
+    its bottom and top interface masks: `classify` at every site, counting
+    the paths that pass a site in one walk up the sites.  Only sites up to
+    the highest path are read: above it a row is all sienna (white) or all
+    orchid (gray), and neither meets a coupled pattern there."""
+    orchid = sienna = below = 0
     for site in range(max(bottom.bit_length(), top.bit_length())):
-        kind = classify(bottom, top, site)
-        if kind == GREEN:
-            green |= 1 << site
-        elif kind == ORCHID:
+        below += (bottom >> site & 1) - (top >> site & 1)
+        if top >> site & 1:
+            continue  # green
+        if below == 1:
             orchid |= 1 << site
-        else:
+        elif below == 0:
             sienna |= 1 << site
-    return green, orchid, sienna
+        else:
+            raise ValueError(f"site {site}: malformed interface data "
+                             f"(bottom {bottom:b}, top {top:b})")
+    return top, orchid, sienna
 
 
 def tiling_masks(rpp: RPP) -> tuple[tuple[int, int, int], ...]:

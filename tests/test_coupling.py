@@ -218,6 +218,29 @@ def test_classify_rejects_malformed_interfaces():
     assert C.classify(0b10, 0b1, 1) == C.SIENNA
 
 
+def test_lozenge_masks_are_classify_at_every_site():
+    # the one-walk masks against `classify` site by site, malformed rows
+    # included: both raise, or every site up to the highest path agrees
+    rows = malformed = 0
+    for bottom in range(1 << 7):
+        for top in range(1 << 7):
+            try:
+                kinds = [C.classify(bottom, top, site) for site in
+                         range(max(bottom.bit_length(), top.bit_length()))]
+            except ValueError:
+                with pytest.raises(ValueError, match="malformed"):
+                    C._lozenge_masks(bottom, top)
+                malformed += 1
+                continue
+            masks = C._lozenge_masks(bottom, top)
+            for site, kind in enumerate(kinds):
+                got = [m >> site & 1 for m in masks]
+                assert got == [kind == k for k in (C.GREEN, C.ORCHID, C.SIENNA)]
+            assert all(m >> len(kinds) == 0 for m in masks)
+            rows += 1
+    assert rows + malformed == 1 << 14 and rows > 0 and malformed > 0
+
+
 def test_transfer_matches_bruteforce_small_shapes():
     for lam in P.all_partitions(4):
         assert C.pair_genfun_transfer(lam, 6) == C.pair_genfun_bruteforce(lam, 6), lam
