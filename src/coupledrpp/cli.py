@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import checks, coupling, partitions, render, rpp_core, sliding, vertex_model
 from .qt_series import QTSeries, hook_count, hook_product_pair, hook_product_single
@@ -136,27 +137,35 @@ def _parse_samples(text: str, arity: int):
     return _checked(f"samples {text!r}", parse)
 
 
+def _smoke_report(kind: str, tables, empty) -> dict:
+    """The YBE report of one boundary, every edge `empty`, of one sample's
+    `ybe_sweep` tables."""
+    boundary = (empty,) * 6
+    lhs, rhs = (side.get(boundary, 0) for side in vertex_model.ybe_sweep(*tables))
+    return {"kind": kind, "checked": 1,
+            "violations": [] if lhs == rhs else
+            [{"boundary": list(boundary), "lhs": str(lhs), "rhs": str(rhs)}],
+            "passed": lhs == rhs}
+
+
 def cmd_ybe(args) -> int:
     if args.mode == "one-color":
         samples = (_parse_samples(args.samples, 2) if args.samples
                    else vertex_model.DEFAULT_SAMPLES)
+        kinds = (vertex_model.WHITE_WHITE, vertex_model.WHITE_GRAY)
         if args.smoke:
-            reports = []
-            for kind in (vertex_model.WHITE_WHITE, vertex_model.WHITE_GRAY):
-                tables = vertex_model.ybe_tables(kind, *samples[0])
-                lhs, rhs = (side.get((0,) * 6, 0)
-                            for side in vertex_model.ybe_sweep(*tables))
-                reports.append({"kind": kind, "checked": 1,
-                                "violations": [] if lhs == rhs else
-                                [{"boundary": [0] * 6, "lhs": str(lhs), "rhs": str(rhs)}],
-                                "passed": lhs == rhs})
+            reports = [_smoke_report(kind, vertex_model.ybe_tables(kind, *samples[0]), 0)
+                       for kind in kinds]
         else:
-            reports = [vertex_model.verify_ybe(vertex_model.WHITE_WHITE, samples),
-                       vertex_model.verify_ybe(vertex_model.WHITE_GRAY, samples)]
+            reports = [vertex_model.verify_ybe(kind, samples) for kind in kinds]
     else:
         samples = (_parse_samples(args.samples, 3) if args.samples
                    else coupling.COLORED_SAMPLES)
-        reports = [coupling.verify_colored_ybe(samples)]
+        if args.smoke:
+            reports = [_smoke_report(coupling.COLORED_WHITE_GRAY,
+                                     coupling.colored_ybe_tables(*samples[0]), (0, 0))]
+        else:
+            reports = [coupling.verify_colored_ybe(samples)]
     passed = all(r["passed"] for r in reports)
     data = {"command": "ybe", "mode": args.mode,
             "status": "pass" if passed else "fail", "reports": reports}
@@ -266,6 +275,7 @@ def cmd_verify_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the whole command line on every call."""
     parser = argparse.ArgumentParser(
         prog="coupledrpp",
         description="Exact verification toolkit for interacting reverse "
@@ -329,8 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` uses, built on its first call and kept for the
+    process.  Parsing leaves no state on it: each call gets a fresh
+    namespace, and help and errors go to the sys.stdout/sys.stderr of
+    that moment, so output and exit codes are those of a fresh parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -96,6 +96,7 @@ def colored_cross_weight(c_blue, c_red, z, t):
 # Colored YBE
 
 
+COLORED_WHITE_GRAY = "colored-white-gray"
 COLORED_SAMPLES = (
     (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
     (Fraction(2, 7), Fraction(3, 5), Fraction(1, 2)),
@@ -103,27 +104,32 @@ COLORED_SAMPLES = (
 )
 
 
-def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
-    """All 4^6 colored boundary assignments at every sample point: gray row
-    x below white row y, each edge a (blue, red) pair of bits.
+def colored_ybe_tables(x, y, t):
+    """The `ybe_sweep` tables (cross, bottom, top) of two colors: a gray row
+    at x below a white row at y, each edge a (blue, red) pair of bits.
 
     The crossing parameter is z = x y t: gray weights are white weights at
     1/(x t) up to a per-vertex factor, so the white-white crossing parameter
     y/x turns into x y t.  At t = 1 this is the one-color value x y.
     """
-    edges = [(b, r) for b in (0, 1) for r in (0, 1)]
+    z = x * y * t
     state_pairs = list(product(ALLOWED_STATES, repeat=2))
-    violations = []
-    checked = 0
-    for x, y, t in samples:
-        z = x * y * t
-        sides = vertex_model.ybe_sweep(
-            {tuple(zip(cb, cr)): colored_cross_weight(cb, cr, z, t)
+    return ({tuple(zip(cb, cr)): colored_cross_weight(cb, cr, z, t)
              for cb, cr in product(ALLOWED_CROSSINGS, repeat=2)},
             {tuple(zip(vb, vr)): colored_gray_weight(vb, vr, x, t)
              for vb, vr in state_pairs},
             {tuple(zip(vb, vr)): colored_white_weight(vb, vr, y, t)
              for vb, vr in state_pairs})
+
+
+def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
+    """All 4^6 colored boundary assignments of `colored_ybe_tables` at
+    every sample point."""
+    edges = [(b, r) for b in (0, 1) for r in (0, 1)]
+    violations = []
+    checked = 0
+    for x, y, t in samples:
+        sides = vertex_model.ybe_sweep(*colored_ybe_tables(x, y, t))
         for boundary in product(edges, repeat=6):
             lhs, rhs = (side.get(boundary, 0) for side in sides)
             checked += 1
@@ -131,7 +137,7 @@ def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
                 violations.append({"boundary": [list(e) for e in boundary],
                                    "x": str(x), "y": str(y), "t": str(t),
                                    "lhs": str(lhs), "rhs": str(rhs)})
-    return {"kind": "colored-white-gray", "checked": checked,
+    return {"kind": COLORED_WHITE_GRAY, "checked": checked,
             "violations": violations, "passed": not violations}
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import ge
 from typing import Iterator, NamedTuple
 
 from . import partitions
@@ -113,20 +114,6 @@ class SliceSequence:
     slices: tuple[tuple[int, ...], ...]  # empty partitions at both ends
 
 
-def diagonal_rows(shape, s: int) -> tuple[int, int] | None:
-    """Rows (r_lo, r_hi) of the cells on diagonal col - row = s, or None."""
-    shape = normalize(shape)
-    r_lo = max(1, 1 - s)
-    r_hi = 0
-    for r in range(r_lo, len(shape) + 1):
-        if part(shape, r) < r + s:  # rows leave the diagonal monotonically
-            break
-        r_hi = r
-    if r_hi == 0:
-        return None
-    return (r_lo, r_hi)
-
-
 def interface_zetas(pattern) -> list[int]:
     """Center positions of the interfaces 0..n of the vertex model: start
     at the number of paths, drop by one per gray (SUCCEQ) row."""
@@ -153,12 +140,12 @@ def shape_geometry(shape: tuple[int, ...]) -> ShapeGeometry:
         raise ValueError(f"shape {shape} is not a normalized partition")
     pattern = interaction_pattern(shape)
     depth = len(shape)
-    cells = []
-    for k in range(1, len(pattern)):
-        r_lo, r_hi = diagonal_rows(shape, k - depth)
-        cells.append(tuple((r - 1, r + k - depth - 1)
-                           for r in range(r_hi, r_lo - 1, -1)))
-    return ShapeGeometry(pattern, tuple(cells), tuple(interface_zetas(pattern)))
+    cells = [[] for _ in range(len(pattern) - 1)]
+    for r in range(depth - 1, -1, -1):  # top row first
+        for c in range(shape[r]):
+            cells[c - r + depth - 1].append((r, c))
+    return ShapeGeometry(pattern, tuple(map(tuple, cells)),
+                         tuple(interface_zetas(pattern)))
 
 
 def to_slices(rpp: RPP) -> SliceSequence:
@@ -169,7 +156,10 @@ def to_slices(rpp: RPP) -> SliceSequence:
     rows = rpp.rows
     slices = [()]
     for cells in geometry.cells:
-        slices.append(normalize([rows[r][c] for r, c in cells]))
+        d = [rows[r][c] for r, c in cells]
+        if not (all(map(ge, d, d[1:])) and d[-1] >= 0):
+            raise ValueError(f"diagonal {d} of {rpp} is not a partition")
+        slices.append(tuple(d[:len(d) - d.count(0)]))  # trailing zeros dropped
     slices.append(())
     return SliceSequence(geometry.pattern, tuple(slices))
 

@@ -220,6 +220,14 @@ def test_ybe_two_color(capsys):
     assert code == 0 and "status: pass" in out
 
 
+def test_ybe_two_color_smoke_checks_one_boundary(capsys):
+    code, out = run(capsys, "ybe", "--mode", "two-color", "--smoke", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "pass"
+    assert [r["checked"] for r in data["reports"]] == [1]
+
+
 def test_slide_stdin(capsys, monkeypatch, tmp_path):
     src = tmp_path / "pair.json"
     src.write_text(WORKED_PAIR_JSON)
@@ -391,3 +399,36 @@ def test_verify_all_negative_budget_exits_2(capsys):
     # a negative budget would skip every criterion and report a failure
     message = usage_error(capsys, "verify-all", "--budget-seconds", "-1")
     assert message.startswith("error: ") and "--budget-seconds" in message
+
+
+GENFUN_21_N6_PAIRED_JSON = ("genfun", "--shape", "[2,1]", "--max-volume", "6",
+                            "--paired", "--format", "json")
+
+
+def test_kept_parser_leaves_no_state_between_calls(capsys):
+    """main reuses one parser for the process: a usage error and other
+    commands in between change neither stdout nor the error text, and no
+    option's value carries over to a later call."""
+    code, first = run(capsys, *GENFUN_21_N6_PAIRED_JSON)
+    assert code == 0
+    bad = ("genfun", "--shape", "[2,1]", "--max-volume", "six")
+    err = usage_error(capsys, *bad)
+    assert err == cli_process(*bad).stderr  # as from a fresh parser
+    code, out = run(capsys, "hook", "--shape", "[2,1]")
+    assert code == 0 and out == "1\n3 1\n"
+    code, out = run(capsys, *(a for a in GENFUN_21_N6_PAIRED_JSON if a != "--paired"))
+    assert code == 0 and out == GENFUN_21_N6_STDOUT[(False, "json")]
+    code, again = run(capsys, *GENFUN_21_N6_PAIRED_JSON)
+    assert code == 0
+    assert first == again == PAIRED_21_N6_JSON
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_genfun_bytes_in_a_new_process(capsys):
+    code, out = run(capsys, *GENFUN_21_N6_PAIRED_JSON)
+    process = cli_process(*GENFUN_21_N6_PAIRED_JSON, module="coupledrpp")
+    assert code == process.returncode == 0, process.stderr
+    assert process.stdout == out == PAIRED_21_N6_JSON

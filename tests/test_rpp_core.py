@@ -197,14 +197,27 @@ def test_shape_geometry_is_shared_and_bounded():
     assert "strips" not in geometry._fields
     # one path per border strip: as many as the longest diagonal has cells
     assert max(map(len, geometry.cells)) == len(P.border_strips(lam))
-    for k, cells in enumerate(geometry.cells, start=1):  # diagonal k, top first
-        assert [c - r for r, c in cells] == [k - len(lam)] * len(cells)
-        assert [r for r, _ in cells] == sorted((r for r, _ in cells), reverse=True)
-    assert sorted(cell for cells in geometry.cells for cell in cells) == \
-        sorted((r - 1, c - 1) for r, c in P.cells(lam))
+    for lam in P.all_partitions(10):
+        cells_of = R.shape_geometry(lam).cells
+        assert len(cells_of) == max(len(R.interaction_pattern(lam)) - 1, 0)
+        for k, cells in enumerate(cells_of, start=1):  # diagonal k, top first
+            assert cells and [c - r for r, c in cells] == [k - len(lam)] * len(cells)
+            assert [r for r, _ in cells] == sorted((r for r, _ in cells), reverse=True)
+        assert sorted(cell for cells in cells_of for cell in cells) == \
+            sorted((r - 1, c - 1) for r, c in P.cells(lam))
     assert R.shape_geometry.cache_info().maxsize == 64
     with pytest.raises(ValueError, match="normalized"):
         R.shape_geometry((2, 0))
+
+
+@pytest.mark.parametrize("shape,rows", [
+    ((2, 2), ((1, 1), (1, 0))),  # diagonal 0 reads (0, 1) top first
+    ((1,), ((-1,),)),
+    ((2, 2), ((0, 0), (0, -1))),
+])
+def test_to_slices_rejects_a_diagonal_that_is_no_partition(shape, rows):
+    with pytest.raises(ValueError, match="not a partition"):
+        R.to_slices(R.RPP(shape, rows))
 
 
 def test_json_roundtrip():
