@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import checks, coupling, partitions, render, rpp_core, sliding, vertex_model
 from .qt_series import QTSeries, hook_count, hook_product_pair, hook_product_single
@@ -137,33 +137,25 @@ def _parse_samples(text: str, arity: int):
     return _checked(f"samples {text!r}", parse)
 
 
-def _smoke_report(kind: str, tables, empty) -> dict:
-    """The YBE report of one boundary, every edge `empty`, of one sample's
-    `ybe_sweep` tables."""
-    boundary = (empty,) * 6
-    lhs, rhs = (side.get(boundary, 0) for side in vertex_model.ybe_sweep(*tables))
-    return {"kind": kind, "checked": 1,
-            "violations": [] if lhs == rhs else
-            [{"boundary": list(boundary), "lhs": str(lhs), "rhs": str(rhs)}],
-            "passed": lhs == rhs}
-
-
 def cmd_ybe(args) -> int:
+    # --smoke: the first sample at the boundary with every edge empty
     if args.mode == "one-color":
         samples = (_parse_samples(args.samples, 2) if args.samples
                    else vertex_model.DEFAULT_SAMPLES)
         kinds = (vertex_model.WHITE_WHITE, vertex_model.WHITE_GRAY)
         if args.smoke:
-            reports = [_smoke_report(kind, vertex_model.ybe_tables(kind, *samples[0]), 0)
-                       for kind in kinds]
+            reports = [vertex_model.ybe_report(
+                kind, partial(vertex_model.ybe_tables, kind), samples[:1], [(0,) * 6])
+                for kind in kinds]
         else:
             reports = [vertex_model.verify_ybe(kind, samples) for kind in kinds]
     else:
         samples = (_parse_samples(args.samples, 3) if args.samples
                    else coupling.COLORED_SAMPLES)
         if args.smoke:
-            reports = [_smoke_report(coupling.COLORED_WHITE_GRAY,
-                                     coupling.colored_ybe_tables(*samples[0]), (0, 0))]
+            reports = [vertex_model.ybe_report(
+                coupling.COLORED_WHITE_GRAY, coupling.colored_ybe_tables,
+                samples[:1], [((0, 0),) * 6])]
         else:
             reports = [coupling.verify_colored_ybe(samples)]
     passed = all(r["passed"] for r in reports)

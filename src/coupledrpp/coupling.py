@@ -16,7 +16,7 @@ from operator import and_, sub
 
 from . import rpp_core, vertex_model
 from .partitions import normalize
-from .qt_series import QTSeries
+from .qt_series import QTSeries, hook_count
 from .rpp_core import PRECEQ, RPP
 from .vertex_model import (
     ALLOWED_CROSSINGS,
@@ -124,21 +124,10 @@ def colored_ybe_tables(x, y, t):
 
 def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
     """All 4^6 colored boundary assignments of `colored_ybe_tables` at
-    every sample point."""
-    edges = [(b, r) for b in (0, 1) for r in (0, 1)]
-    violations = []
-    checked = 0
-    for x, y, t in samples:
-        sides = vertex_model.ybe_sweep(*colored_ybe_tables(x, y, t))
-        for boundary in product(edges, repeat=6):
-            lhs, rhs = (side.get(boundary, 0) for side in sides)
-            checked += 1
-            if lhs != rhs:
-                violations.append({"boundary": [list(e) for e in boundary],
-                                   "x": str(x), "y": str(y), "t": str(t),
-                                   "lhs": str(lhs), "rhs": str(rhs)})
-    return {"kind": COLORED_WHITE_GRAY, "checked": checked,
-            "violations": violations, "passed": not violations}
+    every sample point, in `itertools.product` order."""
+    boundaries = list(product(product((0, 1), repeat=2), repeat=6))
+    return vertex_model.ybe_report(COLORED_WHITE_GRAY, colored_ybe_tables,
+                                   samples, boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +175,7 @@ def colored_row_weight_explicit(kind, mu_pair, lam_pair, x, t, ell, window):
     partitions; None when either color admits no configuration."""
     per_color = []
     for mu, lam in zip(mu_pair, lam_pair):
-        mu, lam = normalize(mu), normalize(lam)
-        if kind == WHITE:
-            zb = zt = ell
-        else:
-            zb, zt = ell + 1, ell
-        if len(mu) > zb or len(lam) > zt:
-            raise ValueError(f"partitions too long for {ell} columns left of center")
-        states = vertex_model.row_states(
-            kind,
-            vertex_model.interface_mask(mu, zb),
-            vertex_model.interface_mask(lam, zt),
-            window)
+        states = vertex_model.centered_row_states(kind, mu, lam, ell, window)
         if states is None:
             return None
         per_color.append(states)
@@ -456,21 +434,6 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
     return rows
 
 
-def _closed_chains(rows) -> int:
-    """Number of paths from () back to () through the rows of
-    `_live_moves`: at least the number of one-color chains up to the
-    volume bound, and at least the number of partial chains through any
-    live slice, since each of those closes along some path."""
-    chains = {(): 1}
-    for row in rows:
-        nxt = {}
-        for mu, count in chains.items():
-            for _need, _size, nu, _roles in row.get(mu, ()):
-                nxt[nu] = nxt.get(nu, 0) + count
-        chains = nxt
-    return chains.get((), 0)
-
-
 def _fold(parts: dict, bits: int) -> tuple[int, int]:
     """One packed state from its parts, {least key: packed counts}, each
     part added at its key's offset.  Horner's rule from the highest key
@@ -522,15 +485,18 @@ def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
     `_live_moves` checks this on every move.  A count moved past the bound
     may reach g >= W before the cut, but then its volume is above the
     bound too, so it lands at a key the cut drops.  B is a whole number of
-    bytes with 2^B above the square of `_closed_chains`, which bounds the
-    sum of all counts of a state, so no slot carries into the next.
+    bytes with 2^B above the number of pairs within max_total (the hook
+    product at t = 1).  Each count the cut keeps belongs to partial pairs
+    that each close within max_total in their own way, so no kept slot
+    reaches that number.  A slot past the cut may overflow, but it carries
+    only into higher slots, which the same cut drops.
     """
     lam = normalize(lam)
     series = QTSeries(max_total)
     pattern = rpp_core.interaction_pattern(lam)
     rows = _live_moves(lam, pattern, max_total)
     width = max_total + 1
-    bits = 8 * -(-(_closed_chains(rows) ** 2).bit_length() // 8)
+    bits = 8 * -(-hook_count(lam, max_total, 2).bit_length() // 8)
     # per interface: slice -> least volume still to come after it
     closing = [{mu: moves[0][0] for mu, moves in row.items()} for row in rows[1:]]
     closing.append({(): 0})

@@ -46,10 +46,6 @@ def normalize(parts) -> tuple[int, ...]:
     return tuple(out)
 
 
-def size(lam) -> int:
-    return sum(lam)
-
-
 def part(lam, i: int) -> int:
     """lam_i with 1-based index and zero extension."""
     return lam[i - 1] if 1 <= i <= len(lam) else 0

@@ -16,7 +16,7 @@ from operator import ge
 from typing import Iterator, NamedTuple
 
 from . import partitions
-from .partitions import Cell, normalize, part
+from .partitions import Cell, normalize
 
 # Relation symbols for interlacing patterns: row k of the vertex model is
 # white when pattern[k-1] == PRECEQ and gray when it is SUCCEQ.
@@ -222,70 +222,38 @@ def from_slices(ss: SliceSequence) -> RPP:
 # Enumeration
 
 
-def _interlacing_above(prev, max_len: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Partitions nu with prev <= nu (prev interlaces nu), len <= max_len, |nu| <= budget."""
-
-    def gen(i, upper, budget_left):
-        lo = part(prev, i)
-        if lo > budget_left:
-            return
-        hi = budget_left if upper is None else min(upper, budget_left)
-        for v in range(hi, lo - 1, -1):
-            if v == 0:
-                yield ()
-                continue
-            if i >= max_len:
-                # no more parts allowed; the tail of prev must already be zero
-                if part(prev, i + 1) == 0:
-                    yield (v,)
-                continue
-            # next part is capped by both nu_i and prev_i
-            for rest in gen(i + 1, min(v, lo), budget_left - v):
-                yield (v,) + rest
-
-    if max_len == 0:
-        if prev == ():
-            yield ()
-        return
-    yield from gen(1, None, budget)
-
-
-def _interlacing_below(prev, max_len: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Partitions nu with nu <= prev, len <= max_len, |nu| <= budget."""
-
-    def gen(i, budget_left):
-        lo = part(prev, i + 1)
-        hi = min(part(prev, i), budget_left)
-        if lo > hi:
-            return
-        for v in range(hi, lo - 1, -1):
-            if v == 0:
-                yield ()
-                continue
-            if i >= max_len:
-                if part(prev, i + 2) == 0:
-                    yield (v,)
-                continue
-            for rest in gen(i + 1, budget_left - v):
-                yield (v,) + rest
-
-    if max_len == 0:
-        if part(prev, 2) == 0:
-            yield ()
-        return
-    # nu_j = 0 for j > max_len forces prev_{j+1} = 0 there
-    if part(prev, max_len + 2) > 0:
-        return
-    yield from gen(1, budget)
-
-
 def next_slices(prev, rel: str, max_len: int, budget: int) -> Iterator[tuple[int, ...]]:
     """Every slice nu that may follow prev across a step of relation rel
     (prev <= nu for PRECEQ, nu <= prev for SUCCEQ), with len(nu) <= max_len
-    and |nu| <= budget, largest first part first."""
-    if rel == PRECEQ:
-        return _interlacing_above(prev, max_len, budget)
-    return _interlacing_below(prev, max_len, budget)
+    and |nu| <= budget, in descending lexicographic order: largest first
+    part first.
+
+    Part i of nu lies between a low and a high bound read off one tuple of
+    the budget, prev's parts and zeros: prev_i and prev_(i-1) above prev,
+    the first part capped only by the budget; prev_(i+1) and prev_i below
+    it.  A part past max_len must be 0, which only a low bound of 0 allows."""
+    # part i of nu lies between bounds[j + 1] and bounds[j], j = i - 1 + shift
+    shift = 0 if rel == PRECEQ else 1
+    stop = max_len + shift  # j of part max_len + 1
+    bounds = (budget, *prev, *(0,) * (stop + 1 - len(prev)))
+    if bounds[stop + 1] > 0:
+        return iter(())
+
+    def fill(j, left):
+        """The parts of nu from the one at j on, at most `left` in sum."""
+        if j == stop:  # reached only when max_len == 0
+            yield ()
+            return
+        for v in range(min(bounds[j], left), bounds[j + 1] - 1, -1):
+            if v == 0:
+                yield ()
+            elif j + 1 == stop:  # the parts after it are 0
+                yield (v,)
+            else:
+                for rest in fill(j + 1, left - v):
+                    yield (v,) + rest
+
+    return fill(shift, budget)
 
 
 def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:

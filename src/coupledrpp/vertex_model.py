@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from .partitions import interlaces, normalize, part
 from .rpp_core import PRECEQ, RPP, SUCCEQ, next_slices, shape_geometry
-from .rpp_core import interface_zetas  # noqa: F401  (public here as well)
 
 
 class VertexState(NamedTuple):
@@ -180,17 +179,22 @@ def row_weight_closed(kind: str, mu, lam, x, ell: int = 0):
     return x ** (sum(mu) - sum(lam) + ell)
 
 
+def centered_row_states(kind: str, mu, lam, ell: int,
+                        window: int) -> list[VertexState] | None:
+    """The `row_states` of a row from slice mu up to slice lam, ell columns
+    left of its top center; a gray row's bottom center is ell + 1, since
+    the row sends one path out to the right."""
+    mu, lam = normalize(mu), normalize(lam)
+    zeta_bottom = ell if kind == WHITE else ell + 1
+    if len(mu) > zeta_bottom or len(lam) > ell:
+        raise ValueError(f"partitions too long for {ell} columns left of center")
+    return row_states(kind, interface_mask(mu, zeta_bottom),
+                      interface_mask(lam, ell), window)
+
+
 def row_weight_explicit(kind: str, mu, lam, x, ell: int, window: int):
     """Vertex-by-vertex product over the window; must agree with the closed form."""
-    mu, lam = normalize(mu), normalize(lam)
-    if kind == WHITE:
-        zeta_bottom = zeta_top = ell
-    else:
-        zeta_bottom, zeta_top = ell + 1, ell
-    if len(mu) > zeta_bottom or len(lam) > zeta_top:
-        raise ValueError(f"partitions too long for {ell} columns left of center")
-    states = row_states(kind, interface_mask(mu, zeta_bottom),
-                        interface_mask(lam, zeta_top), window)
+    states = centered_row_states(kind, mu, lam, ell, window)
     if states is None:
         return None
     weigh = white_weight if kind == WHITE else gray_weight
@@ -415,22 +419,31 @@ DEFAULT_SAMPLES = (
 )
 
 
-def verify_ybe(kind: str, samples=DEFAULT_SAMPLES) -> dict:
-    """Check the YBE at every boundary assignment and sample point."""
+def ybe_report(kind: str, tables_at, samples, boundaries) -> dict:
+    """The YBE report of `kind`: both sides of `ybe_sweep` over the tables
+    `tables_at(*sample)` compared at every boundary, sample by sample.  A
+    violation names its boundary, as JSON lists, its sample point (x, y and,
+    for two colors, t) and both sides."""
     violations = []
     checked = 0
-    for x, y in samples:
-        sides = ybe_sweep(*ybe_tables(kind, x, y))
-        for code in range(64):
-            boundary = tuple((code >> i) & 1 for i in range(6))
+    for sample in samples:
+        sides = ybe_sweep(*tables_at(*sample))
+        for boundary in boundaries:
             lhs, rhs = (side.get(boundary, 0) for side in sides)
-            checked += 1
             if lhs != rhs:
-                violations.append({"boundary": list(boundary),
-                                   "x": str(x), "y": str(y),
+                violations.append({"boundary": json.loads(json.dumps(boundary)),
+                                   **dict(zip("xyt", map(str, sample))),
                                    "lhs": str(lhs), "rhs": str(rhs)})
+        checked += len(boundaries)
     return {"kind": kind, "checked": checked,
             "violations": violations, "passed": not violations}
+
+
+def verify_ybe(kind: str, samples=DEFAULT_SAMPLES) -> dict:
+    """Check the YBE at every boundary assignment and sample point; the
+    boundary (i1, i2, i3, j1, j2, j3) is the 6-bit code with i1 lowest."""
+    boundaries = [tuple(code >> i & 1 for i in range(6)) for code in range(64)]
+    return ybe_report(kind, lambda x, y: ybe_tables(kind, x, y), samples, boundaries)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,28 @@ def test_kept_states_stop_at_the_volume_bound(lam, n, monkeypatch):
     assert 0 < max(longest) <= (n + 1) ** 2
 
 
+@pytest.mark.parametrize("lam,n", [((1,), 100), ((3, 2, 1), 10),
+                                   ((4, 4, 3, 3, 1), 8), ((6,), 30)])
+def test_slots_hold_the_sums_of_the_parts(lam, n, monkeypatch):
+    # summed exactly at each absolute key over the parts `_fold` adds up,
+    # no count reaches 2^B, so the packed sum carries no slot into the next
+    fold, fullest = C._fold, []
+
+    def watched(parts, bits):
+        size, sums = bits // 8, {}
+        for least, packed in parts.items():
+            data = packed.to_bytes(-(-packed.bit_length() // bits) * size, "little")
+            for i in range(0, len(data), size):
+                key = least + i // size
+                sums[key] = sums.get(key, 0) + int.from_bytes(data[i:i + size], "little")
+        fullest.append(max(sums.values()) / 2 ** bits)
+        return fold(parts, bits)
+
+    monkeypatch.setattr(C, "_fold", watched)
+    assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
+    assert 0 < max(fullest) < 1
+
+
 @pytest.mark.parametrize("lam,n", [((3, 2, 1), 5), ((4, 1), 4), ((2, 2), 4), ((3,), 6)])
 def test_live_moves_are_the_moves_of_closed_chains(lam, n):
     # exactly the slice steps taken by some filling of volume <= n

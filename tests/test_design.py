@@ -64,6 +64,31 @@ def test_no_module_reads_a_private_name_of_a_sibling():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def unused_imports(source: str) -> list[str]:
+    """Every name that `source` binds by an import and never reads."""
+    tree = ast.parse(source)
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    source = ("from __future__ import annotations\n"
+              "import json, os.path\n"
+              "from .partitions import normalize as norm, part\n"
+              "from .rpp_core import interface_zetas  # noqa: F401\n"
+              "norm(json.loads('[]'))\n")
+    assert unused_imports(source) == ["os", "part", "interface_zetas"]
+    # the package's __init__ imports in order to re-export
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def _fresh_pairs():
     """Pairs of fillings of small shapes with nothing derived kept yet."""
     return [coupling.make_pair(rpp_core.RPP(blue.shape, blue.rows),

@@ -93,14 +93,16 @@ def test_slice_roundtrip_exhaustive():
 
 
 def test_next_slices_is_the_interlacing_filter():
-    for prev in P.all_partitions(4):
-        for max_len in range(4):
-            for budget in range(7):
+    # every fitting slice once, in descending lexicographic order, which
+    # enumeration and the row-transfer engine rely on
+    for prev in P.all_partitions(6):
+        for max_len in range(6):
+            for budget in range(10):
                 fits = [nu for nu in P.all_partitions(budget) if len(nu) <= max_len]
-                assert sorted(R.next_slices(prev, PRECEQ, max_len, budget)) == \
-                    sorted(nu for nu in fits if P.interlaces(prev, nu))
-                assert sorted(R.next_slices(prev, SUCCEQ, max_len, budget)) == \
-                    sorted(nu for nu in fits if P.interlaces(nu, prev))
+                assert list(R.next_slices(prev, PRECEQ, max_len, budget)) == \
+                    sorted((nu for nu in fits if P.interlaces(prev, nu)), reverse=True)
+                assert list(R.next_slices(prev, SUCCEQ, max_len, budget)) == \
+                    sorted((nu for nu in fits if P.interlaces(nu, prev)), reverse=True)
     assert list(R.next_slices((2, 1), PRECEQ, 2, 4)) == [(3, 1), (2, 2), (2, 1)]
 
 
@@ -193,7 +195,7 @@ def test_shape_geometry_is_shared_and_bounded():
     geometry = R.shape_geometry(lam)
     assert R.shape_geometry(lam) is geometry
     assert geometry.pattern == R.interaction_pattern(lam)
-    assert geometry.zetas == tuple(V.interface_zetas(geometry.pattern))
+    assert geometry.zetas == tuple(R.interface_zetas(geometry.pattern))
     assert "strips" not in geometry._fields
     # one path per border strip: as many as the longest diagonal has cells
     assert max(map(len, geometry.cells)) == len(P.border_strips(lam))

@@ -10,7 +10,6 @@ from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
 from coupledrpp import sliding as S
-from coupledrpp import vertex_model as V
 
 SHAPE = (4, 4, 3, 3, 1)
 IN_BLUE = R.validate(SHAPE, [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2], [0, 1, 4], [0]])
@@ -100,7 +99,7 @@ def test_paths_one_per_strip():
 def test_paths_zero_filling_hug_the_wall():
     profiles, steps = _paths(R.zero_rpp((3, 2)))
     pattern = R.interaction_pattern((3, 2))
-    zetas = V.interface_zetas(pattern)
+    zetas = R.interface_zetas(pattern)
     for i, prof in enumerate(profiles, start=1):
         assert prof == tuple(z - i for z in zetas)
         assert len(steps[i - 1]) == len(pattern)
@@ -110,7 +109,7 @@ def test_paths_zero_filling_hug_the_wall():
 def test_paths_single_column_height():
     profiles, _ = _paths(R.validate((1,), [[5]]))
     # one strip; the face sits five units above the wall on the middle line
-    assert profiles[0][1] - V.interface_zetas(R.interaction_pattern((1,)))[1] == 4
+    assert profiles[0][1] - R.interface_zetas(R.interaction_pattern((1,)))[1] == 4
 
 
 def test_constraints_equal_path_order_exhaustively():
