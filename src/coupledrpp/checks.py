@@ -21,6 +21,29 @@ def _report(name, passed, **details):
 
 GENFUN_SHAPES = [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (3, 2, 1)]
 PAIR_SHAPES = [(1,), (2,), (1, 1), (2, 1), (2, 2)]
+SLIDE_SHAPES = [(2, 2), (3, 1), (4, 4, 3, 3, 1)]
+
+# The total volume bound of the pair checks of criteria 4, 6 and 7.
+PAIR_MAX_VOLUME = 6
+
+# Shape -> its fillings of volume <= PAIR_MAX_VOLUME, shared by the
+# criteria of one `run_all`; None outside it.
+_pool: dict[tuple[int, ...], list[rpp_core.RPP]] | None = None
+
+
+def _fillings(lam) -> list[rpp_core.RPP]:
+    """The fillings of lam with volume <= PAIR_MAX_VOLUME, enumerated once
+    per `run_all` and afresh for a criterion called on its own."""
+    if _pool is None:
+        return list(rpp_core.enumerate_rpps(lam, PAIR_MAX_VOLUME))
+    if lam not in _pool:
+        _pool[lam] = list(rpp_core.enumerate_rpps(lam, PAIR_MAX_VOLUME))
+    return _pool[lam]
+
+
+def _pairs(lam):
+    """The pairs of lam with total volume <= PAIR_MAX_VOLUME."""
+    return rpp_core.pairs_within(_fillings(lam), PAIR_MAX_VOLUME)
 
 
 def check_single_genfun(trunc=10) -> dict:
@@ -76,7 +99,7 @@ def check_weight_bijections() -> dict:
             continue
         A2 = vertex_model.A_lambda(lam) ** 2
         triv = coupling.trivial_t_exponent(lam)
-        for blue, red in rpp_core.enumerate_pairs(lam, 6):
+        for blue, red in _pairs(lam):
             pair = make_pair(blue, red)
             pair_tested += 1
             w = coupling.pair_config_weight(pair) * A2
@@ -140,7 +163,7 @@ def check_g_oracles() -> dict:
     for lam in partitions.all_partitions(4):
         if not lam:
             continue
-        for blue, red in rpp_core.enumerate_pairs(lam, 6):
+        for blue, red in _pairs(lam):
             pair = make_pair(blue, red)
             tested += 1
             if coupling.g_via_vertex(pair) != coupling.g_via_lozenges(pair):
@@ -163,20 +186,27 @@ def check_sliding() -> dict:
     if sliding.unslide(want) != pair:
         failures.append("worked-unslide")
 
-    for lam in [(2, 2), (3, 1), (4, 4, 3, 3, 1)]:
-        for rpp in rpp_core.enumerate_rpps(lam, 6):
+    # unslide maps the fillings into the g = 0 pairs, slide undoes it and
+    # keeps the volume; the g = 0 pairs are all it reaches, so slide maps
+    # them back onto the fillings and unslide undoes that
+    for lam in SLIDE_SHAPES:
+        fillings = _fillings(lam)
+        unslid = set()
+        for rpp in fillings:
             p = sliding.unslide(rpp)
-            if not sliding.check_t0_constraints(p) or sliding.slide(p) != rpp:
+            if not (sliding.check_t0_constraints(p) and sliding.slide(p) == rpp
+                    and p.blue.volume + p.red.volume == rpp.volume):
                 failures.append(f"unslide-slide {lam}")
                 break
-        for b, r in rpp_core.enumerate_pairs(lam, 6):
-            p = make_pair(b, r)
-            if not sliding.check_t0_constraints(p):
-                continue
-            out = sliding.slide(p)
-            if out.volume != b.volume + r.volume or sliding.unslide(out) != p:
+            unslid.add(p)
+        else:
+            zero = set()
+            for b, r in rpp_core.pairs_within(fillings, PAIR_MAX_VOLUME):
+                p = make_pair(b, r)
+                if sliding.check_t0_constraints(p):
+                    zero.add(p)
+            if zero != unslid:
                 failures.append(f"slide-unslide {lam}")
-                break
 
     counting = sliding.verify_t0_counting((2, 2), 8)
     if not counting["passed"]:
@@ -227,18 +257,23 @@ ALL_CHECKS = [
 
 def run_all(budget_seconds: float | None = None) -> dict:
     """Run every acceptance check; stop early if the budget runs out."""
+    global _pool
     started = time.monotonic()
     results = []
     skipped = []
-    for number, fn in ALL_CHECKS:
-        if budget_seconds is not None and time.monotonic() - started > budget_seconds:
-            skipped.append(number)
-            continue
-        t0 = time.monotonic()
-        rep = fn()
-        rep["criterion"] = number
-        rep["elapsed"] = round(time.monotonic() - t0, 3)
-        results.append(rep)
+    _pool = {}
+    try:
+        for number, fn in ALL_CHECKS:
+            if budget_seconds is not None and time.monotonic() - started > budget_seconds:
+                skipped.append(number)
+                continue
+            t0 = time.monotonic()
+            rep = fn()
+            rep["criterion"] = number
+            rep["elapsed"] = round(time.monotonic() - t0, 3)
+            results.append(rep)
+    finally:
+        _pool = None
     passed = all(r["passed"] for r in results) and not skipped
     return {"command": "verify-all", "status": "pass" if passed else "fail",
             "elapsed": round(time.monotonic() - started, 3),

@@ -99,14 +99,15 @@ def hook(lam, cell: Cell) -> int:
 
 def hook_lengths(lam) -> list[int]:
     """Multiset of hook lengths, in reading order of cells()."""
-    lam = normalize(lam)
-    return [hook(lam, c) for c in cells(lam)]
+    return [h for row in hook_table(lam) for h in row]
 
 
 def hook_table(lam) -> list[list[int]]:
-    """Hooks arranged like the filling, rows bottom-up."""
+    """Hooks arranged like the filling, rows bottom-up: the hook of (r, c)
+    is (lam_r - r) + (lam'_c - c) + 1, with the conjugate built once."""
     lam = normalize(lam)
-    return [[hook(lam, Cell(r, c)) for c in range(1, row_len + 1)]
+    columns = conjugate(lam)
+    return [[row_len - r + columns[c - 1] - c + 1 for c in range(1, row_len + 1)]
             for r, row_len in enumerate(lam, start=1)]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import ge
+from operator import attrgetter, ge
 from typing import Iterator, NamedTuple
 
 from . import partitions
@@ -167,11 +167,14 @@ def to_slices(rpp: RPP) -> SliceSequence:
 def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
     """The filling of a normalized shape whose diagonal k holds slices[k-1],
     top first and zero past its parts, validated.  It keeps the chain of
-    these slices, which must be normalized partitions that fit their
-    diagonals."""
+    these slices, which must be normalized partitions; a slice with more
+    parts than its diagonal has cells raises ValueError."""
     geometry = shape_geometry(shape)
     rows = [[0] * p for p in shape]
-    for cells, sl in zip(geometry.cells, slices):
+    for k, (cells, sl) in enumerate(zip(geometry.cells, slices), start=1):
+        if len(sl) > len(cells):
+            raise ValueError(f"slice {k} has {len(sl)} parts but the diagonal "
+                             f"holds {len(cells)} cells")
         for (r, c), v in zip(cells, sl):
             rows[r][c] = v
     rpp = validate(shape, rows)
@@ -210,12 +213,7 @@ def from_slices(ss: SliceSequence) -> RPP:
         ok = partitions.interlaces(a, b) if rel == PRECEQ else partitions.interlaces(b, a)
         if not ok:
             raise ValueError(f"slices {a} {rel} {b} violate interlacing at step {k}")
-    inner = ss.slices[1:-1]
-    for k, (cells, sl) in enumerate(zip(shape_geometry(shape).cells, inner), start=1):
-        if len(sl) > len(cells):
-            raise ValueError(f"slice {k} has {len(sl)} parts but the diagonal "
-                             f"holds {len(cells)} cells")
-    return from_diagonals(shape, [normalize(sl) for sl in inner])
+    return from_diagonals(shape, [normalize(sl) for sl in ss.slices[1:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +288,22 @@ def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
             chain.pop()
 
     extend(1, (), [], 0)
-    found.sort(key=RPP.reading_word)
+    # every filling has the shape's row lengths, so ordering by rows is
+    # ordering by the reading word
+    found.sort(key=attrgetter("rows"))
     return iter(found)
 
 
 def enumerate_pairs(lam, max_total_volume: int) -> Iterator[tuple[RPP, RPP]]:
     """Pairs (blue, red) of the same shape with total volume <= the bound,
     blue-major, each color in the order of `enumerate_rpps`."""
-    fillings = list(enumerate_rpps(lam, max_total_volume))
+    yield from pairs_within(list(enumerate_rpps(lam, max_total_volume)),
+                            max_total_volume)
+
+
+def pairs_within(fillings: list[RPP], max_total_volume: int) -> Iterator[tuple[RPP, RPP]]:
+    """Pairs (blue, red) of the listed fillings with total volume <= the
+    bound, blue-major, each color in the order of the list."""
     reds = {}  # spare volume -> the fillings within it, in the same order
     for blue in fillings:
         spare = max_total_volume - blue.volume

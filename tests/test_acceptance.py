@@ -5,10 +5,12 @@ criterion; the same checks back the `coupledrpp verify-all` command.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
-from coupledrpp import checks
+from coupledrpp import checks, cli, partitions, rpp_core, sliding
+from coupledrpp.coupling import make_pair
 
 CRITERIA = {
     "1": "volume generating function equals the hook product on 7 shapes at N=10",
@@ -48,3 +50,71 @@ def test_verify_all_reports_the_pinned_details():
     report = checks.run_all()
     assert report["status"] == "pass" and report["skipped"] == []
     assert {r["criterion"]: r["details"] for r in report["results"]} == PINNED_DETAILS
+
+
+def _count_enumerations(monkeypatch):
+    """Record the (shape, bound) of every `enumerate_rpps` call."""
+    calls = []
+    enumerate_rpps = rpp_core.enumerate_rpps
+
+    def counted(lam, max_volume):
+        calls.append((tuple(lam), max_volume))
+        return enumerate_rpps(lam, max_volume)
+
+    monkeypatch.setattr(rpp_core, "enumerate_rpps", counted)
+    return calls
+
+
+def test_run_all_enumerates_each_pair_shape_once_per_run(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    checks.run_all()
+    first = list(calls)
+    checks.run_all()
+    assert calls[len(first):] == first  # nothing kept from the first run
+    pooled = Counter(lam for lam, bound in first if bound == checks.PAIR_MAX_VOLUME)
+    pair_shapes = {lam for lam in partitions.all_partitions(4) if lam}
+    assert pooled == Counter(pair_shapes | set(checks.SLIDE_SHAPES))
+
+    # a criterion called on its own enumerates its own fillings each time
+    del calls[:]
+    checks.check_g_oracles()
+    checks.check_g_oracles()
+    assert len(calls) == 2 * len(pair_shapes)
+    del calls[:]
+    checks.check_sliding()
+    pooled = Counter(lam for lam, bound in calls if bound == checks.PAIR_MAX_VOLUME)
+    assert pooled == Counter(checks.SLIDE_SHAPES)
+
+
+def test_run_all_leaves_no_pool(monkeypatch, capsys):
+    checks.run_all()
+    assert checks._pool is None
+
+    def boom():
+        assert checks._pool, "criterion 4 filled the pool"
+        raise RuntimeError("boom")
+
+    number, criterion_4 = checks.ALL_CHECKS[3]
+    monkeypatch.setattr(checks, "ALL_CHECKS", [(number, criterion_4), ("x", boom)])
+    with pytest.raises(RuntimeError, match="boom"):
+        checks.run_all()
+    assert checks._pool is None
+    monkeypatch.undo()
+
+    assert cli.main(["verify-all", "--budget-seconds", "0"]) == 1
+    capsys.readouterr()
+    assert checks._pool is None
+
+
+def test_sliding_check_fails_either_way(monkeypatch):
+    """Criterion 7 fails when the g = 0 test rejects a pair that unslide
+    makes, and when it accepts one that unslide does not make."""
+    check_t0 = sliding.check_t0_constraints
+    lost = sliding.unslide(next(r for r in rpp_core.enumerate_rpps((3, 1), 6) if r.volume))
+    monkeypatch.setattr(sliding, "check_t0_constraints", lambda p: p != lost and check_t0(p))
+    assert checks.check_sliding()["details"]["failures"] == ["unslide-slide (3, 1)"]
+
+    extra = next(p for p in (make_pair(b, r) for b, r in rpp_core.enumerate_pairs((2, 2), 6))
+                 if not check_t0(p))
+    monkeypatch.setattr(sliding, "check_t0_constraints", lambda p: p == extra or check_t0(p))
+    assert "slide-unslide (2, 2)" in checks.check_sliding()["details"]["failures"]

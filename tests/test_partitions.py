@@ -75,6 +75,13 @@ def test_hook_as_row_plus_column_exponent():
             assert P.hook(lam, Cell(r, c)) == (lam[r - 1] - r) + (conj[c - 1] - c) + 1
 
 
+def test_hooks_of_a_shape_are_the_per_cell_hooks():
+    for lam in P.all_partitions(10):
+        assert P.hook_table(lam) == [[P.hook(lam, Cell(r, c)) for c in range(1, p + 1)]
+                                     for r, p in enumerate(lam, start=1)]
+        assert P.hook_lengths(lam) == [P.hook(lam, cell) for cell in P.cells(lam)]
+
+
 def test_maya_empty_partition():
     m = P.maya((), 3)
     assert [m.is_particle(t) for t in m.sites()] == [True] * 3 + [False] * 3

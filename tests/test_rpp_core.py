@@ -83,6 +83,12 @@ def test_from_slices_rejects_bad_chains():
         R.from_slices(R.SliceSequence((PRECEQ, SUCCEQ), ((), ())))
 
 
+def test_from_diagonals_rejects_a_slice_longer_than_its_diagonal():
+    # the diagonals of (2,2) hold 1, 2 and 1 cells; the last slice has 2
+    with pytest.raises(ValueError, match="slice 3 has 2 parts"):
+        R.from_diagonals((2, 2), [(1,), (2, 1), (1, 1)])
+
+
 def test_slice_roundtrip_exhaustive():
     # from_slices validates, so this also checks every enumerated filling
     for lam in P.all_partitions(5):
@@ -135,8 +141,9 @@ def test_enumerate_empty_shape():
 
 
 def test_enumerate_order_is_reading_word_lex():
-    words = [r.reading_word() for r in R.enumerate_rpps((3, 1), 4)]
-    assert words == sorted(words)
+    for lam in P.all_partitions(5):
+        words = [r.reading_word() for r in R.enumerate_rpps(lam, 4)]
+        assert words == sorted(words), lam
 
 
 def test_enumerate_pairs_is_the_nested_enumeration():
