@@ -41,11 +41,6 @@ def _fillings(lam) -> list[rpp_core.RPP]:
     return _pool[lam]
 
 
-def _pairs(lam):
-    """The pairs of lam with total volume <= PAIR_MAX_VOLUME."""
-    return rpp_core.pairs_within(_fillings(lam), PAIR_MAX_VOLUME)
-
-
 def check_single_genfun(trunc=10) -> dict:
     """Brute-force volume counts match the hook-length product."""
     bad = []
@@ -99,7 +94,7 @@ def check_weight_bijections() -> dict:
             continue
         A2 = vertex_model.A_lambda(lam) ** 2
         triv = coupling.trivial_t_exponent(lam)
-        for blue, red in _pairs(lam):
+        for blue, red in rpp_core.pairs_within(_fillings(lam), PAIR_MAX_VOLUME):
             pair = make_pair(blue, red)
             pair_tested += 1
             w = coupling.pair_config_weight(pair) * A2
@@ -163,7 +158,7 @@ def check_g_oracles() -> dict:
     for lam in partitions.all_partitions(4):
         if not lam:
             continue
-        for blue, red in _pairs(lam):
+        for blue, red in rpp_core.pairs_within(_fillings(lam), PAIR_MAX_VOLUME):
             pair = make_pair(blue, red)
             tested += 1
             if coupling.g_via_vertex(pair) != coupling.g_via_lozenges(pair):

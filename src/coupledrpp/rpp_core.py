@@ -167,9 +167,12 @@ def to_slices(rpp: RPP) -> SliceSequence:
 def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
     """The filling of a normalized shape whose diagonal k holds slices[k-1],
     top first and zero past its parts, validated.  It keeps the chain of
-    these slices, which must be normalized partitions; a slice with more
-    parts than its diagonal has cells raises ValueError."""
+    these slices, which must be normalized partitions.  It raises
+    ValueError unless there is one slice per diagonal and each fits its
+    diagonal."""
     geometry = shape_geometry(shape)
+    if len(slices) != len(geometry.cells):
+        raise ValueError(f"expected {len(geometry.cells)} slices, got {len(slices)}")
     rows = [[0] * p for p in shape]
     for k, (cells, sl) in enumerate(zip(geometry.cells, slices), start=1):
         if len(sl) > len(cells):

@@ -83,10 +83,15 @@ def test_from_slices_rejects_bad_chains():
         R.from_slices(R.SliceSequence((PRECEQ, SUCCEQ), ((), ())))
 
 
-def test_from_diagonals_rejects_a_slice_longer_than_its_diagonal():
+def test_from_diagonals_rejects_slices_that_do_not_fit_the_diagonals():
     # the diagonals of (2,2) hold 1, 2 and 1 cells; the last slice has 2
     with pytest.raises(ValueError, match="slice 3 has 2 parts"):
         R.from_diagonals((2, 2), [(1,), (2, 1), (1, 1)])
+    # one slice per diagonal, so the kept chain and volume are the rows'
+    with pytest.raises(ValueError, match="expected 1 slices, got 2"):
+        R.from_diagonals((1,), [(1,), (2,)])
+    with pytest.raises(ValueError, match="expected 3 slices, got 1"):
+        R.from_diagonals((2, 1), [(1,)])
 
 
 def test_slice_roundtrip_exhaustive():
