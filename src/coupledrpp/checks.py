@@ -181,9 +181,9 @@ def check_sliding() -> dict:
     if sliding.unslide(want) != pair:
         failures.append("worked-unslide")
 
-    # unslide maps the fillings into the g = 0 pairs, slide undoes it and
-    # keeps the volume; the g = 0 pairs are all it reaches, so slide maps
-    # them back onto the fillings and unslide undoes that
+    # Each filling's unslid pair must pass the g = 0 test, slide back to it
+    # and keep its volume; then the g = 0 pairs must be exactly these pairs,
+    # which makes slide and unslide mutual inverses between the two sets.
     for lam in SLIDE_SHAPES:
         fillings = _fillings(lam)
         unslid = set()
