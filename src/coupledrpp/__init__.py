@@ -6,14 +6,14 @@ sliding bijection."""
 from .partitions import (
     BorderStrip,
     Cell,
-    MayaDiagram,
     border_strips,
     conjugate,
     hook,
     hook_table,
     interlaces,
     maya,
-    partition_from_maya,
+    maya_mask,
+    partition_from_mask,
 )
 from .qt_series import (
     QTSeries,

@@ -66,15 +66,28 @@ def _over_budget(lam, max_volume: int, paired: bool) -> str | None:
     """Why a run over every filling, or pair, with volume <= max_volume is
     refused, or None when their exact number (the hook product at t = 1)
     is within the budget.  A nonempty shape has a filling of every volume,
-    so a bound over the budget is refused without counting."""
+    so its count grows with the bound: a bound over the budget is refused
+    without counting, and otherwise the count is taken at the bounds 64,
+    128, ... below max_volume, then at max_volume, and the first count over
+    the budget is a lower bound on the true one.  Up to 64, the one count
+    at max_volume is cheap and saves the calls at the smaller bounds."""
     if max_volume < 0:
         _usage_error(f"--max-volume must be >= 0, got {max_volume}")
+    colors = 2 if paired else 1
     if lam and max_volume >= BUDGET_STATES:
         count = f"more than {max_volume}"
     else:
-        count = hook_count(lam, max_volume, 2 if paired else 1)
-        if count <= BUDGET_STATES:
-            return None
+        bound = 64
+        while bound < max_volume:
+            count = hook_count(lam, bound, colors)
+            if count > BUDGET_STATES:
+                count = f"more than {count}"
+                break
+            bound *= 2
+        else:
+            count = hook_count(lam, max_volume, colors)
+            if count <= BUDGET_STATES:
+                return None
     return (f"{count} {'pairs' if paired else 'fillings'} exceed the "
             f"{BUDGET_STATES} budget")
 
@@ -178,13 +191,14 @@ def cmd_slide(args) -> int:
             print(f"error: {refusal}", file=sys.stderr)
             return 2
         count = 0
-        for rpp in rpp_core.enumerate_rpps(lam, args.max_volume):
+        fillings = list(rpp_core.enumerate_rpps(lam, args.max_volume))
+        for rpp in fillings:
             pair = sliding.unslide(rpp)
             if sliding.slide(pair) != rpp:
                 print(f"status: fail at {rpp.rows}")
                 return 1
             count += 1
-        for blue, red in rpp_core.enumerate_pairs(lam, args.max_volume):
+        for blue, red in rpp_core.pairs_within(fillings, args.max_volume):
             pair = coupling.make_pair(blue, red)
             if not sliding.check_t0_constraints(pair):
                 continue
@@ -213,7 +227,8 @@ def cmd_render(args) -> int:
         width = args.half_width
         if width is None:
             width = max(len(lam), lam[0] if lam else 0) + 2
-        out = render.maya_ascii(_checked("--half-width", partitions.maya, lam, width))
+        out = render.maya_ascii(_checked("--half-width", partitions.maya, lam, width),
+                                width)
     elif args.object == "rpp":
         if args.input:
             rpp = _checked("filling", rpp_core.rpp_from_json, _read_input(args.input))

@@ -15,7 +15,7 @@ from itertools import product
 from operator import and_, sub
 
 from . import rpp_core, vertex_model
-from .partitions import normalize
+from .partitions import maya_mask, normalize
 from .qt_series import QTSeries, hook_count
 from .rpp_core import PRECEQ, RPP
 from .vertex_model import (
@@ -411,7 +411,7 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
         reach.append(nxt)
     rest = {(): 0} if () in reach[-1] else {}  # slice -> least volume after it
     # slice -> its interface mask, at the top interface of the row
-    tops = {(): vertex_model.interface_mask((), zetas[-1])}
+    tops = {(): maya_mask((), zetas[-1])}
     rows = []
     for k in range(len(pattern), 0, -1):
         white_row = pattern[k - 1] == PRECEQ
@@ -421,7 +421,7 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
                      if nu in rest and low + size + rest[nu] <= max_total]
             if not moves:
                 continue
-            bottom = bottoms_of[mu] = vertex_model.interface_mask(mu, zetas[k - 1])
+            bottom = bottoms_of[mu] = maya_mask(mu, zetas[k - 1])
             row[mu] = sorted(
                 ((need, size, nu, _row_roles(
                     white_row, _lozenge_masks(bottom, tops[nu]), size - sum(mu)))

@@ -8,7 +8,8 @@ Conventions used throughout the package:
   convention)
 * Maya sites are indexed by integers t, standing for the half-integer
   position t + 1/2 relative to the center of the diagram; the partition
-  occupies sites {lam[i] - (i+1) : i >= 0}
+  occupies sites {lam[i] - (i+1) : i >= 0}, which `maya_mask` stores as
+  one int: bit zeta + t for site t >= -zeta
 """
 
 from __future__ import annotations
@@ -115,67 +116,47 @@ def hook_table(lam) -> list[list[int]]:
 # Maya diagrams
 
 
-@dataclass(frozen=True)
-class MayaDiagram:
-    """Finite window of a particle/hole sequence.
-
-    window[i] is True (particle) or False (hole) at site i - half_width,
-    i.e. at position (i - half_width) + 1/2 relative to the center.  The
-    center index into window is half_width itself.
-    """
-
-    window: tuple[bool, ...]
-    half_width: int
-
-    @property
-    def center(self) -> int:
-        return self.half_width
-
-    def is_particle(self, site: int) -> bool:
-        i = site + self.half_width
-        if not 0 <= i < len(self.window):
-            raise ValueError(f"site {site} outside window")
-        return self.window[i]
-
-    def sites(self) -> Iterator[int]:
-        return iter(range(-self.half_width, self.half_width))
+def maya_mask(lam, zeta: int) -> int:
+    """The Maya diagram of a normalized partition on sites -zeta and up, as
+    a bitmask: bit zeta + t is site t, so bit zeta + v - i is set for its
+    i-th part v and bits 0..zeta-n-1 for the zero parts past its n parts."""
+    n = len(lam)
+    if n > zeta:
+        raise ValueError(f"slice {lam} too long for {zeta} paths")
+    mask = (1 << zeta - n) - 1
+    for i, v in enumerate(lam, start=1):
+        mask |= 1 << zeta + v - i
+    return mask
 
 
-def maya(lam, half_width: int) -> MayaDiagram:
-    """Maya diagram of lam on sites -half_width .. half_width - 1."""
+def partition_from_mask(mask: int, zeta: int) -> tuple[int, ...]:
+    """Inverse of `maya_mask`: the i-th set bit from the top, at position
+    p, is the part p - zeta + i, up to the first part that is not positive."""
+    parts = []
+    while mask:
+        p = mask.bit_length() - 1
+        v = p - zeta + len(parts) + 1
+        if v <= 0:
+            break
+        parts.append(v)
+        mask ^= 1 << p
+    return tuple(parts)
+
+
+def maya(lam, half_width: int) -> int:
+    """The `maya_mask` of lam centred at half_width: bit t + half_width is
+    site t, for sites -half_width .. half_width - 1."""
     lam = normalize(lam)
     lo = max(len(lam), part(lam, 1)) + 1
     if half_width < lo:
         raise ValueError(f"half_width {half_width} too narrow; need >= {lo}")
-    occupied = {lam[i] - (i + 1) for i in range(len(lam))}
-    # zero parts contribute the packed tail: lam_i - i = -i for i > len(lam)
-    window = tuple(
-        t in occupied or t <= -len(lam) - 1
-        for t in range(-half_width, half_width)
-    )
-    m = MayaDiagram(window, half_width)
-    # constant boundary pattern: all particles at the far left, holes far right
-    if not m.window[0] or m.window[-1]:
-        raise ValueError("window does not reach the constant boundary pattern")
-    right = sum(1 for t in range(0, half_width) if m.is_particle(t))
-    left = sum(1 for t in range(-half_width, 0) if not m.is_particle(t))
+    mask = maya_mask(lam, half_width)
+    # as many particles right of the centre as holes left of it
+    right = (mask >> half_width).bit_count()
+    left = half_width - (mask & (1 << half_width) - 1).bit_count()
     if right != left:
         raise AssertionError(f"center is not the balance point of {lam}")
-    return m
-
-
-def partition_from_maya(m: MayaDiagram) -> tuple[int, ...]:
-    """Inverse of maya(): the i-th particle from the right sits at lam_i - i."""
-    parts = []
-    i = 0
-    for t in range(m.half_width - 1, -m.half_width - 1, -1):
-        if m.is_particle(t):
-            i += 1
-            p = t + i
-            if p <= 0:
-                break
-            parts.append(p)
-    return normalize(parts)
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,10 @@ def _divide_by_hooks(lam, trunc_q: int, t_exponents) -> QTSeries:
     `hook_count` with t kept.  Row n holds t-degrees 0..n max(t_exponents),
     since every hook is at least 1: one entry per row when t never shows."""
     top = max(t_exponents)
-    coeffs = [[1]] + [[0] * (n * top + 1) for n in range(1, trunc_q + 1)]
-    for h in partitions.hook_lengths(lam):
+    hooks = partitions.hook_lengths(lam)
+    rows = trunc_q if hooks else 0  # no hook reaches a row past 0
+    coeffs = [[1]] + [[0] * (n * top + 1) for n in range(1, rows + 1)]
+    for h in hooks:
         for b in t_exponents:
             for n in range(h, trunc_q + 1):
                 row = coeffs[n]

@@ -12,18 +12,18 @@ from itertools import accumulate
 
 from . import coupling, rpp_core, vertex_model
 from .coupling import GREEN, ORCHID, SIENNA, PairRPP
-from .partitions import MayaDiagram, hook_table
+from .partitions import hook_table
 from .rpp_core import PRECEQ, RPP, SUCCEQ
 
 PARTICLE, HOLE = "●", "○"  # filled / open circle
+_SITE = str.maketrans("10", PARTICLE + HOLE)
 
 
-def maya_ascii(m: MayaDiagram) -> str:
-    left = "".join(PARTICLE if m.is_particle(t) else HOLE
-                   for t in range(-m.half_width, 0))
-    right = "".join(PARTICLE if m.is_particle(t) else HOLE
-                    for t in range(0, m.half_width))
-    return f"...{left}|{right}..."
+def maya_ascii(mask: int, half_width: int) -> str:
+    """The Maya diagram `partitions.maya` returns, site -half_width first,
+    with a bar at the centre: its bits read lowest first, in one pass."""
+    sites = format(mask, f"0{2 * half_width}b")[::-1].translate(_SITE)
+    return f"...{sites[:half_width]}|{sites[half_width:]}..."
 
 
 def hook_ascii(lam) -> str:

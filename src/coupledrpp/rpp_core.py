@@ -95,17 +95,12 @@ def zero_rpp(shape) -> RPP:
 
 def interaction_pattern(lam) -> tuple[str, ...]:
     """PRECEQ at holes and SUCCEQ at particles of the shape's Maya diagram,
-    read over sites -len(lam') .. lam_1 - 1."""
+    read over sites -len(lam) .. lam_1 - 1: the bits of its `maya_mask`
+    centred at len(lam), up to the highest."""
     lam = normalize(lam)
-    if not lam:
-        return ()
-    depth = len(lam)  # = conjugate(lam)[0]
-    width = lam[0]
-    occupied = {lam[i] - (i + 1) for i in range(len(lam))}
-    return tuple(
-        SUCCEQ if (t in occupied) else PRECEQ
-        for t in range(-depth, width)
-    )
+    mask = partitions.maya_mask(lam, len(lam))
+    return tuple(SUCCEQ if mask >> b & 1 else PRECEQ
+                 for b in range(mask.bit_length()))
 
 
 @dataclass(frozen=True)
@@ -190,14 +185,8 @@ def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
 def shape_from_pattern(pattern) -> tuple[int, ...]:
     """Rebuild the shape whose Maya hole/particle pattern is given."""
     pattern = tuple(pattern)
-    depth = sum(1 for rel in pattern if rel == SUCCEQ)
-    parts = []
-    i = 0
-    for k in range(len(pattern) - 1, -1, -1):
-        if pattern[k] == SUCCEQ:
-            i += 1
-            parts.append(k - depth + i)
-    lam = normalize(parts)
+    mask = sum(1 << b for b, rel in enumerate(pattern) if rel == SUCCEQ)
+    lam = partitions.partition_from_mask(mask, mask.bit_count())
     if interaction_pattern(lam) != pattern:
         raise ValueError(f"pattern {pattern} does not match any shape")
     return lam

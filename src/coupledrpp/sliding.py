@@ -107,12 +107,13 @@ def verify_t0_counting(lam, max_volume: int) -> dict:
     """Per-volume counts of g = 0 pairs vs single RPPs, cross-checked against
     the t -> 0 slice of the paired hook product."""
     lam = normalize(lam)
+    fillings = list(rpp_core.enumerate_rpps(lam, max_volume))
     pair_counts = [0] * (max_volume + 1)
-    for blue, red in rpp_core.enumerate_pairs(lam, max_volume):
+    for blue, red in rpp_core.pairs_within(fillings, max_volume):
         if check_t0_constraints(make_pair(blue, red)):
             pair_counts[blue.volume + red.volume] += 1
     single_counts = [0] * (max_volume + 1)
-    for rpp in rpp_core.enumerate_rpps(lam, max_volume):
+    for rpp in fillings:
         single_counts[rpp.volume] += 1
     series_pair = hook_product_pair(lam, max_volume).t_zero_slice().q_coefficients()
     series_single = hook_product_single(lam, max_volume).q_coefficients()

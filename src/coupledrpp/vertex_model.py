@@ -2,7 +2,7 @@
 
 Rows live on a finite window of cells 0..window-1.  Interface k carries the
 particle sites of the k-th slice partition as one int bitmask, its Maya
-diagram shifted so that the number of columns left of the interface center
+diagram (`partitions.maya_mask`) shifted so that the number of columns left of the interface center
 equals the number of paths still in play; white rows keep the center fixed,
 gray rows move it one column left and send one path out to the right.
 """
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .partitions import interlaces, normalize, part
+from .partitions import interlaces, maya_mask, normalize, part
 from .rpp_core import PRECEQ, RPP, SUCCEQ, next_slices, shape_geometry
 
 
@@ -109,19 +109,6 @@ def cross_weight(c: CrossState, z):
 # Rows
 
 
-def interface_mask(slice_partition, zeta: int) -> int:
-    """Occupied sites of an interface holding zeta paths, as a bitmask: the
-    partition's Maya diagram shifted right by the center position zeta, bit
-    zeta + v - i for its i-th part v and bits 0..zeta-n-1 past its n parts."""
-    n = len(slice_partition)
-    if n > zeta:
-        raise ValueError(f"slice {slice_partition} too long for {zeta} paths")
-    mask = (1 << zeta - n) - 1
-    for i, v in enumerate(slice_partition, start=1):
-        mask |= 1 << zeta + v - i
-    return mask
-
-
 def row_masks(kind: str, bottom: int, top: int):
     """Site masks (out_right, occupied, out_top) of the unique row
     configuration between interface masks `bottom` and `top`, or None: the
@@ -188,8 +175,8 @@ def centered_row_states(kind: str, mu, lam, ell: int,
     zeta_bottom = ell if kind == WHITE else ell + 1
     if len(mu) > zeta_bottom or len(lam) > ell:
         raise ValueError(f"partitions too long for {ell} columns left of center")
-    return row_states(kind, interface_mask(mu, zeta_bottom),
-                      interface_mask(lam, ell), window)
+    return row_states(kind, maya_mask(mu, zeta_bottom),
+                      maya_mask(lam, ell), window)
 
 
 def row_weight_explicit(kind: str, mu, lam, x, ell: int, window: int):
@@ -225,7 +212,7 @@ class VertexConfig:
     def states(self) -> tuple[tuple[VertexState, ...], ...]:
         """states[k-1] is row k, vertex by vertex over the window; built on
         the first read and kept."""
-        masks = [interface_mask(sl, zeta)
+        masks = [maya_mask(sl, zeta)
                  for sl, zeta in zip(self.interfaces, self.zetas)]
         rows = []
         for k in range(1, len(self.pattern) + 1):
@@ -244,10 +231,10 @@ def config_window(masks) -> int:
 
 
 def interface_masks(rpp: RPP) -> tuple[int, ...]:
-    """The `interface_mask` of every interface of the filling's chain,
+    """The `maya_mask` of every interface of the filling's chain,
     computed once per filling."""
     return rpp.derived("masks", lambda rpp: tuple(
-        interface_mask(sl, zeta)
+        maya_mask(sl, zeta)
         for sl, zeta in zip(rpp.chain.slices, shape_geometry(rpp.shape).zetas)))
 
 

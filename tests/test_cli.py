@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from coupledrpp import cli
+from coupledrpp import cli, rpp_core
 
 WORKED_PAIR_JSON = json.dumps({
     "shape": [4, 4, 3, 3, 1],
@@ -190,6 +191,37 @@ def test_genfun_budget_huge_bound(capsys):
     assert code == 2
 
 
+def test_genfun_budget_guard_counts_at_small_bounds_first(capsys, monkeypatch):
+    # (4,4,3,3,1) is over the budget long before N = 10^6: the refusal
+    # reads the counts at the doubling bounds, never a series of length N
+    hook_count = cli.hook_count
+
+    def small_only(lam, trunc_q, colors=1):
+        if trunc_q > 64:
+            raise AssertionError(f"counted up to {trunc_q}")
+        return hook_count(lam, trunc_q, colors)
+
+    monkeypatch.setattr(cli, "hook_count", small_only)
+    code = cli.main(["genfun", "--shape", "[4,4,3,3,1]", "--max-volume",
+                     str(10 ** 6), "--paired"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "more than" in err and "pairs exceed the 10000000 budget" in err
+
+
+def test_genfun_empty_shape_at_a_large_bound_stays_small(capsys):
+    # no hook reaches past q^0, so no row of the series is built past it
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "genfun", "--shape", "[]", "--max-volume",
+                        "4000", "--paired", "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["bruteforce"] == [[0, 0, 1]]
+    assert peak < 10 ** 6
+
+
 def test_genfun_negative_bound_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["genfun", "--shape", "[2,1]", "--max-volume", "-1"])
@@ -250,10 +282,20 @@ def test_unslide_then_slide(capsys, tmp_path):
     assert json.loads(out) == json.loads(rpp)
 
 
-def test_slide_roundtrip_flag(capsys):
+def test_slide_roundtrip_flag(capsys, monkeypatch):
+    # the pairs come from the one list of fillings
+    calls = []
+    enumerate_rpps = rpp_core.enumerate_rpps
+
+    def counted(lam, max_volume):
+        calls.append((lam, max_volume))
+        return enumerate_rpps(lam, max_volume)
+
+    monkeypatch.setattr(rpp_core, "enumerate_rpps", counted)
     code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",
                     "--max-volume", "6")
-    assert code == 0 and "status: pass" in out
+    assert code == 0 and out == "round trips: 78\nstatus: pass\n"
+    assert calls == [((2, 2), 6)]
 
 
 def test_slide_roundtrip_budget_guard(capsys):

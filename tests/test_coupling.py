@@ -342,8 +342,8 @@ def test_coupling_sites_bound_g_by_the_volume():
             for mu, row_moves in row.items():
                 for _need, size_nu, nu, roles in row_moves:
                     green, orchid, sienna = C._lozenge_masks(
-                        V.interface_mask(mu, zetas[k - 1]),
-                        V.interface_mask(nu, zetas[k]))
+                        P.maya_mask(mu, zetas[k - 1]),
+                        P.maya_mask(nu, zetas[k]))
                     if white:
                         assert orchid.bit_count() == size_nu - sum(mu)
                         assert roles == (orchid, green | orchid)

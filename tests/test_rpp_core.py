@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from coupledrpp import coupling as C
@@ -53,9 +55,59 @@ def test_interaction_pattern_matches_maya_holes():
     for lam in P.all_partitions(7):
         if not lam:
             continue
-        m = P.maya(lam, max(len(lam), lam[0]) + 1)
+        width = max(len(lam), lam[0]) + 1
+        m = P.maya(lam, width)
         for k, rel in enumerate(R.interaction_pattern(lam)):
-            assert (rel == PRECEQ) == (not m.is_particle(k - len(lam)))
+            assert (rel == PRECEQ) == (not m >> k - len(lam) + width & 1)
+
+
+def set_based_interaction_pattern(lam):
+    """The pattern read off the set of occupied sites, without a bitmask:
+    the oracle for `R.interaction_pattern`."""
+    lam = P.normalize(lam)
+    if not lam:
+        return ()
+    occupied = {lam[i] - (i + 1) for i in range(len(lam))}
+    return tuple(SUCCEQ if t in occupied else PRECEQ
+                 for t in range(-len(lam), lam[0]))
+
+
+def set_based_shape_from_pattern(pattern):
+    """The shape decoded site by site from the top: the oracle for
+    `R.shape_from_pattern`, with the same round-trip error."""
+    pattern = tuple(pattern)
+    depth = sum(1 for rel in pattern if rel == SUCCEQ)
+    parts = []
+    i = 0
+    for k in range(len(pattern) - 1, -1, -1):
+        if pattern[k] == SUCCEQ:
+            i += 1
+            parts.append(k - depth + i)
+    lam = P.normalize(parts)
+    if set_based_interaction_pattern(lam) != pattern:
+        raise ValueError(f"pattern {pattern} does not match any shape")
+    return lam
+
+
+def outcome(fn, arg):
+    try:
+        return fn(arg)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_mask_route_matches_the_set_based_oracle():
+    for lam in P.all_partitions(12):
+        assert R.interaction_pattern(lam) == set_based_interaction_pattern(lam)
+    patterns = [p for n in range(13)
+                for p in itertools.product((PRECEQ, SUCCEQ), repeat=n)]
+    assert len(patterns) == 8191
+    shapes = 0
+    for pattern in patterns:
+        want = outcome(set_based_shape_from_pattern, pattern)
+        assert outcome(R.shape_from_pattern, pattern) == want
+        shapes += isinstance(want, tuple)
+    assert shapes == 2048  # the empty pattern, and those from a hole to a particle
 
 
 def test_to_slices_worked_example():

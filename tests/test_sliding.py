@@ -347,6 +347,20 @@ def test_counting_small_shapes():
     assert report["singles"] == report["series_single"]
 
 
+def test_counting_enumerates_the_shape_once(monkeypatch):
+    # the pairs come from the one list of fillings
+    calls = []
+    enumerate_rpps = R.enumerate_rpps
+
+    def counted(lam, max_volume):
+        calls.append((lam, max_volume))
+        return enumerate_rpps(lam, max_volume)
+
+    monkeypatch.setattr(R, "enumerate_rpps", counted)
+    assert S.verify_t0_counting((2, 2), 8)["passed"]
+    assert calls == [((2, 2), 8)]
+
+
 INVARIANTS_UNDER_O = """
 from coupledrpp import coupling, partitions, rpp_core, sliding, vertex_model
 
@@ -363,14 +377,13 @@ vertex_model.row_masks = lambda *args: None
 print(raises(vertex_model.rpp_to_config, (1,), rpp_core.zero_rpp((1,))))
 print(raises(lambda: config.states))  # built on the first read
 sliding.check_t0_constraints = lambda pair: True
-sliding.forced_zero_region = lambda pair: []
 blue = rpp_core.validate((2, 2), [[0, 1], [0, 1]])  # (1, 2) slides off the shape
 print(raises(sliding.slide, coupling.make_pair(blue, rpp_core.zero_rpp((2, 2)))))
 coupling._lozenge_masks = lambda bottom, top: (0, 1 << 60, 0)  # a stray orchid
 print(raises(coupling.pair_genfun_transfer, (2, 1), 4))
 zero = rpp_core.zero_rpp((2, 1))  # its first row is white, where orchids count
 print(raises(coupling.g_via_lozenges, coupling.make_pair(zero, zero)))
-partitions.MayaDiagram.is_particle = lambda self, t: True
+partitions.maya_mask = lambda lam, zeta: (1 << 2 * zeta) - 1  # all particles
 print(raises(partitions.maya, (1,), 3))
 """
 
