@@ -139,7 +139,10 @@ def _parse_samples(text: str, arity: int):
         for row in json.loads(text):
             if len(row) != arity:
                 raise ValueError(f"sample {row} needs {arity} entries")
-            point = tuple(Fraction(str(v)) for v in row)
+            try:
+                point = tuple(Fraction(str(v)) for v in row)
+            except ZeroDivisionError:
+                raise ValueError(f"sample {row} has a zero denominator") from None
             if point[divisor] == 0:
                 raise ValueError(f"sample {row} has {name} = 0")
             out.append(point)

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 from .partitions import interlaces, maya_mask, normalize, part
@@ -406,23 +407,39 @@ DEFAULT_SAMPLES = (
 )
 
 
+def _integer_table(table):
+    """`table` times the lcm of its weights' denominators, and that lcm."""
+    scale = lcm(*(w.denominator for w in table.values()))
+    return {k: w.numerator * (scale // w.denominator) for k, w in table.items()}, scale
+
+
 def ybe_report(kind: str, tables_at, samples, boundaries) -> dict:
-    """The YBE report of `kind`: both sides of `ybe_sweep` over the tables
-    `tables_at(*sample)` compared at every boundary, sample by sample.  A
-    violation names its boundary, as JSON lists, its sample point (x, y and,
-    for two colors, t) and both sides."""
+    """The YBE report of `kind`: both sides of `ybe_sweep` over the rational
+    tables `tables_at(*sample)` compared at every boundary, sample by sample.
+    A violation names its boundary, as JSON lists, its sample point (x, y
+    and, for two colors, t) and both sides.
+
+    Each table is scaled to ints first.  Every term on either side is one
+    cross, one bottom and one top weight, so both sides carry the product
+    of the three scales and agree exactly when the rational sides do.  Only
+    boundaries some side reaches can differ; the others are 0 on both."""
     violations = []
-    checked = 0
     for sample in samples:
-        sides = ybe_sweep(*tables_at(*sample))
+        (cross, d_cross), (bottom, d_bottom), (top, d_top) = (
+            _integer_table(table) for table in tables_at(*sample))
+        lhs, rhs = ybe_sweep(cross, bottom, top)
+        differ = {key for key in lhs.keys() | rhs.keys()
+                  if lhs.get(key, 0) != rhs.get(key, 0)}
+        if not differ:
+            continue
+        scale = d_cross * d_bottom * d_top
         for boundary in boundaries:
-            lhs, rhs = (side.get(boundary, 0) for side in sides)
-            if lhs != rhs:
+            if boundary in differ:
                 violations.append({"boundary": json.loads(json.dumps(boundary)),
                                    **dict(zip("xyt", map(str, sample))),
-                                   "lhs": str(lhs), "rhs": str(rhs)})
-        checked += len(boundaries)
-    return {"kind": kind, "checked": checked,
+                                   "lhs": str(Fraction(lhs.get(boundary, 0), scale)),
+                                   "rhs": str(Fraction(rhs.get(boundary, 0), scale))})
+    return {"kind": kind, "checked": len(boundaries) * len(samples),
             "violations": violations, "passed": not violations}
 
 

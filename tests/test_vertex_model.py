@@ -1,9 +1,13 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import pytest
 
+from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
 from coupledrpp import vertex_model as V
@@ -217,6 +221,119 @@ def test_ybe_reports_a_broken_weight(monkeypatch):
 def test_ybe_full_sweeps():
     assert V.verify_ybe(V.WHITE_WHITE)["passed"]
     assert V.verify_ybe(V.WHITE_GRAY)["passed"]
+
+
+def fraction_ybe_report(kind, tables_at, samples, boundaries):
+    # the oracle: ybe_report as it was before the integer tables, both
+    # sides summed in Fraction and compared at every boundary in turn
+    violations = []
+    checked = 0
+    for sample in samples:
+        sides = V.ybe_sweep(*tables_at(*sample))
+        for boundary in boundaries:
+            lhs, rhs = (side.get(boundary, 0) for side in sides)
+            if lhs != rhs:
+                violations.append({"boundary": json.loads(json.dumps(boundary)),
+                                   **dict(zip("xyt", map(str, sample))),
+                                   "lhs": str(lhs), "rhs": str(rhs)})
+        checked += len(boundaries)
+    return {"kind": kind, "checked": checked,
+            "violations": violations, "passed": not violations}
+
+
+ONE_COLOR_BOUNDARIES = [tuple(code >> i & 1 for i in range(6)) for code in range(64)]
+COLORED_BOUNDARIES = list(product(product((0, 1), repeat=2), repeat=6))
+DOUBLED_GRAY = tuple(zip(V.VERTICAL, V.HORIZONTAL))
+
+
+def doubled_gray_tables(x, y, t):
+    # a wrong model: one colored gray weight doubled
+    cross, bottom, top = C.colored_ybe_tables(x, y, t)
+    return cross, {**bottom, DOUBLED_GRAY: 2 * bottom[DOUBLED_GRAY]}, top
+
+
+def crossing_at_xy_tables(x, y, t):
+    # a wrong model: the colored crossing at z = x y instead of x y t
+    _, bottom, top = C.colored_ybe_tables(x, y, t)
+    return ({tuple(zip(cb, cr)): C.colored_cross_weight(cb, cr, x * y, t)
+             for cb, cr in product(V.ALLOWED_CROSSINGS, repeat=2)}, bottom, top)
+
+
+def no_vertical_tables(x, y):
+    # a wrong model: the bottom row has no vertical vertex, so some
+    # boundaries are reached by one side only
+    cross, bottom, top = V.ybe_tables(V.WHITE_WHITE, x, y)
+    return cross, {**bottom, V.VERTICAL: 0}, top
+
+
+def seeded_samples(arity, seed):
+    # three rational points, none with an entry 0
+    rng = random.Random(seed)
+    return [tuple(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in range(arity)) for _ in range(3)]
+
+
+ONE_COLOR_CASES = {kind: (partial(V.ybe_tables, kind), ONE_COLOR_BOUNDARIES)
+                   for kind in (V.WHITE_WHITE, V.WHITE_GRAY)}
+ONE_COLOR_CASES["no vertical"] = (no_vertical_tables, ONE_COLOR_BOUNDARIES)
+COLORED_CASES = {"colored": (C.colored_ybe_tables, COLORED_BOUNDARIES),
+                 "doubled gray": (doubled_gray_tables, COLORED_BOUNDARIES),
+                 "crossing at x y": (crossing_at_xy_tables, COLORED_BOUNDARIES)}
+YBE_ORACLE_CASES = {
+    **{(name, "default"): (tables_at, V.DEFAULT_SAMPLES, boundaries)
+       for name, (tables_at, boundaries) in ONE_COLOR_CASES.items()},
+    **{(name, "default"): (tables_at, C.COLORED_SAMPLES, boundaries)
+       for name, (tables_at, boundaries) in COLORED_CASES.items()},
+    **{(name, "seeded"): (tables_at, seeded_samples(2, 4), boundaries)
+       for name, (tables_at, boundaries) in ONE_COLOR_CASES.items()},
+    **{(name, "seeded"): (tables_at, seeded_samples(3, 4), boundaries)
+       for name, (tables_at, boundaries) in COLORED_CASES.items()},
+    **{(name, "smoke"): (tables_at, V.DEFAULT_SAMPLES[:1], [(0,) * 6])
+       for name, (tables_at, _) in ONE_COLOR_CASES.items()},
+    **{(name, "smoke"): (tables_at, C.COLORED_SAMPLES[:1], [((0, 0),) * 6])
+       for name, (tables_at, _) in COLORED_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(YBE_ORACLE_CASES), ids=" ".join)
+def test_ybe_report_matches_the_fraction_oracle(case):
+    # same violations, in the same order, with the same strings and keys
+    tables_at, samples, boundaries = YBE_ORACLE_CASES[case]
+    report = V.ybe_report(case[0], tables_at, samples, boundaries)
+    assert json.dumps(report) == json.dumps(
+        fraction_ybe_report(case[0], tables_at, samples, boundaries))
+    assert report["checked"] == len(samples) * len(boundaries)
+
+
+def test_ybe_oracle_cases_find_the_wrong_models():
+    seeded = [s for case, (_, samples, _) in YBE_ORACLE_CASES.items()
+              if case[1] == "seeded" for s in samples]
+    assert all(any(v < 0 for v in sample) for sample in seeded)
+    counts = {case: len(V.ybe_report(case[0], *YBE_ORACLE_CASES[case])["violations"])
+              for case in YBE_ORACLE_CASES}
+    assert {case: n for case, n in counts.items() if n} == {
+        ("crossing at x y", "default"): 405, ("crossing at x y", "seeded"): 405,
+        ("doubled gray", "default"): 36, ("doubled gray", "seeded"): 36,
+        ("no vertical", "default"): 10, ("no vertical", "seeded"): 6}
+    # a boundary one side does not reach shows that side as 0
+    one_sided = V.ybe_report("no vertical", *YBE_ORACLE_CASES["no vertical", "default"])
+    assert {"0"} < {side for v in one_sided["violations"] for side in (v["lhs"], v["rhs"])}
+
+
+def test_ybe_report_sweeps_int_tables(monkeypatch):
+    # the rational tables reach the kernel as ints, at every sample
+    true_sweep = V.ybe_sweep
+    weight_types = []
+
+    def spy(*tables):
+        weight_types.append({type(w) for table in tables for w in table.values()})
+        return true_sweep(*tables)
+
+    monkeypatch.setattr(V, "ybe_sweep", spy)
+    assert V.verify_ybe(V.WHITE_WHITE)["passed"]
+    assert V.verify_ybe(V.WHITE_GRAY)["passed"]
+    assert C.verify_colored_ybe(seeded_samples(3, 4))["passed"]
+    assert weight_types == [{int}] * 13
 
 
 def test_commutation_trivial_and_small():
