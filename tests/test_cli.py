@@ -91,7 +91,8 @@ def test_zero_t_sample_exits_2():
 
 
 @pytest.mark.parametrize("mode,samples", [("one-color", '[["1/0","1"]]'),
-                                          ("two-color", '[["1","1/0","1"]]')])
+                                          ("two-color", '[["1","1/0","1"]]')],
+                         ids=["one-color", "two-color"])
 def test_zero_denominator_sample_exits_2(mode, samples):
     run = cli_process("ybe", "--mode", mode, "--smoke", "--samples", samples)
     assert run.returncode == 2 and "Traceback" not in run.stderr
@@ -272,34 +273,45 @@ def test_ybe_two_color_smoke_checks_one_boundary(capsys):
 # sha256 of `ybe` stdout before the sweeps ran on integer-scaled tables;
 # the sweeps must reproduce it byte for byte
 YBE_STDOUT_SHA256 = {
-    '--mode one-color':
-        "14709e5ff87123397f201ce4c4b33ed024b1d4ead5360100a9c3105838ebe8ba",
-    '--mode one-color --format json':
-        "cca9a0d736b3f9a4049093318d02ee3397128035cdf3694295cbb7b18d53d2a8",
-    '--mode one-color --smoke':
-        "1ff54c9dbc7a8812edfc7aa233d1e29eb48de49b8924d0465a63288778fc18e4",
-    '--mode one-color --smoke --format json':
-        "2b7e084e9059f65b7057f28fb9b63b165ea1dad841fd8f93f4bde7da33a9a42f",
-    '--mode two-color':
-        "ef0019df5d1a214101b4f989e4fd16d6332a71329b0d3c45c8c818917a758f0e",
-    '--mode two-color --format json':
-        "d473a66ed30e3ef1b7b54965a3b6f8fe05f1e9625be30157ace76ee043d9093a",
-    '--mode two-color --smoke':
-        "04b92b8c7f3dee2514006ed6726be28eb63a10d8e2f45d5ce122e490a4a7966c",
-    '--mode two-color --smoke --format json':
-        "1c72c71e26b8b64e167a0dea0be73c6a9480c5b7220a18905d1738b711792ddb",
-    '--mode one-color --samples [["-3/4","5/2"],["7","-1/6"]] --format json':
-        "d8a9326a29c7add7fa2ed03d702efa6370afc3c9f8be9c18dd472e9f4351aa14",
-    '--mode two-color --samples [["-2/3","3/5","-5/4"]] --format json':
-        "4ab932154c264436cd34257ad8c1a8e19525a8b9b10513385ab2a2c2d61454c7",
+    "one-color-text": (
+        "--mode one-color",
+        "14709e5ff87123397f201ce4c4b33ed024b1d4ead5360100a9c3105838ebe8ba"),
+    "one-color-json": (
+        "--mode one-color --format json",
+        "cca9a0d736b3f9a4049093318d02ee3397128035cdf3694295cbb7b18d53d2a8"),
+    "one-color-smoke-text": (
+        "--mode one-color --smoke",
+        "1ff54c9dbc7a8812edfc7aa233d1e29eb48de49b8924d0465a63288778fc18e4"),
+    "one-color-smoke-json": (
+        "--mode one-color --smoke --format json",
+        "2b7e084e9059f65b7057f28fb9b63b165ea1dad841fd8f93f4bde7da33a9a42f"),
+    "two-color-text": (
+        "--mode two-color",
+        "ef0019df5d1a214101b4f989e4fd16d6332a71329b0d3c45c8c818917a758f0e"),
+    "two-color-json": (
+        "--mode two-color --format json",
+        "d473a66ed30e3ef1b7b54965a3b6f8fe05f1e9625be30157ace76ee043d9093a"),
+    "two-color-smoke-text": (
+        "--mode two-color --smoke",
+        "04b92b8c7f3dee2514006ed6726be28eb63a10d8e2f45d5ce122e490a4a7966c"),
+    "two-color-smoke-json": (
+        "--mode two-color --smoke --format json",
+        "1c72c71e26b8b64e167a0dea0be73c6a9480c5b7220a18905d1738b711792ddb"),
+    "one-color-samples-json": (
+        '--mode one-color --samples [["-3/4","5/2"],["7","-1/6"]] --format json',
+        "d8a9326a29c7add7fa2ed03d702efa6370afc3c9f8be9c18dd472e9f4351aa14"),
+    "two-color-samples-json": (
+        '--mode two-color --samples [["-2/3","3/5","-5/4"]] --format json',
+        "4ab932154c264436cd34257ad8c1a8e19525a8b9b10513385ab2a2c2d61454c7"),
 }
 
 
-@pytest.mark.parametrize("argv", sorted(YBE_STDOUT_SHA256))
-def test_ybe_stdout_bytes(capsys, argv):
+@pytest.mark.parametrize("case", sorted(YBE_STDOUT_SHA256))
+def test_ybe_stdout_bytes(capsys, case):
+    argv, digest = YBE_STDOUT_SHA256[case]
     code, out = run(capsys, "ybe", *argv.split(" "))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == YBE_STDOUT_SHA256[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_slide_stdin(capsys, monkeypatch, tmp_path):

@@ -273,29 +273,24 @@ def seeded_samples(arity, seed):
                   for _ in range(arity)) for _ in range(3)]
 
 
-ONE_COLOR_CASES = {kind: (partial(V.ybe_tables, kind), ONE_COLOR_BOUNDARIES)
-                   for kind in (V.WHITE_WHITE, V.WHITE_GRAY)}
-ONE_COLOR_CASES["no vertical"] = (no_vertical_tables, ONE_COLOR_BOUNDARIES)
-COLORED_CASES = {"colored": (C.colored_ybe_tables, COLORED_BOUNDARIES),
-                 "doubled gray": (doubled_gray_tables, COLORED_BOUNDARIES),
-                 "crossing at x y": (crossing_at_xy_tables, COLORED_BOUNDARIES)}
-YBE_ORACLE_CASES = {
-    **{(name, "default"): (tables_at, V.DEFAULT_SAMPLES, boundaries)
-       for name, (tables_at, boundaries) in ONE_COLOR_CASES.items()},
-    **{(name, "default"): (tables_at, C.COLORED_SAMPLES, boundaries)
-       for name, (tables_at, boundaries) in COLORED_CASES.items()},
-    **{(name, "seeded"): (tables_at, seeded_samples(2, 4), boundaries)
-       for name, (tables_at, boundaries) in ONE_COLOR_CASES.items()},
-    **{(name, "seeded"): (tables_at, seeded_samples(3, 4), boundaries)
-       for name, (tables_at, boundaries) in COLORED_CASES.items()},
-    **{(name, "smoke"): (tables_at, V.DEFAULT_SAMPLES[:1], [(0,) * 6])
-       for name, (tables_at, _) in ONE_COLOR_CASES.items()},
-    **{(name, "smoke"): (tables_at, C.COLORED_SAMPLES[:1], [((0, 0),) * 6])
-       for name, (tables_at, _) in COLORED_CASES.items()},
-}
+ONE_COLOR_CASES = {kind: partial(V.ybe_tables, kind) for kind in (V.WHITE_WHITE, V.WHITE_GRAY)}
+ONE_COLOR_CASES["no-vertical"] = no_vertical_tables
+COLORED_CASES = {"colored": C.colored_ybe_tables, "doubled-gray": doubled_gray_tables,
+                 "crossing-at-xy": crossing_at_xy_tables}
+# (model, samples) -> (tables_at, samples, boundaries); "smoke" is the one
+# boundary of `ybe --smoke`, every edge empty, at the first default sample
+YBE_ORACLE_CASES = {}
+for cases, samples, boundaries in (
+        (ONE_COLOR_CASES, V.DEFAULT_SAMPLES, ONE_COLOR_BOUNDARIES),
+        (COLORED_CASES, C.COLORED_SAMPLES, COLORED_BOUNDARIES)):
+    for name, tables_at in cases.items():
+        YBE_ORACLE_CASES[name, "default"] = (tables_at, samples, boundaries)
+        YBE_ORACLE_CASES[name, "seeded"] = (
+            tables_at, seeded_samples(len(samples[0]), 4), boundaries)
+        YBE_ORACLE_CASES[name, "smoke"] = (tables_at, samples[:1], [boundaries[0]])
 
 
-@pytest.mark.parametrize("case", sorted(YBE_ORACLE_CASES), ids=" ".join)
+@pytest.mark.parametrize("case", sorted(YBE_ORACLE_CASES), ids="-".join)
 def test_ybe_report_matches_the_fraction_oracle(case):
     # same violations, in the same order, with the same strings and keys
     tables_at, samples, boundaries = YBE_ORACLE_CASES[case]
@@ -312,11 +307,11 @@ def test_ybe_oracle_cases_find_the_wrong_models():
     counts = {case: len(V.ybe_report(case[0], *YBE_ORACLE_CASES[case])["violations"])
               for case in YBE_ORACLE_CASES}
     assert {case: n for case, n in counts.items() if n} == {
-        ("crossing at x y", "default"): 405, ("crossing at x y", "seeded"): 405,
-        ("doubled gray", "default"): 36, ("doubled gray", "seeded"): 36,
-        ("no vertical", "default"): 10, ("no vertical", "seeded"): 6}
+        ("crossing-at-xy", "default"): 405, ("crossing-at-xy", "seeded"): 405,
+        ("doubled-gray", "default"): 36, ("doubled-gray", "seeded"): 36,
+        ("no-vertical", "default"): 10, ("no-vertical", "seeded"): 6}
     # a boundary one side does not reach shows that side as 0
-    one_sided = V.ybe_report("no vertical", *YBE_ORACLE_CASES["no vertical", "default"])
+    one_sided = V.ybe_report("no-vertical", *YBE_ORACLE_CASES["no-vertical", "default"])
     assert {"0"} < {side for v in one_sided["violations"] for side in (v["lhs"], v["rhs"])}
 
 
