@@ -17,6 +17,7 @@ from . import checks, coupling, partitions, render, rpp_core, sliding, vertex_mo
 from .qt_series import QTSeries, hook_count, hook_product_pair, hook_product_single
 
 BUDGET_STATES = 10 ** 7
+SITE_BOUND = 2 ** 18  # sites of one drawn tiling, configuration or Maya diagram
 
 
 def _usage_error(message: str):
@@ -90,6 +91,16 @@ def _over_budget(lam, max_volume: int, paired: bool) -> str | None:
                 return None
     return (f"{count} {'pairs' if paired else 'fillings'} exceed the "
             f"{BUDGET_STATES} budget")
+
+
+def _drawable(rpp: rpp_core.RPP) -> rpp_core.RPP:
+    """The filling, unless its tiling has more than SITE_BOUND sites: that
+    is a usage error, found from the slice chain (`render.tiling_size`)
+    before any mask is built.  Its configuration has fewer vertices."""
+    sites = render.tiling_size(rpp)
+    if sites > SITE_BOUND:
+        _usage_error(f"the filling's tiling has {sites} sites, more than {SITE_BOUND}")
+    return rpp
 
 
 def cmd_hook(args) -> int:
@@ -230,6 +241,9 @@ def cmd_render(args) -> int:
         width = args.half_width
         if width is None:
             width = max(len(lam), lam[0] if lam else 0) + 2
+        if 2 * width > SITE_BOUND:
+            _usage_error(f"a Maya diagram of half-width {width} has {2 * width} "
+                         f"sites, more than {SITE_BOUND}")
         out = render.maya_ascii(_checked("--half-width", partitions.maya, lam, width),
                                 width)
     elif args.object == "rpp":
@@ -237,10 +251,13 @@ def cmd_render(args) -> int:
             rpp = _checked("filling", rpp_core.rpp_from_json, _read_input(args.input))
         else:
             rpp = rpp_core.zero_rpp(_parse_shape(args.shape))
-        out = render.rpp_svg(rpp) if args.format == "svg" else render.rpp_ascii(rpp)
+        out = (render.rpp_svg(_drawable(rpp)) if args.format == "svg"
+               else render.rpp_ascii(rpp))
     elif args.object == "pair":
         pair = _checked("pair", coupling.pair_from_json, _read_input(args.input))
         if args.format == "svg":
+            _drawable(pair.blue)
+            _drawable(pair.red)
             out = render.pair_svg(pair)
         else:
             out = "blue:\n{}\nred:\n{}".format(
@@ -250,7 +267,8 @@ def cmd_render(args) -> int:
             rpp = _checked("filling", rpp_core.rpp_from_json, _read_input(args.input))
         else:
             rpp = rpp_core.zero_rpp(_parse_shape(args.shape))
-        out = vertex_model.config_to_json(vertex_model.rpp_to_config(rpp.shape, rpp))
+        out = vertex_model.config_to_json(
+            vertex_model.rpp_to_config(rpp.shape, _drawable(rpp)))
     else:  # hook table drawing
         out = render.hook_ascii(_parse_shape(args.shape))
     if args.out:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from operator import and_, sub
 
@@ -122,12 +123,18 @@ def colored_ybe_tables(x, y, t):
              for vb, vr in state_pairs})
 
 
+@cache
+def _colored_boundaries() -> tuple:
+    """The 4^6 colored boundary assignments, in `itertools.product` order,
+    built on the first call and kept for the process."""
+    return tuple(product(product((0, 1), repeat=2), repeat=6))
+
+
 def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
     """All 4^6 colored boundary assignments of `colored_ybe_tables` at
     every sample point, in `itertools.product` order."""
-    boundaries = list(product(product((0, 1), repeat=2), repeat=6))
     return vertex_model.ybe_report(COLORED_WHITE_GRAY, colored_ybe_tables,
-                                   samples, boundaries)
+                                   samples, _colored_boundaries())
 
 
 # ---------------------------------------------------------------------------

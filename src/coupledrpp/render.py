@@ -7,7 +7,6 @@ heights (y), so no floating point enters the files.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 
 from . import coupling, rpp_core, vertex_model
@@ -50,50 +49,60 @@ def rpp_ascii(rpp: RPP) -> str:
 _FILL = {GREEN: "#b5cc6a", ORCHID: "#c79ed2", SIENNA: "#a8765a"}
 _XS = 24   # horizontal pixels per interface line
 _YS = 12   # vertical pixels per half unit of height
+# one objects benchmark pass (900 pairs of sizes 10-20) holds about 4,700
+# texts, 1.1 MB with their keys and lists
+_MEMO_TEXTS = 2 ** 13
 
 
-# 900 drawn pairs of sizes 10-20 reuse about 1,100 entries (about 0.4 MB);
-# the bound keeps the memo near 1.5 MB whatever is drawn
-@lru_cache(maxsize=4096)
-def _polygon(kind: str, x: int, y: int, attrs: str) -> tuple[str, int, int, int, int]:
-    """The lozenge a site at (x, y) of an interface line meets, as SVG text,
-    and its extremes (x0, x1, y0, y1): a green top face centred there, or
-    the orchid (descending) or sienna (ascending) face whose right edge runs
-    through it.  Keyed by lattice position and style only, so every tiling
-    drawn in a process shares the entries."""
+def _polygon(kind: str, x: int, y: int, attrs: str) -> str:
+    """The lozenge a site at (x, y) of an interface line meets, as SVG text:
+    a green top face centred there, or the orchid (descending) or sienna
+    (ascending) face whose right edge runs through it."""
     if kind == GREEN:
         return (f'<polygon points="{x - _XS},{y} {x},{y + _YS} {x + _XS},{y} '
-                f'{x},{y - _YS}" {attrs} />', x - _XS, x + _XS, y - _YS, y + _YS)
+                f'{x},{y - _YS}" {attrs} />')
     if kind == ORCHID:
         return (f'<polygon points="{x - _XS},{y} {x - _XS},{y - 2 * _YS} '
-                f'{x},{y - _YS} {x},{y + _YS}" {attrs} />',
-                x - _XS, x, y - 2 * _YS, y + _YS)
+                f'{x},{y - _YS} {x},{y + _YS}" {attrs} />')
     return (f'<polygon points="{x - _XS},{y + 2 * _YS} {x - _XS},{y} '
-            f'{x},{y - _YS} {x},{y + _YS}" {attrs} />',
-            x - _XS, x, y - _YS, y + 2 * _YS)
+            f'{x},{y - _YS} {x},{y + _YS}" {attrs} />')
 
 
-def _svg(polygons) -> str:
-    """One <svg> element of the `_polygon` entries, its view box padded by
-    _XS around their extremes (around the origin when there are none)."""
-    min_x = min_y = 10**9
-    max_x = max_y = -10**9
-    for _, x0, x1, y0, y1 in polygons:
-        if x0 < min_x:
-            min_x = x0
-        if x1 > max_x:
-            max_x = x1
-        if y0 < min_y:
-            min_y = y0
-        if y1 > max_y:
-            max_y = y1
-    if not polygons:
-        min_x = min_y = max_x = max_y = 0
-    x0, y0 = min_x - _XS, min_y - _XS
-    w, h = max_x - x0 + _XS, max_y - y0 + _XS
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'viewBox="{x0} {y0} {w} {h}">')
-    return "\n".join([head, *[polygon[0] for polygon in polygons], "</svg>"])
+class _ColumnMemo:
+    """The `_polygon` texts of one kind and style at sites 0, 1, ... of an
+    interface line, one list per (kind, x, y of site 0, attrs), grown on
+    demand and shared by every picture drawn in a process.  The lists hold
+    at most `bound` texts in all: growth that would pass it empties the
+    memo first, and a column longer than the bound is not kept."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.held = 0
+        self.columns = {}
+
+    def clear(self) -> None:
+        self.columns.clear()
+        self.held = 0
+
+    def column(self, kind: str, x: int, y: int, attrs: str, n: int) -> list[str]:
+        """At least the first n texts of the column, site s at y - 2 _YS s."""
+        key = (kind, x, y, attrs)
+        column = self.columns.get(key, ())
+        have = len(column)
+        if have >= n:
+            return column
+        column = [*column, *(_polygon(kind, x, y - 2 * _YS * site, attrs)
+                             for site in range(have, n))]
+        if n <= self.bound:
+            self.held += n - have
+            if self.held > self.bound:
+                self.clear()
+                self.held = n
+            self.columns[key] = column
+        return column
+
+
+_COLUMNS = _ColumnMemo(_MEMO_TEXTS)
 
 
 def _attrs(fill: str, stroke: str, width: int = 1, opacity=None) -> str:
@@ -101,57 +110,127 @@ def _attrs(fill: str, stroke: str, width: int = 1, opacity=None) -> str:
     return attrs if opacity is None else f'{attrs} fill-opacity="{opacity}"'
 
 
-def _line_heights(geometry) -> list[int]:
+def _style(stroke: str, opacity) -> tuple[str, str, str]:
+    """The attrs of the orchid, sienna and green lozenges of a tiling."""
+    return tuple(_attrs(_FILL[kind], stroke, opacity=opacity)
+                 for kind in (ORCHID, SIENNA, GREEN))
+
+
+_SINGLE = _style("#333333", None)
+_BLUE = _style("#2244cc", "0.45")
+_RED = _style("#cc2222", "0.45")
+_OUTLINE = _attrs("none", "#000000", width=3)
+
+
+def _line_heights(shape) -> list[int]:
     """y of site 0 on every interface line.  y is minus the doubled real
     height in _YS units: interface centres rise half a unit per hole slice
     and fall half a unit per particle slice, and site s lies s units above
-    site 0."""
+    site 0.  So y falls by _YS from each line to the next."""
+    geometry = rpp_core.shape_geometry(shape)
     rises = accumulate((1 if rel == PRECEQ else -1 for rel in geometry.pattern),
                        initial=0)
     return [-(c2 - 2 * zeta + 1) * _YS for c2, zeta in zip(rises, geometry.zetas)]
 
 
-def _draw_tiling(polygons: list, rpp: RPP, stroke: str, opacity) -> None:
+def _draw_tiling(texts: list[str], rpp: RPP, heights: list[int], attrs) -> int:
     """Row by row the orchid and sienna lozenges of sites 0..top, two above
-    the highest path, then line by line the green top faces."""
-    geometry = rpp_core.shape_geometry(rpp.shape)
-    heights = _line_heights(geometry)
+    the highest path, then line by line the green top faces, each run of
+    sites of one kind as one slice of a memo column.  Returns top."""
+    pattern = rpp.chain.pattern
     masks = vertex_model.interface_masks(rpp)
     top = vertex_model.config_window(masks)
-    attrs = {kind: _attrs(fill, stroke, opacity=opacity) for kind, fill in _FILL.items()}
     every_site = (1 << top + 1) - 1
-    draw = polygons.append
-    rows = zip(geometry.pattern, coupling.tiling_masks(rpp), heights[1:])
-    for k, (rel, (green, orchid, sienna), y) in enumerate(rows, start=1):
+    draw = texts.extend
+    column, get = _COLUMNS.column, _COLUMNS.columns.get
+    orchid_attrs, sienna_attrs, green_attrs = attrs
+    x = 0
+    for rel, (green, orchid, sienna), y in zip(pattern, coupling.tiling_masks(rpp),
+                                               heights[1:]):
+        x += _XS
+        sites = every_site & ~green  # green is drawn from the line below
         if rel == SUCCEQ:  # all orchid above the row's masks
-            orchid |= every_site & ~(green | orchid | sienna)
-        for site in range(top + 1):
-            if not green >> site & 1:  # drawn from the line it sits on, below
-                kind = ORCHID if orchid >> site & 1 else SIENNA
-                draw(_polygon(kind, k * _XS, y - 2 * _YS * site, attrs[kind]))
-    for k, (line, y) in enumerate(zip(masks, heights)):
-        for site in range(line.bit_length()):
-            if line >> site & 1:
-                draw(_polygon(GREEN, k * _XS, y - 2 * _YS * site, attrs[GREEN]))
+            orchid = sites & ~sienna
+        else:
+            sienna = sites & ~orchid
+        # `_ColumnMemo.column`'s hit inlined, as it runs twice a row
+        orchids = get((ORCHID, x, y, orchid_attrs), ())
+        if len(orchids) < orchid.bit_length():
+            orchids = column(ORCHID, x, y, orchid_attrs, orchid.bit_length())
+        siennas = get((SIENNA, x, y, sienna_attrs), ())
+        if len(siennas) < sienna.bit_length():
+            siennas = column(SIENNA, x, y, sienna_attrs, sienna.bit_length())
+        while sites:
+            low = sites & -sites
+            if orchid & low:
+                high = (orchid + low) & ~orchid  # the bit just above the run
+                draw(orchids[low.bit_length() - 1:high.bit_length() - 1])
+            else:
+                high = (sienna + low) & ~sienna
+                draw(siennas[low.bit_length() - 1:high.bit_length() - 1])
+            sites ^= high - low
+    for x, (line, y) in enumerate(zip(masks, heights)):
+        greens = column(GREEN, x * _XS, y, green_attrs, line.bit_length())
+        while line:
+            low = line & -line
+            high = (line + low) & ~line
+            draw(greens[low.bit_length() - 1:high.bit_length() - 1])
+            line ^= high - low
+    return top
+
+
+def _svg(texts: list[str], heights: list[int], top: int) -> str:
+    """One <svg> element of the polygon texts of tilings with lines at
+    `heights` and sites 0..top, its view box padded by _XS around their
+    points (around the origin for the empty shape).  The extremes need no
+    scan.  Line 0 holds every path, one at site 0, and the last line none;
+    y falls line by line; the last row is gray, so orchid at its top site,
+    which no path reaches.  So x runs from the top faces of line 0 to the
+    last row, and y from the orchid lozenge at the top site of the last row
+    down to the top face at site 0 of line 0."""
+    if len(heights) > 1:
+        x0, x1 = -_XS, (len(heights) - 1) * _XS
+        y0, y1 = heights[-1] - 2 * _YS * (top + 1), heights[0] + _YS
+    else:
+        x0 = x1 = y0 = y1 = 0
+    x0, y0 = x0 - _XS, y0 - _XS
+    w, h = x1 - x0 + _XS, y1 - y0 + _XS
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'viewBox="{x0} {y0} {w} {h}">')
+    return "\n".join([head, *texts, "</svg>"])
+
+
+def tiling_size(rpp: RPP) -> int:
+    """The number of lozenges `rpp_svg` draws for the filling, read off its
+    slice chain without building a mask: every row draws sites 0..top (two
+    above the highest path), and every line's paths add a top face each, so
+    rows x (top + 1) + paths.  The highest path of an interface with zeta
+    paths is at site zeta + first part - 1 (zeta - 1 when it is empty)."""
+    geometry = rpp_core.shape_geometry(rpp.shape)
+    top = 1 + max(1, *(zeta + (sl[0] if sl else 0)
+                       for sl, zeta in zip(rpp.chain.slices, geometry.zetas)))
+    return len(geometry.pattern) * (top + 1) + geometry.zetas[0]
 
 
 def rpp_svg(rpp: RPP) -> str:
-    polygons = []
-    _draw_tiling(polygons, rpp, "#333333", None)
-    return _svg(polygons)
+    texts = []
+    heights = _line_heights(rpp.shape)
+    return _svg(texts, heights, _draw_tiling(texts, rpp, heights, _SINGLE))
 
 
 def pair_svg(pair: PairRPP) -> str:
-    """Both tilings superimposed; coupled lozenge pairs get a thick outline."""
-    polygons = []
-    _draw_tiling(polygons, pair.blue, "#2244cc", "0.45")
-    _draw_tiling(polygons, pair.red, "#cc2222", "0.45")
-    heights = _line_heights(rpp_core.shape_geometry(pair.shape))
-    outline = _attrs("none", "#000000", width=3)
+    """Both tilings superimposed; coupled lozenge pairs get a thick outline,
+    from memo columns like the lozenges.  The outlines lie on lozenges of
+    the tilings, so they leave the view box as it is."""
+    texts = []
+    heights = _line_heights(pair.shape)
+    top = max(_draw_tiling(texts, pair.blue, heights, _BLUE),
+              _draw_tiling(texts, pair.red, heights, _RED))
+    column = _COLUMNS.column
     for kind_code, k, site in coupling.coupled_pairs(pair):
-        y = heights[k] - 2 * _YS * site
-        polygons.append(_polygon(ORCHID if kind_code in (1, 2) else SIENNA,
-                                 k * _XS, y, outline))
+        x, y = k * _XS, heights[k]
+        kind = ORCHID if kind_code in (1, 2) else SIENNA
+        texts.append(column(kind, x, y, _OUTLINE, site + 1)[site])
         if kind_code in (1, 4):
-            polygons.append(_polygon(GREEN, k * _XS, y, outline))
-    return _svg(polygons)
+            texts.append(column(GREEN, x, y, _OUTLINE, site + 1)[site])
+    return _svg(texts, heights, top)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coupledrpp import cli, rpp_core
+from coupledrpp import cli, partitions, render, rpp_core, vertex_model
 
 WORKED_PAIR_JSON = json.dumps({
     "shape": [4, 4, 3, 3, 1],
@@ -417,6 +417,79 @@ def test_non_integer_entry_exits_2(capsys, tmp_path, entry):
 def test_maya_zero_half_width_exits_2(capsys):
     assert "half_width 0" in usage_error(capsys, "render", "--object", "maya",
                                          "--shape", "[3,1]", "--half-width", "0")
+
+
+HUGE = 10 ** 20
+HUGE_RPP = json.dumps({"shape": [1], "rows": [[HUGE]]})
+HUGE_PAIR = json.dumps({"shape": [1], "blue": {"shape": [1], "rows": [[0]]},
+                        "red": {"shape": [1], "rows": [[HUGE]]}})
+
+
+def refuse_calls(monkeypatch, module, name):
+    """Calling module.name fails the test: a refusal must come first."""
+    def refuse(*args):
+        raise AssertionError(f"{name} called on {args}")
+
+    monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("argv", [("config",), ("config", "--format", "svg"),
+                                  ("rpp", "--format", "svg"),
+                                  ("pair", "--format", "svg")])
+def test_render_huge_entry_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # a one-cell filling's tiling has 2 rows of entry + 3 sites and 1 path;
+    # in the pair the blue filling (7 sites) passes and the red is refused
+    src = tmp_path / "in.json"
+    src.write_text(HUGE_PAIR if argv[0] == "pair" else HUGE_RPP)
+    refuse_calls(monkeypatch, vertex_model, "interface_masks")
+    err = usage_error(capsys, "render", "--object", *argv, "--input", str(src))
+    assert err == (f"error: the filling's tiling has {2 * HUGE + 7} sites, "
+                   f"more than {cli.SITE_BOUND}\n")
+
+
+def test_render_huge_entry_in_ascii(capsys, tmp_path):
+    src = tmp_path / "in.json"
+    src.write_text(HUGE_RPP)
+    assert run(capsys, "render", "--object", "rpp", "--input", str(src)) == (0, f"{HUGE}\n")
+    src.write_text(HUGE_PAIR)
+    assert run(capsys, "render", "--object", "pair", "--input", str(src)) == (
+        0, f"blue:\n0\nred:\n{HUGE}\n")
+
+
+@pytest.mark.parametrize("argv", [("config",), ("rpp", "--format", "svg"),
+                                  ("pair", "--format", "svg")])
+def test_render_site_bound_is_exact(capsys, monkeypatch, tmp_path, argv):
+    rows = [[0, 1, 3, 4], [1, 1, 4], [3]]
+    sites = render.tiling_size(rpp_core.validate([4, 3, 1], rows))
+    src = tmp_path / "in.json"
+    filling = {"shape": [4, 3, 1], "rows": rows}
+    src.write_text(json.dumps({"shape": [4, 3, 1], "blue": filling, "red": filling}
+                              if argv[0] == "pair" else filling))
+    monkeypatch.setattr(cli, "SITE_BOUND", sites)
+    assert run(capsys, "render", "--object", *argv, "--input", str(src))[0] == 0
+    monkeypatch.setattr(cli, "SITE_BOUND", sites - 1)
+    err = usage_error(capsys, "render", "--object", *argv, "--input", str(src))
+    assert err == f"error: the filling's tiling has {sites} sites, more than {sites - 1}\n"
+
+
+def test_render_maya_over_the_site_bound_exits_2(capsys, monkeypatch):
+    # 2 x half-width sites; a shape's default half-width is counted too
+    refuse_calls(monkeypatch, partitions, "maya_mask")
+    width = cli.SITE_BOUND // 2 + 1
+    for argv in (("--shape", "[3,1]", "--half-width", str(width)),
+                 ("--shape", f"[{width - 2}]")):
+        err = usage_error(capsys, "render", "--object", "maya", *argv)
+        assert err == (f"error: a Maya diagram of half-width {width} has "
+                       f"{2 * width} sites, more than {cli.SITE_BOUND}\n")
+
+
+def test_render_maya_site_bound_is_exact(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SITE_BOUND", 10)
+    code, out = run(capsys, "render", "--object", "maya", "--shape", "[3,1]",
+                    "--half-width", "5")
+    assert code == 0 and out == "...●●●○●|○○●○○...\n"
+    assert "has 12 sites, more than 10" in usage_error(
+        capsys, "render", "--object", "maya", "--shape", "[3,1]", "--half-width", "6")
 
 
 def test_render_unwritable_out_exits_2(capsys, tmp_path):

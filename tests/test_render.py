@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -25,6 +26,28 @@ def _svgs(pair):
     return [render.pair_svg(pair), render.rpp_svg(pair.blue), render.rpp_svg(pair.red)]
 
 
+def _random_filling(rng, shape):
+    """A filling of the shape with entries up to a random cap in 0..4, each
+    entry uniform between the least it may be and the cap."""
+    cap = rng.randint(0, 4)
+    rows = []
+    for length in shape:
+        row = []
+        for c in range(length):
+            least = max(row[-1] if row else 0, rows[-1][c] if rows else 0)
+            row.append(rng.randint(least, cap))
+        rows.append(row)
+    return rpp_core.validate(shape, rows)
+
+
+def _seeded_pairs(seed, count):
+    """`count` pairs of fillings of random shapes of size 10..20."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        shape = rng.choice(list(partitions.partitions_of(rng.randint(10, 20))))
+        yield make_pair(_random_filling(rng, shape), _random_filling(rng, shape))
+
+
 # sha256 of the SVG texts, each followed by a NUL byte
 SVG_DIGESTS = {
     "worked-sliding-pair": (
@@ -46,38 +69,67 @@ SVG_DIGESTS = {
                  for b, r in rpp_core.enumerate_pairs((2, 1), 4)]
         + [render.rpp_svg(r) for r in rpp_core.enumerate_rpps((2, 1), 4)],
         "f33938cfc49ffe1bb00cc07eeafbbc0b7cb37510d81ddae9944ec75fe9113b62"),
+    "seeded-pairs-10-to-20": (
+        lambda: [text for pair in _seeded_pairs(17, 60) for text in _svgs(pair)],
+        "e16b9b4c6df2cb9aa3d6fdb7c3c9cca38ee6ab314638e5853db02a7e3e137564"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SVG_DIGESTS))
 def test_svg_bytes_are_pinned(case):
-    """Each pin holds with the polygon memo cleared, and with it warm from
+    """Each pin holds with the column memo cleared, and with it warm from
     every other case drawn first, in case order and in reverse order."""
     texts, want = SVG_DIGESTS[case]
-    render._polygon.cache_clear()
+    render._COLUMNS.clear()
     assert _digest(texts()) == want
     others = [other for other in sorted(SVG_DIGESTS) if other != case]
     for order in (others, others[::-1]):
-        render._polygon.cache_clear()
+        render._COLUMNS.clear()
         for other in order:
             SVG_DIGESTS[other][0]()
         assert _digest(texts()) == want
 
 
-def test_polygon_memo_stays_bounded():
-    """A 16 x 16 pair draws more distinct polygons than the memo keeps; the
-    memo stops at its maxsize and the drawing does not change."""
+def test_polygon_memo_stays_bounded(monkeypatch):
+    """A 16 x 16 pair formats more polygon texts than the column memo keeps;
+    the memo stays within its bound, holding what it counts, and the
+    drawing does not change, also against one drawn with no bound."""
     n = 16
     shape = (n,) * n
     pair = _pair(shape, [[r + c for c in range(n)] for r in range(n)],
                  [[2 * (r + c) for c in range(n)] for r in range(n)])
-    render._polygon.cache_clear()
+    memo = render._COLUMNS
+    formatted = []
+    polygon = render._polygon
+    monkeypatch.setattr(render, "_polygon",
+                        lambda *args: formatted.append(args) or polygon(*args))
+
+    def held():
+        assert memo.held == sum(map(len, memo.columns.values()))
+        return memo.held
+
+    memo.clear()
     svg = render.pair_svg(pair)
-    info = render._polygon.cache_info()
-    assert info.misses > info.maxsize
-    assert info.currsize <= info.maxsize
+    assert len(formatted) > memo.bound
+    assert held() <= memo.bound
     assert render.pair_svg(pair) == svg
-    assert render._polygon.cache_info().currsize <= info.maxsize
+    assert held() <= memo.bound
+    monkeypatch.setattr(memo, "bound", 10 ** 9)
+    memo.clear()
+    assert render.pair_svg(pair) == svg
+    assert held() > render._MEMO_TEXTS
+    memo.clear()
+
+
+def test_tiling_size_counts_the_drawn_polygons():
+    """The size the render guard reads off the slice chain is the number of
+    polygons `rpp_svg` draws."""
+    checked = 0
+    for lam in partitions.all_partitions(5):
+        for rpp in rpp_core.enumerate_rpps(lam, 4):
+            assert render.tiling_size(rpp) == render.rpp_svg(rpp).count("<polygon"), rpp
+            checked += 1
+    assert checked == 306
 
 
 def test_drawn_kinds_are_the_classified_kinds():
