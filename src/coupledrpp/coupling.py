@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from operator import and_, sub
 
@@ -123,18 +122,23 @@ def colored_ybe_tables(x, y, t):
              for vb, vr in state_pairs})
 
 
-@cache
-def _colored_boundaries() -> tuple:
+class _ColoredBoundaries:
     """The 4^6 colored boundary assignments, in `itertools.product` order,
-    built on the first call and kept for the process."""
-    return tuple(product(product((0, 1), repeat=2), repeat=6))
+    made only while iterated: a passing `ybe_report` reads just their
+    number, so none is built, and none is kept."""
+
+    def __len__(self) -> int:
+        return 4 ** 6
+
+    def __iter__(self):
+        return product(product((0, 1), repeat=2), repeat=6)
 
 
 def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
     """All 4^6 colored boundary assignments of `colored_ybe_tables` at
     every sample point, in `itertools.product` order."""
     return vertex_model.ybe_report(COLORED_WHITE_GRAY, colored_ybe_tables,
-                                   samples, _colored_boundaries())
+                                   samples, _ColoredBoundaries())
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ def rpp_ascii(rpp: RPP) -> str:
 _FILL = {GREEN: "#b5cc6a", ORCHID: "#c79ed2", SIENNA: "#a8765a"}
 _XS = 24   # horizontal pixels per interface line
 _YS = 12   # vertical pixels per half unit of height
-# one objects benchmark pass (900 pairs of sizes 10-20) holds about 4,700
-# texts, 1.1 MB with their keys and lists
+# one objects benchmark pass (900 pairs of sizes 10-20) holds about 3,700
+# texts, 0.75 MB with their keys and lists
 _MEMO_TEXTS = 2 ** 13
 
 
@@ -138,11 +138,10 @@ def _draw_tiling(texts: list[str], rpp: RPP, heights: list[int], attrs) -> int:
     the highest path, then line by line the green top faces, each run of
     sites of one kind as one slice of a memo column.  Returns top."""
     pattern = rpp.chain.pattern
-    masks = vertex_model.interface_masks(rpp)
-    top = vertex_model.config_window(masks)
+    top = vertex_model.config_window(rpp)
     every_site = (1 << top + 1) - 1
     draw = texts.extend
-    column, get = _COLUMNS.column, _COLUMNS.columns.get
+    column = _COLUMNS.column
     orchid_attrs, sienna_attrs, green_attrs = attrs
     x = 0
     for rel, (green, orchid, sienna), y in zip(pattern, coupling.tiling_masks(rpp),
@@ -153,13 +152,8 @@ def _draw_tiling(texts: list[str], rpp: RPP, heights: list[int], attrs) -> int:
             orchid = sites & ~sienna
         else:
             sienna = sites & ~orchid
-        # `_ColumnMemo.column`'s hit inlined, as it runs twice a row
-        orchids = get((ORCHID, x, y, orchid_attrs), ())
-        if len(orchids) < orchid.bit_length():
-            orchids = column(ORCHID, x, y, orchid_attrs, orchid.bit_length())
-        siennas = get((SIENNA, x, y, sienna_attrs), ())
-        if len(siennas) < sienna.bit_length():
-            siennas = column(SIENNA, x, y, sienna_attrs, sienna.bit_length())
+        orchids = column(ORCHID, x, y, orchid_attrs, orchid.bit_length())
+        siennas = column(SIENNA, x, y, sienna_attrs, sienna.bit_length())
         while sites:
             low = sites & -sites
             if orchid & low:
@@ -169,7 +163,7 @@ def _draw_tiling(texts: list[str], rpp: RPP, heights: list[int], attrs) -> int:
                 high = (sienna + low) & ~sienna
                 draw(siennas[low.bit_length() - 1:high.bit_length() - 1])
             sites ^= high - low
-    for x, (line, y) in enumerate(zip(masks, heights)):
+    for x, (line, y) in enumerate(zip(vertex_model.interface_masks(rpp), heights)):
         greens = column(GREEN, x * _XS, y, green_attrs, line.bit_length())
         while line:
             low = line & -line
@@ -201,15 +195,12 @@ def _svg(texts: list[str], heights: list[int], top: int) -> str:
 
 
 def tiling_size(rpp: RPP) -> int:
-    """The number of lozenges `rpp_svg` draws for the filling, read off its
-    slice chain without building a mask: every row draws sites 0..top (two
-    above the highest path), and every line's paths add a top face each, so
-    rows x (top + 1) + paths.  The highest path of an interface with zeta
-    paths is at site zeta + first part - 1 (zeta - 1 when it is empty)."""
+    """The number of lozenges `rpp_svg` draws for the filling, without
+    building a mask: every row draws sites 0..top, the config window, and
+    every path adds a top face on its line, so rows x (top + 1) + paths."""
     geometry = rpp_core.shape_geometry(rpp.shape)
-    top = 1 + max(1, *(zeta + (sl[0] if sl else 0)
-                       for sl, zeta in zip(rpp.chain.slices, geometry.zetas)))
-    return len(geometry.pattern) * (top + 1) + geometry.zetas[0]
+    return (len(geometry.pattern) * (vertex_model.config_window(rpp) + 1)
+            + geometry.zetas[0])
 
 
 def rpp_svg(rpp: RPP) -> str:
@@ -219,18 +210,17 @@ def rpp_svg(rpp: RPP) -> str:
 
 
 def pair_svg(pair: PairRPP) -> str:
-    """Both tilings superimposed; coupled lozenge pairs get a thick outline,
-    from memo columns like the lozenges.  The outlines lie on lozenges of
-    the tilings, so they leave the view box as it is."""
+    """Both tilings superimposed; coupled lozenge pairs get a thick outline.
+    The outlines lie on lozenges of the tilings, so they leave the view box
+    as it is."""
     texts = []
     heights = _line_heights(pair.shape)
     top = max(_draw_tiling(texts, pair.blue, heights, _BLUE),
               _draw_tiling(texts, pair.red, heights, _RED))
-    column = _COLUMNS.column
     for kind_code, k, site in coupling.coupled_pairs(pair):
-        x, y = k * _XS, heights[k]
+        x, y = k * _XS, heights[k] - 2 * _YS * site
         kind = ORCHID if kind_code in (1, 2) else SIENNA
-        texts.append(column(kind, x, y, _OUTLINE, site + 1)[site])
+        texts.append(_polygon(kind, x, y, _OUTLINE))
         if kind_code in (1, 4):
-            texts.append(column(GREEN, x, y, _OUTLINE, site + 1)[site])
+            texts.append(_polygon(GREEN, x, y, _OUTLINE))
     return _svg(texts, heights, top)

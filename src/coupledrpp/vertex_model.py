@@ -224,11 +224,16 @@ class VertexConfig:
         return tuple(rows)
 
 
-def config_window(masks) -> int:
-    """The site two above the highest path of the interface masks (two
+def config_window(rpp: RPP) -> int:
+    """The site two above the highest path of the filling's interfaces (two
     above site 0 when there is none): a row's vertices sit at the sites
-    below it, and a drawn tiling reaches up to it."""
-    return 1 + max(1, *(mask.bit_length() for mask in masks))
+    below it, and a drawn tiling reaches up to it.  Read off the slice
+    chain, so no mask is built: an interface's highest path is at site
+    zeta + first part - 1 (zeta - 1 when its slice is empty), the top bit
+    of its `maya_mask`."""
+    zetas = shape_geometry(rpp.shape).zetas
+    return 1 + max(1, *(zeta + (sl[0] if sl else 0)
+                        for sl, zeta in zip(rpp.chain.slices, zetas)))
 
 
 def interface_masks(rpp: RPP) -> tuple[int, ...]:
@@ -267,7 +272,7 @@ def rpp_to_config(lam, rpp: RPP) -> VertexConfig:
 def _config_of(rpp: RPP) -> VertexConfig:
     geometry = shape_geometry(rpp.shape)
     return VertexConfig(rpp.shape, geometry.pattern, rpp.chain.slices, geometry.zetas,
-                        config_window(interface_masks(rpp)), _rows_of(rpp))
+                        config_window(rpp), _rows_of(rpp))
 
 
 class FillingWeight(NamedTuple):

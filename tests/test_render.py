@@ -121,6 +121,31 @@ def test_polygon_memo_stays_bounded(monkeypatch):
     memo.clear()
 
 
+def test_outlines_format_each_polygon_once(monkeypatch):
+    """The one-cell pair with both entries 300 outlines 600 coupled sites,
+    most of them above the column memo's bound (made 64 texts here).  Each
+    outline is formatted once, and a row's orchid and sienna columns both
+    run from site 0, so at most twice as many texts are formatted as
+    polygons drawn; the drawing is the same as with no bound."""
+    pair = _pair((1,), [[300]], [[300]])
+    coupled = coupling.coupled_pairs(pair)
+    memo = render._COLUMNS
+    monkeypatch.setattr(memo, "bound", 64)
+    assert len(coupled) == 600
+    assert sum(site >= memo.bound for *_, site in coupled) > 400
+    formatted = []
+    polygon = render._polygon
+    monkeypatch.setattr(render, "_polygon",
+                        lambda *args: formatted.append(args) or polygon(*args))
+    memo.clear()
+    svg = render.pair_svg(pair)
+    assert len(formatted) <= 2 * svg.count("<polygon")
+    monkeypatch.setattr(memo, "bound", 10 ** 9)
+    memo.clear()
+    assert render.pair_svg(pair) == svg
+    memo.clear()
+
+
 def test_tiling_size_counts_the_drawn_polygons():
     """The size the render guard reads off the slice chain is the number of
     polygons `rpp_svg` draws."""

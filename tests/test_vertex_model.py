@@ -462,3 +462,17 @@ def test_row_states_refuse_a_vertex_outside_the_five(monkeypatch):
     monkeypatch.setattr(V, "row_masks", lambda kind, bottom, top: (1, 1, 0))
     with pytest.raises(AssertionError, match="no allowed vertex"):
         V.row_states(WHITE, 0, 0, 3)
+
+
+def test_config_window_is_two_above_the_top_mask_bit():
+    """The window read off the slice chain is two above the top path of
+    the interface masks, and at least 2, on every filling of the shapes of
+    size <= 5 at volume <= 4."""
+    checked = 0
+    for lam in P.all_partitions(5):
+        for rpp in R.enumerate_rpps(lam, 4):
+            masks = V.interface_masks(rpp)
+            assert V.config_window(rpp) == 1 + max(
+                1, *(mask.bit_length() for mask in masks)), rpp
+            checked += 1
+    assert checked == 306
