@@ -122,23 +122,12 @@ def colored_ybe_tables(x, y, t):
              for vb, vr in state_pairs})
 
 
-class _ColoredBoundaries:
-    """The 4^6 colored boundary assignments, in `itertools.product` order,
-    made only while iterated: a passing `ybe_report` reads just their
-    number, so none is built, and none is kept."""
-
-    def __len__(self) -> int:
-        return 4 ** 6
-
-    def __iter__(self):
-        return product(product((0, 1), repeat=2), repeat=6)
-
-
 def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
     """All 4^6 colored boundary assignments of `colored_ybe_tables` at
     every sample point, in `itertools.product` order."""
+    boundaries = list(product(product((0, 1), repeat=2), repeat=6))
     return vertex_model.ybe_report(COLORED_WHITE_GRAY, colored_ybe_tables,
-                                   samples, _ColoredBoundaries())
+                                   samples, boundaries)
 
 
 # ---------------------------------------------------------------------------
