@@ -17,7 +17,8 @@ from . import checks, coupling, partitions, render, rpp_core, sliding, vertex_mo
 from .qt_series import QTSeries, hook_count, hook_product_pair, hook_product_single
 
 BUDGET_STATES = 10 ** 7
-SITE_BOUND = 2 ** 18  # sites of one drawn tiling, configuration or Maya diagram
+# sites of one drawn tiling, configuration or Maya diagram; cells of a shape
+SITE_BOUND = 2 ** 18
 
 
 def _usage_error(message: str):
@@ -38,9 +39,14 @@ def _checked(what: str, fn, *args):
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
+    """The shape, unless it has more than SITE_BOUND cells: its hook
+    table, zero filling and slice geometry would each be that large."""
     if text is None:
         _usage_error("a --shape argument is required here")
-    return _checked(f"shape {text!r}", lambda: partitions.normalize(json.loads(text)))
+    lam = _checked(f"shape {text!r}", lambda: partitions.normalize(json.loads(text)))
+    if sum(lam) > SITE_BOUND:
+        _usage_error(f"the shape has {sum(lam)} cells, more than {SITE_BOUND}")
+    return lam
 
 
 def _read_input(path: str) -> str:

@@ -9,10 +9,10 @@ patterns directly on the superimposed tilings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import and_, sub
+from typing import NamedTuple
 
 from . import rpp_core, vertex_model
 from .partitions import maya_mask, normalize
@@ -134,15 +134,16 @@ def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
 # Pairs of RPPs
 
 
-@dataclass(frozen=True)
-class PairRPP:
-    """A (blue, red) pair of fillings of one shape.  Like a filling, it
-    keeps what is derived from it (its coupled lozenge pairs) on the
-    instance; equality, hash and repr read only the three fields."""
-
+class _PairFields(NamedTuple):
     shape: tuple[int, ...]
     blue: RPP
     red: RPP
+
+
+class PairRPP(_PairFields):
+    """A (blue, red) pair of fillings of one shape.  Like a filling, it
+    keeps what is derived from it (its coupled lozenge pairs) in the
+    instance dict; equality, hash and repr read only the three fields."""
 
     derived = RPP.derived
 

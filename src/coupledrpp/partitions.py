@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 
@@ -163,8 +162,7 @@ def maya(lam, half_width: int) -> int:
 # Border strips
 
 
-@dataclass(frozen=True)
-class BorderStrip:
+class BorderStrip(NamedTuple):
     """Edge-connected skew strip without a 2x2 block; index 1 is outermost."""
 
     index: int

@@ -10,7 +10,6 @@ bridge to the vertex model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter, ge
 from typing import Iterator, NamedTuple
@@ -24,16 +23,17 @@ PRECEQ = "<="
 SUCCEQ = ">="
 
 
-@dataclass(frozen=True)
-class RPP:
-    """A filling.  What is derived from it (its volume and slice chain
-    here; its interface masks, weight, configuration, lozenge and role
-    masks elsewhere) is computed on first use and kept on the instance.
-    Equality, hash and repr read only the two fields, so a kept datum
-    never changes them."""
-
+class _RPPFields(NamedTuple):
     shape: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]  # bottom-up
+
+
+class RPP(_RPPFields):
+    """A filling.  What is derived from it (its volume and slice chain
+    here; its interface masks, weight, configuration, lozenge and role
+    masks elsewhere) is computed on first use and kept in the instance
+    dict.  Equality, hash and repr read only the two fields, so a kept
+    datum never changes them."""
 
     def entry(self, r: int, c: int) -> int:
         return self.rows[r - 1][c - 1]
@@ -103,8 +103,7 @@ def interaction_pattern(lam) -> tuple[str, ...]:
                  for b in range(mask.bit_length()))
 
 
-@dataclass(frozen=True)
-class SliceSequence:
+class SliceSequence(NamedTuple):
     pattern: tuple[str, ...]
     slices: tuple[tuple[int, ...], ...]  # empty partitions at both ends
 

@@ -10,7 +10,6 @@ gray rows move it one column left and send one path out to the right.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -46,8 +45,7 @@ def vertex_state(in_bottom, in_left, out_top, out_right) -> VertexState | None:
     return v if v in _ALLOWED else None
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Exact monomial q^q_exp * t^t_exp; the only weight values the
     q-specialization produces."""
 
@@ -196,8 +194,7 @@ def row_weight_explicit(kind: str, mu, lam, x, ell: int, window: int):
 # Whole configurations
 
 
-@dataclass(frozen=True)
-class VertexConfig:
+class _ConfigFields(NamedTuple):
     shape: tuple[int, ...]
     pattern: tuple[str, ...]          # pattern[k-1] decides the kind of row k
     interfaces: tuple[tuple[int, ...], ...]
@@ -206,6 +203,8 @@ class VertexConfig:
     # masks[k-1]: row k's (out_right, occupied, out_top) sites, see row_masks
     masks: tuple[tuple[int, int, int], ...]
 
+
+class VertexConfig(_ConfigFields):
     def kind(self, k: int) -> str:
         return WHITE if self.pattern[k - 1] == PRECEQ else GRAY
 

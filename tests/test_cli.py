@@ -492,6 +492,40 @@ def test_render_maya_site_bound_is_exact(capsys, monkeypatch):
         capsys, "render", "--object", "maya", "--shape", "[3,1]", "--half-width", "6")
 
 
+# the commands that read a --shape; a config, an SVG and a Maya diagram
+# have sites of their own, bounded too, so the exact bound is checked on
+# the first six
+SHAPE_COMMANDS = [("hook",), ("genfun", "--max-volume", "0"),
+                  ("genfun", "--max-volume", "0", "--paired"),
+                  ("slide", "--roundtrip", "--max-volume", "0"),
+                  ("render", "--object", "rpp"), ("render", "--object", "hook"),
+                  ("render", "--object", "config"), ("render", "--object", "maya"),
+                  ("render", "--object", "rpp", "--format", "svg")]
+
+
+@pytest.mark.parametrize("argv", SHAPE_COMMANDS)
+def test_huge_shape_exits_2(capsys, monkeypatch, argv):
+    # refused before the hook table, zero filling, geometry or count is built
+    for module, name in ((partitions, "hook_table"), (render, "hook_table"),
+                         (rpp_core, "zero_rpp"), (rpp_core, "shape_geometry"),
+                         (rpp_core, "enumerate_rpps"), (cli, "hook_count"),
+                         (partitions, "maya_mask")):
+        refuse_calls(monkeypatch, module, name)
+    cells = cli.SITE_BOUND + 1
+    for shape in (f"[{cells}]", json.dumps([1] * cells)):
+        err = usage_error(capsys, *argv, "--shape", shape)
+        assert err == f"error: the shape has {cells} cells, more than {cli.SITE_BOUND}\n"
+
+
+@pytest.mark.parametrize("argv", SHAPE_COMMANDS[:6])
+def test_shape_bound_is_exact(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "SITE_BOUND", 6)
+    assert cli.main([*argv, "--shape", "[3,3]"]) == 0
+    capsys.readouterr()
+    err = usage_error(capsys, *argv, "--shape", "[3,3,1]")
+    assert err == "error: the shape has 7 cells, more than 6\n"
+
+
 def test_render_unwritable_out_exits_2(capsys, tmp_path):
     message = usage_error(capsys, "render", "--object", "rpp", "--shape", "[2,1]",
                           "--out", str(tmp_path / "missing" / "x.svg"))

@@ -1,6 +1,8 @@
 """Design rules of the package that no behaviour test sees."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,17 @@ def test_no_module_imports_a_name_it_does_not_use():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_cli_start_up_loads_no_introspection_modules():
+    # dataclasses pulls in inspect (and with it ast, dis and tokenize) at
+    # import; the records are named tuples so that every command starts
+    # without them.  -S: only the package's own imports are counted.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import coupledrpp.cli as cli; "
+            "cli.build_parser(); print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "\n"
 
 
 def _fresh_pairs():

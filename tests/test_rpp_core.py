@@ -232,7 +232,7 @@ def test_enumerated_fillings_carry_their_chain(monkeypatch):
             assert rpp.chain == R.to_slices(fresh) == fresh.chain, rpp
             config, fresh_config = V.rpp_to_config(lam, rpp), V.rpp_to_config(lam, fresh)
             assert config == fresh_config, rpp
-            # the states are built on first read, outside the dataclass fields
+            # the states are built on first read and kept outside the fields
             assert config.masks == fresh_config.masks, rpp
             assert config.states == fresh_config.states, rpp
 
@@ -252,6 +252,24 @@ def test_derived_data_leave_equality_hash_and_repr():
         assert fresh == rpp == R.RPP(rpp.shape, rpp.rows)
         assert hash(fresh) == hash(R.RPP(rpp.shape, rpp.rows))
         assert repr(fresh) == f"RPP(shape={rpp.shape}, rows={rpp.rows})"
+    # the reprs of the other records, derived data read first
+    blue, red = R.validate((2, 1), [[0, 1], [1]]), R.validate((2, 1), [[0, 0], [2]])
+    pair = C.make_pair(blue, red)
+    config = V.rpp_to_config(blue.shape, blue)
+    C.coupled_pairs(pair), config.states
+    assert repr(pair) == ("PairRPP(shape=(2, 1), blue=RPP(shape=(2, 1), rows=((0, 1), "
+                          "(1,))), red=RPP(shape=(2, 1), rows=((0, 0), (2,))))")
+    assert repr(blue.chain) == ("SliceSequence(pattern=('<=', '>=', '<=', '>='), "
+                                "slices=((), (1,), (), (1,), ()))")
+    assert repr(config) == (
+        "VertexConfig(shape=(2, 1), pattern=('<=', '>=', '<=', '>='), "
+        "interfaces=((), (1,), (), (1,), ()), zetas=(2, 2, 1, 1, 0), window=4, "
+        "masks=((2, 7, 5), (-4, -3, 1), (1, 3, 2), (-2, -2, 0)))")
+    assert [repr(V.Monomial(*e)) for e in ((3, 2), (3,), ())] == ["q^3*t^2", "q^3", "q^0"]
+    for record, field in ((blue, "rows"), (pair, "red"), (blue.chain, "slices"),
+                          (config, "masks"), (V.Monomial(1), "q_exp")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_shape_geometry_is_shared_and_bounded():

@@ -151,8 +151,8 @@ def test_constraints_keep_nothing_on_the_fillings():
     assert S.check_t0_constraints(pair)
     assert not S.check_t0_constraints(C.make_pair(red, blue))
     for rpp in (blue, red):
-        assert set(vars(rpp)) == {"shape", "rows", "chain"}
-    assert set(vars(pair)) == {"shape", "blue", "red"}
+        assert set(vars(rpp)) == {"chain"}
+    assert set(vars(pair)) == set()
 
 
 def test_constraints_on_worked_examples():
