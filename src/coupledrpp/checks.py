@@ -7,7 +7,9 @@ per check and the test suite asserts each one individually.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import coupling, partitions, rpp_core, sliding, vertex_model
 from .coupling import make_pair
@@ -23,22 +25,62 @@ GENFUN_SHAPES = [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (3, 2, 1)]
 PAIR_SHAPES = [(1,), (2,), (1, 1), (2, 1), (2, 2)]
 SLIDE_SHAPES = [(2, 2), (3, 1), (4, 4, 3, 3, 1)]
 
-# The total volume bound of the pair checks of criteria 4, 6 and 7.
-PAIR_MAX_VOLUME = 6
+# Criterion 4 checks single fillings of the shapes of size <= 5 at volume
+# <= 8, and pairs of the nonempty shapes of size <= 4 (the pair shapes);
+# criteria 6 and 7 check pairs too.  PAIR_MAX_VOLUME bounds every pair's
+# total volume.
+SINGLE_MAX_SIZE, SINGLE_MAX_VOLUME = 5, 8
+PAIR_MAX_SIZE, PAIR_MAX_VOLUME = 4, 6
 
-# Shape -> its fillings of volume <= PAIR_MAX_VOLUME, shared by the
-# criteria of one `run_all`; None outside it.
-_pool: dict[tuple[int, ...], list[rpp_core.RPP]] | None = None
+
+class _Pool(NamedTuple):
+    """What criteria 4, 6 and 7 share: within one `run_all`, or within
+    one of them called on its own."""
+
+    fillings: dict  # shape -> (bound, its fillings of volume <= bound)
+    pairs: dict     # shape -> its `_pairs`
 
 
-def _fillings(lam) -> list[rpp_core.RPP]:
-    """The fillings of lam with volume <= PAIR_MAX_VOLUME, enumerated once
-    per `run_all` and afresh for a criterion called on its own."""
-    if _pool is None:
-        return list(rpp_core.enumerate_rpps(lam, PAIR_MAX_VOLUME))
-    if lam not in _pool:
-        _pool[lam] = list(rpp_core.enumerate_rpps(lam, PAIR_MAX_VOLUME))
-    return _pool[lam]
+# The open pool; None outside `run_all` and the criteria that share it.
+_pool: _Pool | None = None
+
+
+@contextmanager
+def _pooled():
+    """Open a pool for the block, unless one is open, and drop it after."""
+    global _pool
+    if _pool is not None:
+        yield
+        return
+    _pool = _Pool({}, {})
+    try:
+        yield
+    finally:
+        _pool = None
+
+
+def _pair_shapes() -> list[tuple[int, ...]]:
+    return [lam for lam in partitions.all_partitions(PAIR_MAX_SIZE) if lam]
+
+
+def _fillings(lam, bound: int) -> list[rpp_core.RPP]:
+    """The fillings of lam with volume <= bound, in enumeration order.  A
+    pool enumerates a shape once, at the first bound asked of it, and a
+    smaller bound filters that list."""
+    kept = _pool.fillings.get(lam)
+    if kept is None or kept[0] < bound:
+        kept = _pool.fillings[lam] = (bound, list(rpp_core.enumerate_rpps(lam, bound)))
+    return kept[1] if kept[0] == bound else [rpp for rpp in kept[1] if rpp.volume <= bound]
+
+
+def _pairs(lam) -> list[coupling.PairRPP]:
+    """The pairs of lam's fillings with total volume <= PAIR_MAX_VOLUME,
+    blue-major, built once per pool; each keeps its weight and g once
+    computed."""
+    if lam not in _pool.pairs:
+        _pool.pairs[lam] = [make_pair(blue, red) for blue, red in rpp_core.pairs_within(
+            _fillings(lam, PAIR_MAX_VOLUME), PAIR_MAX_VOLUME)]
+    return _pool.pairs[lam]
 
 
 def check_single_genfun(trunc=10) -> dict:
@@ -78,27 +120,28 @@ def check_ybe() -> dict:
                    violations=violations)
 
 
+@_pooled()
 def check_weight_bijections() -> dict:
     """w(C) A = q^vol for single fillings; the q,t version for pairs."""
     bad = 0
     tested = 0
-    for lam in partitions.all_partitions(5):
+    for lam in partitions.all_partitions(SINGLE_MAX_SIZE):
         A = vertex_model.A_lambda(lam)
-        for rpp in rpp_core.enumerate_rpps(lam, 8):
+        # the pair shapes' fillings are kept for the pair checks
+        singles = (_fillings(lam, SINGLE_MAX_VOLUME) if 0 < sum(lam) <= PAIR_MAX_SIZE
+                   else rpp_core.enumerate_rpps(lam, SINGLE_MAX_VOLUME))
+        for rpp in singles:
             tested += 1
             if vertex_model.config_weight_q(lam, rpp) * A != Monomial(rpp.volume):
                 bad += 1
     pair_tested = 0
-    for lam in partitions.all_partitions(4):
-        if not lam:
-            continue
+    for lam in _pair_shapes():
         A2 = vertex_model.A_lambda(lam) ** 2
         triv = coupling.trivial_t_exponent(lam)
-        for blue, red in rpp_core.pairs_within(_fillings(lam), PAIR_MAX_VOLUME):
-            pair = make_pair(blue, red)
+        for pair in _pairs(lam):
             pair_tested += 1
             w = coupling.pair_config_weight(pair) * A2
-            want = Monomial(blue.volume + red.volume,
+            want = Monomial(pair.blue.volume + pair.red.volume,
                             coupling.g_via_lozenges(pair) + triv)
             if w != want:
                 bad += 1
@@ -151,21 +194,20 @@ def check_worked_values() -> dict:
     return _report("worked-values", not failures, failures=failures)
 
 
+@_pooled()
 def check_g_oracles() -> dict:
     """The vertex t-degree and the lozenge count never disagree."""
     tested = 0
     bad = 0
-    for lam in partitions.all_partitions(4):
-        if not lam:
-            continue
-        for blue, red in rpp_core.pairs_within(_fillings(lam), PAIR_MAX_VOLUME):
-            pair = make_pair(blue, red)
+    for lam in _pair_shapes():
+        for pair in _pairs(lam):
             tested += 1
             if coupling.g_via_vertex(pair) != coupling.g_via_lozenges(pair):
                 bad += 1
     return _report("g-oracles", bad == 0, pairs=tested, discrepancies=bad)
 
 
+@_pooled()
 def check_sliding() -> dict:
     """The worked sliding example, mutual inversion, and per-volume counts."""
     failures = []
@@ -181,29 +223,28 @@ def check_sliding() -> dict:
     if sliding.unslide(want) != pair:
         failures.append("worked-unslide")
 
-    # Each filling's unslid pair must pass the g = 0 test, slide back to it
-    # and keep its volume; then the g = 0 pairs must be exactly these pairs,
-    # which makes slide and unslide mutual inverses between the two sets.
+    # Each filling's unslid pair must pass the g = 0 test (which `slide`
+    # makes first), slide back to it and keep its volume; then the g = 0
+    # pairs must be exactly these pairs, which makes slide and unslide
+    # mutual inverses between the two sets.
     for lam in SLIDE_SHAPES:
-        fillings = _fillings(lam)
         unslid = set()
-        for rpp in fillings:
+        for rpp in _fillings(lam, PAIR_MAX_VOLUME):
             p = sliding.unslide(rpp)
-            if not (sliding.check_t0_constraints(p) and sliding.slide(p) == rpp
-                    and p.blue.volume + p.red.volume == rpp.volume):
+            try:
+                slid = sliding.slide(p)
+            except ValueError:
+                slid = None
+            if not (slid == rpp and p.blue.volume + p.red.volume == rpp.volume):
                 failures.append(f"unslide-slide {lam}")
                 break
             unslid.add(p)
         else:
-            zero = set()
-            for b, r in rpp_core.pairs_within(fillings, PAIR_MAX_VOLUME):
-                p = make_pair(b, r)
-                if sliding.check_t0_constraints(p):
-                    zero.add(p)
+            zero = {p for p in _pairs(lam) if sliding.check_t0_constraints(p)}
             if zero != unslid:
                 failures.append(f"slide-unslide {lam}")
 
-    counting = sliding.verify_t0_counting((2, 2), 8)
+    counting = sliding.verify_t0_counting((2, 2), 8, _fillings((2, 2), 8))
     if not counting["passed"]:
         failures.append("counting (2,2)")
     return _report("sliding", not failures, failures=failures)
@@ -252,12 +293,10 @@ ALL_CHECKS = [
 
 def run_all(budget_seconds: float | None = None) -> dict:
     """Run every acceptance check; stop early if the budget runs out."""
-    global _pool
     started = time.monotonic()
     results = []
     skipped = []
-    _pool = {}
-    try:
+    with _pooled():
         for number, fn in ALL_CHECKS:
             if budget_seconds is not None and time.monotonic() - started > budget_seconds:
                 skipped.append(number)
@@ -267,8 +306,6 @@ def run_all(budget_seconds: float | None = None) -> dict:
             rep["criterion"] = number
             rep["elapsed"] = round(time.monotonic() - t0, 3)
             results.append(rep)
-    finally:
-        _pool = None
     passed = all(r["passed"] for r in results) and not skipped
     return {"command": "verify-all", "status": "pass" if passed else "fail",
             "elapsed": round(time.monotonic() - started, 3),

@@ -28,13 +28,14 @@ def _usage_error(message: str):
 
 def _checked(what: str, fn, *args):
     """fn(*args), where fn parses or validates input: malformed input (bad
-    JSON, a missing key, a value the validation rejects) is a usage error,
-    not a traceback.  Failed verifications are return codes, never caught."""
+    JSON, JSON nested deeper than the parser recurses, a missing key, a
+    value the validation rejects) is a usage error, not a traceback.
+    Failed verifications are return codes, never caught."""
     try:
         return fn(*args)
     except KeyError as exc:
         _usage_error(f"bad {what}: missing key {exc}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         _usage_error(f"bad {what}: {exc}")
 
 

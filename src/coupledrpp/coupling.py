@@ -142,8 +142,9 @@ class _PairFields(NamedTuple):
 
 class PairRPP(_PairFields):
     """A (blue, red) pair of fillings of one shape.  Like a filling, it
-    keeps what is derived from it (its coupled lozenge pairs) in the
-    instance dict; equality, hash and repr read only the three fields."""
+    keeps what is derived from it (its configuration weight, g and coupled
+    lozenge pairs) in the instance dict; equality, hash and repr read only
+    the three fields."""
 
     derived = RPP.derived
 
@@ -196,9 +197,14 @@ def pair_config_weight(pair: PairRPP) -> Monomial:
     and, in a gray row, red's top exits plus the sites where blue has no
     right exit and red is EMPTY.  Both fillings keep their share
     (`filling_weight`), so a pair costs one AND and one popcount per row.
+    Computed once per pair.
     """
     if pair.blue.shape != pair.red.shape:
         raise ValueError("pair members must share a shape")
+    return pair.derived("weight", _pair_weight_of)
+
+
+def _pair_weight_of(pair: PairRPP) -> Monomial:
     blue = vertex_model.filling_weight(pair.blue)
     red = vertex_model.filling_weight(pair.red)
     met = sum(map(int.bit_count, map(and_, blue.as_blue, red.as_red)))
@@ -361,7 +367,12 @@ def _coupled_pairs(pair: PairRPP) -> tuple[tuple[int, int, int], ...]:
 
 def g_via_lozenges(pair: PairRPP) -> int:
     """Independent count of the same statistic, straight from the tilings:
-    per row, one AND and one popcount of the two fillings' kept roles."""
+    per row, one AND and one popcount of the two fillings' kept roles.
+    Computed once per pair."""
+    return pair.derived("g", _g_of)
+
+
+def _g_of(pair: PairRPP) -> int:
     return sum(map(int.bit_count, _row_hits(pair)))
 
 

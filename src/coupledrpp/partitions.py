@@ -205,16 +205,17 @@ def border_strips(lam) -> list[BorderStrip]:
 
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n, largest part first within each partition."""
+    return _partitions_within(n, n)
 
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
 
-    yield from gen(n, n)
+def _partitions_within(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n with parts at most cap, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in _partitions_within(n - first, first):
+            yield (first,) + rest
 
 
 def all_partitions(max_size: int) -> Iterator[tuple[int, ...]]:

@@ -227,22 +227,23 @@ def next_slices(prev, rel: str, max_len: int, budget: int) -> Iterator[tuple[int
     bounds = (budget, *prev, *(0,) * (stop + 1 - len(prev)))
     if bounds[stop + 1] > 0:
         return iter(())
+    return _fill(bounds, stop, shift, budget)
 
-    def fill(j, left):
-        """The parts of nu from the one at j on, at most `left` in sum."""
-        if j == stop:  # reached only when max_len == 0
+
+def _fill(bounds, stop: int, j: int, left: int) -> Iterator[tuple[int, ...]]:
+    """The parts of a `next_slices` slice from the one at j on, at most
+    `left` in sum."""
+    if j == stop:  # reached only when max_len == 0
+        yield ()
+        return
+    for v in range(min(bounds[j], left), bounds[j + 1] - 1, -1):
+        if v == 0:
             yield ()
-            return
-        for v in range(min(bounds[j], left), bounds[j + 1] - 1, -1):
-            if v == 0:
-                yield ()
-            elif j + 1 == stop:  # the parts after it are 0
-                yield (v,)
-            else:
-                for rest in fill(j + 1, left - v):
-                    yield (v,) + rest
-
-    return fill(shift, budget)
+        elif j + 1 == stop:  # the parts after it are 0
+            yield (v,)
+        else:
+            for rest in _fill(bounds, stop, j + 1, left - v):
+                yield (v,) + rest
 
 
 def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
@@ -253,36 +254,36 @@ def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
         return iter(())
     if not lam:
         return iter((RPP((), ()),))
-    geometry = shape_geometry(lam)
-    pattern, cells = geometry.pattern, geometry.cells
-    n = len(pattern) - 1
-
     found = []
-
-    def extend(k, prev, chain, used):
-        if k == n + 1:
-            if pattern[n] == PRECEQ and prev != ():
-                return
-            rows = [[0] * p for p in lam]
-            for slice_cells, sl in zip(cells, chain):
-                for (r, c), v in zip(slice_cells, sl):
-                    rows[r][c] = v
-            rpp = RPP(lam, tuple(map(tuple, rows)))
-            rpp.__dict__["chain"] = SliceSequence(pattern, ((), *chain, ()))
-            rpp.__dict__["volume"] = used
-            found.append(rpp)
-            return
-        for nu in next_slices(prev, pattern[k - 1], len(cells[k - 1]),
-                              max_volume - used):
-            chain.append(nu)
-            extend(k + 1, nu, chain, used + sum(nu))
-            chain.pop()
-
-    extend(1, (), [], 0)
+    _extend(found, lam, shape_geometry(lam), max_volume, 1, (), [], 0)
     # every filling has the shape's row lengths, so ordering by rows is
     # ordering by the reading word
     found.sort(key=attrgetter("rows"))
     return iter(found)
+
+
+def _extend(found: list, lam, geometry: ShapeGeometry, max_volume: int,
+            k: int, prev, chain: list, used: int) -> None:
+    """Append to found every filling of lam whose slices before k are
+    chain, of volume `used`, and whose volume is at most max_volume."""
+    pattern, cells = geometry.pattern, geometry.cells
+    if k == len(pattern):
+        if pattern[-1] == PRECEQ and prev != ():
+            return
+        rows = [[0] * p for p in lam]
+        for slice_cells, sl in zip(cells, chain):
+            for (r, c), v in zip(slice_cells, sl):
+                rows[r][c] = v
+        rpp = RPP(lam, tuple(map(tuple, rows)))
+        rpp.__dict__["chain"] = SliceSequence(pattern, ((), *chain, ()))
+        rpp.__dict__["volume"] = used
+        found.append(rpp)
+        return
+    for nu in next_slices(prev, pattern[k - 1], len(cells[k - 1]),
+                          max_volume - used):
+        chain.append(nu)
+        _extend(found, lam, geometry, max_volume, k + 1, nu, chain, used + sum(nu))
+        chain.pop()
 
 
 def enumerate_pairs(lam, max_total_volume: int) -> Iterator[tuple[RPP, RPP]]:

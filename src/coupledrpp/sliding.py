@@ -103,11 +103,14 @@ def unslide(rpp: RPP) -> PairRPP:
                      rpp_core.from_diagonals(rpp.shape, [sl[0::2] for sl in slices]))
 
 
-def verify_t0_counting(lam, max_volume: int) -> dict:
+def verify_t0_counting(lam, max_volume: int, fillings=None) -> dict:
     """Per-volume counts of g = 0 pairs vs single RPPs, cross-checked against
-    the t -> 0 slice of the paired hook product."""
+    the t -> 0 slice of the paired hook product.  `fillings`, when given,
+    are the shape's fillings of volume <= max_volume in the order of
+    `enumerate_rpps`; otherwise they are enumerated here."""
     lam = normalize(lam)
-    fillings = list(rpp_core.enumerate_rpps(lam, max_volume))
+    if fillings is None:
+        fillings = list(rpp_core.enumerate_rpps(lam, max_volume))
     pair_counts = [0] * (max_volume + 1)
     for blue, red in rpp_core.pairs_within(fillings, max_volume):
         if check_t0_constraints(make_pair(blue, red)):

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from coupledrpp import checks, cli, partitions, rpp_core, sliding
+from coupledrpp import checks, cli, coupling, partitions, rpp_core, sliding
 from coupledrpp.coupling import make_pair
 
 CRITERIA = {
@@ -52,13 +52,34 @@ def test_verify_all_reports_the_pinned_details():
     assert {r["criterion"]: r["details"] for r in report["results"]} == PINNED_DETAILS
 
 
+def _tag_criteria(monkeypatch):
+    """Wrap every criterion of `run_all` so that running[0] holds the
+    number of the one that runs, and None between them."""
+    running = [None]
+
+    def tagged(number, fn):
+        def run():
+            running[0] = number
+            try:
+                return fn()
+            finally:
+                running[0] = None
+        return run
+
+    monkeypatch.setattr(checks, "ALL_CHECKS",
+                        [(number, tagged(number, fn)) for number, fn in checks.ALL_CHECKS])
+    return running
+
+
 def _count_enumerations(monkeypatch):
-    """Record the (shape, bound) of every `enumerate_rpps` call."""
+    """Record the (criterion, shape, bound) of every `enumerate_rpps` call;
+    the criterion is None outside `run_all`."""
     calls = []
+    running = _tag_criteria(monkeypatch)
     enumerate_rpps = rpp_core.enumerate_rpps
 
     def counted(lam, max_volume):
-        calls.append((tuple(lam), max_volume))
+        calls.append((running[0], tuple(lam), max_volume))
         return enumerate_rpps(lam, max_volume)
 
     monkeypatch.setattr(rpp_core, "enumerate_rpps", counted)
@@ -71,19 +92,56 @@ def test_run_all_enumerates_each_pair_shape_once_per_run(monkeypatch):
     first = list(calls)
     checks.run_all()
     assert calls[len(first):] == first  # nothing kept from the first run
-    pooled = Counter(lam for lam, bound in first if bound == checks.PAIR_MAX_VOLUME)
-    pair_shapes = {lam for lam in partitions.all_partitions(4) if lam}
-    assert pooled == Counter(pair_shapes | set(checks.SLIDE_SHAPES))
+    # criteria 4, 6 and 7 enumerate each shape once, at the largest bound
+    # they ask of it: criterion 4's singles at 8 serve the pair shapes at
+    # 6 and (2, 2) at 8, and criterion 7 adds its largest shape at 6
+    pooled = Counter((lam, bound) for number, lam, bound in first if number in "467")
+    assert pooled == Counter([*((lam, checks.SINGLE_MAX_VOLUME)
+                                for lam in partitions.all_partitions(5)),
+                              ((4, 4, 3, 3, 1), checks.PAIR_MAX_VOLUME)])
 
     # a criterion called on its own enumerates its own fillings each time
+    pair_shapes = [lam for lam in partitions.all_partitions(4) if lam]
     del calls[:]
     checks.check_g_oracles()
     checks.check_g_oracles()
-    assert len(calls) == 2 * len(pair_shapes)
+    assert [lam for _, lam, _ in calls] == 2 * pair_shapes
     del calls[:]
     checks.check_sliding()
-    pooled = Counter(lam for lam, bound in calls if bound == checks.PAIR_MAX_VOLUME)
-    assert pooled == Counter(checks.SLIDE_SHAPES)
+    assert Counter((lam, bound) for _, lam, bound in calls) == Counter(
+        [*((lam, checks.PAIR_MAX_VOLUME) for lam in checks.SLIDE_SHAPES), ((2, 2), 8)])
+
+
+def test_criterion_6_reads_the_pairs_of_criterion_4(monkeypatch):
+    # within a run, criterion 6 makes no pair and computes neither g route:
+    # it compares the two values criterion 4 kept on each pooled pair
+    running = _tag_criteria(monkeypatch)
+    built = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def count(*args):
+            built[running[0], name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, count)
+
+    counted(checks, "make_pair")
+    counted(coupling, "make_pair")
+    counted(coupling, "_pair_weight_of")
+    counted(coupling, "_g_of")
+    report = checks.run_all()
+    assert report["status"] == "pass"
+    assert {name for number, name in built if number == "6"} == set()
+    pairs = PINNED_DETAILS["4"]["pairs"]
+    assert built["4", "_pair_weight_of"] == built["4", "_g_of"] == pairs
+    assert built["4", "make_pair"] == pairs
+
+    # called on its own, it builds its pairs and both routes for each
+    built.clear()
+    checks.check_g_oracles()
+    assert built == Counter({(None, "make_pair"): pairs, (None, "_pair_weight_of"): pairs,
+                             (None, "_g_of"): pairs})
 
 
 def test_run_all_leaves_no_pool(monkeypatch, capsys):
@@ -91,7 +149,8 @@ def test_run_all_leaves_no_pool(monkeypatch, capsys):
     assert checks._pool is None
 
     def boom():
-        assert checks._pool, "criterion 4 filled the pool"
+        assert checks._pool.fillings, "criterion 4 filled the filling pool"
+        assert sum(map(len, checks._pool.pairs.values())) == PINNED_DETAILS["4"]["pairs"]
         raise RuntimeError("boom")
 
     number, criterion_4 = checks.ALL_CHECKS[3]

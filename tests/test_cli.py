@@ -1,9 +1,13 @@
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import traceback
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -635,3 +639,150 @@ def test_genfun_bytes_in_a_new_process(capsys):
     process = cli_process(*GENFUN_21_N6_PAIRED_JSON, module="coupledrpp")
     assert code == process.returncode == 0, process.stderr
     assert process.stdout == out == PAIRED_21_N6_JSON
+
+
+# The seeded contract test: random small argv over all six commands, with
+# valid, mangled and malformed JSON (including JSON nested past the
+# parser's recursion limit), each checked for an exit code of 0, 1 or 2
+# and no traceback.
+FUZZ_SEED, FUZZ_CASES = 20240601, 300
+FUZZ_SHAPES = [[], [1], [2], [1, 1], [2, 1], [3, 1], [2, 2], [3, 2, 1], [2, 1, 1]]
+FUZZ_BAD_SHAPES = ["[1,2]", "[-1]", "[1.5]", '"x"', "{}", "[[1]]", "null", "[true]",
+                   "", "[", "[0]", "[2,0,1]", "1", "[" * 3000 + "]" * 3000]
+FUZZ_BAD_VALUES = [-1, 1.5, "a", None, [], True, 1000, {}]
+
+
+class _Fuzz:
+    """Draws the pieces of one command line from a seeded generator."""
+
+    def __init__(self, seed, tmp_path):
+        self.rng = random.Random(seed)
+        self.tmp_path = tmp_path
+        self.files = 0
+
+    def shape(self) -> str:
+        if self.rng.random() < 0.75:
+            return json.dumps(self.rng.choice(FUZZ_SHAPES))
+        return self.rng.choice(FUZZ_BAD_SHAPES)
+
+    def rows(self, lam):
+        """Random entries 0..3, increasing along rows and up columns."""
+        rows = []
+        for p in lam:
+            row = sorted(self.rng.randint(0, 3) for _ in range(p))
+            rows.append([max(a, b) for a, b in zip(row, rows[-1])] if rows else row)
+        return rows
+
+    def mangled(self, data) -> str:
+        """The object as JSON, or one random edit of it."""
+        rng = self.rng
+        edit = rng.randrange(10)
+        if edit == 0:
+            text = json.dumps(data)
+            return text[:rng.randrange(len(text) + 1)]
+        if edit == 1:
+            return '{"shape": ' + "[" * 3000 + "]" * 3000 + "}"
+        if edit in (2, 3):
+            data = dict(data)
+            key = rng.choice(sorted(data))
+            if edit == 2:
+                del data[key]
+            else:
+                data[key] = rng.choice(FUZZ_BAD_VALUES)
+        elif edit == 4:
+            data = rng.choice(FUZZ_BAD_VALUES)
+        return json.dumps(data)
+
+    def filling(self) -> str:
+        lam = self.rng.choice(FUZZ_SHAPES)
+        return self.mangled({"shape": lam, "rows": self.rows(lam)})
+
+    def pair(self) -> str:
+        lam = self.rng.choice(FUZZ_SHAPES)
+        red = self.rows(lam) if self.rng.random() < 0.7 else [[0] * p for p in lam]
+        return self.mangled({"shape": lam, "blue": {"shape": lam, "rows": self.rows(lam)},
+                             "red": {"shape": lam, "rows": red}})
+
+    def input(self, text: str) -> tuple[str, str]:
+        """An --input value and the stdin: a file, stdin or a missing file."""
+        self.files += 1
+        path = self.tmp_path / f"in{self.files}.json"
+        path.write_text(text)
+        choice = self.rng.choice([str(path), str(path), "-", str(self.tmp_path / "missing")])
+        return choice, text
+
+    def volume(self) -> str:
+        return self.rng.choice(["-1", "0", "1", "2", "3", "4", "4", "x", "1.5"])
+
+    def samples(self, arity: int) -> str:
+        rng = self.rng
+        points = [[rng.choice(["1/2", "2/3", "0", "1", "-3/4", "1/0", "x", 2, 0.5])
+                   for _ in range(arity + rng.choice([0, 0, 0, 1, -1]))]
+                  for _ in range(rng.choice([0, 1, 1, 2]))]
+        return json.dumps(points) if rng.random() < 0.9 else rng.choice(['"x"', "[", "[[]]"])
+
+    def case(self) -> tuple[list[str], str]:
+        rng = self.rng
+        command = rng.choice(["hook", "genfun", "ybe", "slide", "render", "verify-all"])
+        argv, stdin = [command], ""
+        if command == "hook":
+            argv += ["--shape", self.shape()]
+        elif command == "genfun":
+            argv += ["--shape", self.shape(), "--max-volume", self.volume()]
+            argv += [flag for flag in ("--paired", "--force") if rng.random() < 0.5]
+        elif command == "ybe":
+            mode = rng.choice(["one-color", "two-color"])
+            argv += ["--mode", mode]
+            if rng.random() < 0.6:
+                argv += ["--samples", self.samples(2 if mode == "one-color" else 3)]
+            if rng.random() < 0.5:
+                argv.append("--smoke")
+        elif command == "slide" and rng.random() < 0.3:
+            argv += ["--roundtrip", "--shape", self.shape(), "--max-volume", self.volume()]
+        elif command == "slide":
+            direction = rng.choice(["slide", "unslide"])
+            path, stdin = self.input(self.pair() if direction == "slide" else self.filling())
+            argv += ["--direction", direction, "--input", path]
+        elif command == "render":
+            what = rng.choice(["maya", "rpp", "pair", "config", "hook"])
+            argv += ["--object", what]
+            if what == "pair" or (what in ("rpp", "config") and rng.random() < 0.6):
+                path, stdin = self.input(self.pair() if what == "pair" else self.filling())
+                argv += ["--input", path]
+            elif rng.random() < 0.9:
+                argv += ["--shape", self.shape()]
+            if what == "maya" and rng.random() < 0.5:
+                argv += ["--half-width", rng.choice(["-1", "0", "1", "3", "x"])]
+            if rng.random() < 0.5:
+                argv += ["--format", rng.choice(["ascii", "svg"])]
+            if rng.random() < 0.1:
+                argv += ["--out", rng.choice([str(self.tmp_path / "out.txt"), str(self.tmp_path)])]
+        else:  # a full run at most about once in 120 cases
+            if rng.random() < 0.95:
+                argv += ["--budget-seconds", rng.choice(["0", "-1", "nan", "x", "-inf", "0.0"])]
+        if command != "render" and rng.random() < 0.5:
+            argv += ["--format", rng.choice(["text", "json", "svg"])]
+        if rng.random() < 0.05:
+            argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(["--bogus", "--shape"]))
+        return argv, stdin
+
+
+def test_seeded_cli_cases_keep_the_exit_contract(capsys, monkeypatch, tmp_path):
+    fuzz = _Fuzz(FUZZ_SEED, tmp_path)
+    codes = Counter()
+    breaches = []
+    for _ in range(FUZZ_CASES):
+        argv, stdin = fuzz.case()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = traceback.format_exc()
+        err = capsys.readouterr().err
+        codes[code if code in (0, 1, 2) else "breach"] += 1
+        if code not in (0, 1, 2) or "Traceback" in err:
+            breaches.append((argv, code, err[-500:]))
+    assert breaches == []
+    assert min(codes[0], codes[1], codes[2]) > 0  # every outcome is reached

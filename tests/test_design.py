@@ -1,13 +1,14 @@
 """Design rules of the package that no behaviour test sees."""
 
 import ast
+import gc
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from coupledrpp import coupling, partitions, rpp_core, vertex_model
+from coupledrpp import checks, coupling, partitions, rpp_core, vertex_model
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coupledrpp"
 
@@ -130,3 +131,25 @@ def test_the_two_g_routes_read_apart(monkeypatch):
         with pytest.raises(AssertionError, match="other g route"):
             coupling.g_via_lozenges(_fresh_pairs()[-1])
         assert [coupling.g_via_vertex(pair) for pair in _fresh_pairs()] == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: list(rpp_core.enumerate_rpps((3, 2, 1), 6)),
+    lambda: list(rpp_core.next_slices((3, 1), rpp_core.PRECEQ, 3, 6)),
+    lambda: list(partitions.partitions_of(6)),
+    lambda: coupling.pair_genfun_transfer((3, 2, 1), 8),
+    checks.run_all,
+], ids=["enumerate_rpps", "next_slices", "partitions_of", "pair_genfun_transfer",
+        "run_all"])
+def test_no_call_leaves_cyclic_garbage(call):
+    # what a call builds is freed by reference counting, so the cyclic
+    # collector finds nothing to free after it
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
