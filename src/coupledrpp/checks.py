@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import coupling, partitions, rpp_core, sliding, vertex_model
 from .coupling import make_pair
@@ -73,14 +73,15 @@ def _fillings(lam, bound: int) -> list[rpp_core.RPP]:
     return kept[1] if kept[0] == bound else [rpp for rpp in kept[1] if rpp.volume <= bound]
 
 
-def _pairs(lam) -> list[coupling.PairRPP]:
+def _pairs(lam) -> Iterable[coupling.PairRPP]:
     """The pairs of lam's fillings with total volume <= PAIR_MAX_VOLUME,
-    blue-major, built once per pool; each keeps its weight and g once
-    computed."""
-    if lam not in _pool.pairs:
-        _pool.pairs[lam] = [make_pair(blue, red) for blue, red in rpp_core.pairs_within(
-            _fillings(lam, PAIR_MAX_VOLUME), PAIR_MAX_VOLUME)]
-    return _pool.pairs[lam]
+    blue-major: the pool's list once criterion 4 has kept one, each pair
+    with its weight and g, and otherwise made one at a time."""
+    kept = _pool.pairs.get(lam)
+    if kept is not None:
+        return kept
+    return (make_pair(blue, red) for blue, red in rpp_core.pairs_within(
+        _fillings(lam, PAIR_MAX_VOLUME), PAIR_MAX_VOLUME))
 
 
 def check_single_genfun(trunc=10) -> dict:
@@ -138,7 +139,9 @@ def check_weight_bijections() -> dict:
     for lam in _pair_shapes():
         A2 = vertex_model.A_lambda(lam) ** 2
         triv = coupling.trivial_t_exponent(lam)
-        for pair in _pairs(lam):
+        # kept for criteria 6 and 7
+        pairs = _pool.pairs[lam] = list(_pairs(lam))
+        for pair in pairs:
             pair_tested += 1
             w = coupling.pair_config_weight(pair) * A2
             want = Monomial(pair.blue.volume + pair.red.volume,
