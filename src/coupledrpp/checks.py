@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import coupling, partitions, rpp_core, sliding, vertex_model
 from .coupling import make_pair
@@ -33,12 +33,13 @@ SINGLE_MAX_SIZE, SINGLE_MAX_VOLUME = 5, 8
 PAIR_MAX_SIZE, PAIR_MAX_VOLUME = 4, 6
 
 
-class _Pool(NamedTuple):
+class _Pool:
     """What criteria 4, 6 and 7 share: within one `run_all`, or within
     one of them called on its own."""
 
-    fillings: dict  # shape -> (bound, its fillings of volume <= bound)
-    pairs: dict     # shape -> its `_pairs`
+    def __init__(self):
+        self.fillings = {}  # shape -> (bound, its fillings of volume <= bound)
+        self.pairs = {}     # shape -> its pairs, kept by criterion 4
 
 
 # The open pool; None outside `run_all` and the criteria that share it.
@@ -52,7 +53,7 @@ def _pooled():
     if _pool is not None:
         yield
         return
-    _pool = _Pool({}, {})
+    _pool = _Pool()
     try:
         yield
     finally:
