@@ -4,20 +4,14 @@ verification, the weight-preserving bijections, and the zero-interaction
 sliding bijection."""
 
 from .partitions import (
-    BorderStrip,
     Cell,
-    border_strips,
     conjugate,
-    hook,
     hook_table,
-    interlaces,
     maya,
     maya_mask,
-    partition_from_mask,
 )
 from .qt_series import (
     QTSeries,
-    geometric_inverse,
     hook_product_pair,
     hook_product_single,
 )
@@ -25,7 +19,6 @@ from .rpp_core import (
     RPP,
     SliceSequence,
     enumerate_rpps,
-    from_slices,
     interaction_pattern,
     to_slices,
     validate,
@@ -37,10 +30,8 @@ from .vertex_model import (
     config_weight_q,
     cross_weight,
     gray_weight,
-    row_weight_closed,
     row_weight_explicit,
     rpp_to_config,
-    verify_commutation,
     verify_ybe,
     white_weight,
 )

@@ -19,6 +19,8 @@ from .qt_series import QTSeries, hook_count, hook_product_pair, hook_product_sin
 BUDGET_STATES = 10 ** 7
 # sites of one drawn tiling, configuration or Maya diagram; cells of a shape
 SITE_BOUND = 2 ** 18
+# characters of an argument, or of why it was refused, that a usage error echoes
+ECHO_CHARS = 100
 
 
 def _usage_error(message: str):
@@ -26,17 +28,24 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
+def _clip(text: str) -> str:
+    """The text, or its first ECHO_CHARS characters and `...` if longer."""
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
 def _checked(what: str, fn, *args):
     """fn(*args), where fn parses or validates input: malformed input (bad
     JSON, JSON nested deeper than the parser recurses, a missing key, a
-    value the validation rejects) is a usage error, not a traceback.
-    Failed verifications are return codes, never caught."""
+    value the validation rejects) is a usage error, not a traceback.  The
+    message echoes what was read and why it failed, each `_clip`ped, so a
+    long argument gives a short message.  Failed verifications are return
+    codes, never caught."""
     try:
         return fn(*args)
     except KeyError as exc:
-        _usage_error(f"bad {what}: missing key {exc}")
+        _usage_error(f"bad {_clip(what)}: missing key {_clip(str(exc))}")
     except (TypeError, ValueError, RecursionError) as exc:
-        _usage_error(f"bad {what}: {exc}")
+        _usage_error(f"bad {_clip(what)}: {_clip(str(exc))}")
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:

@@ -234,29 +234,14 @@ def g_via_vertex(pair: PairRPP) -> int:
 GREEN, ORCHID, SIENNA = "green", "orchid", "sienna"
 
 
-def classify(bottom: int, top: int, site: int) -> str:
-    """Lozenge type met at a top-interface site, from a row's bottom and
-    top interface masks: a green top face, the right edge of a descending
-    face (orchid), or of an ascending one (sienna).  The last two differ in
-    the number of paths passing the site, bottom sites at or below it less
-    top sites at or below it: one for orchid, none for sienna."""
-    if top >> site & 1:
-        return GREEN
-    upto = (2 << site) - 1
-    below = (bottom & upto).bit_count() - (top & upto).bit_count()
-    if below == 1:
-        return ORCHID
-    if below != 0:
-        raise ValueError(f"site {site}: malformed interface data "
-                         f"(bottom {bottom:b}, top {top:b})")
-    return SIENNA
-
-
 def _lozenge_masks(bottom: int, top: int) -> tuple[int, int, int]:
     """Site bitmasks (green, orchid, sienna) of one row of one tiling, from
-    its bottom and top interface masks: `classify` at every site, counting
-    the paths that pass a site in one walk up the sites.  Only sites up to
-    the highest path are read: above it a row is all sienna (white) or all
+    its bottom and top interface masks.  A top site is a green top face;
+    any other site is the right edge of a descending face (orchid) when one
+    path passes it, or of an ascending one (sienna) when none does.  The
+    paths passing a site, bottom sites at or below it less top sites at or
+    below it, are counted in one walk up the sites.  Only sites up to the
+    highest path are read: above it a row is all sienna (white) or all
     orchid (gray), and neither meets a coupled pattern there."""
     orchid = sienna = below = 0
     for site in range(max(bottom.bit_length(), top.bit_length())):

@@ -1,4 +1,4 @@
-"""Integer partitions, Young-diagram geometry, Maya diagrams, border strips.
+"""Integer partitions, hook lengths and Maya diagrams.
 
 Conventions used throughout the package:
 
@@ -51,17 +51,6 @@ def part(lam, i: int) -> int:
     return lam[i - 1] if 1 <= i <= len(lam) else 0
 
 
-def cells(lam) -> Iterator[Cell]:
-    for r, row_len in enumerate(lam, start=1):
-        for c in range(1, row_len + 1):
-            yield Cell(r, c)
-
-
-def contains(lam, cell: Cell) -> bool:
-    r, c = cell
-    return r >= 1 and c >= 1 and c <= part(lam, r)
-
-
 def conjugate(lam) -> tuple[int, ...]:
     """Column lengths of the Young diagram."""
     lam = normalize(lam)
@@ -70,35 +59,9 @@ def conjugate(lam) -> tuple[int, ...]:
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def interlaces(mu, lam) -> bool:
-    """mu interlaces lam: lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... (zero-extended)."""
-    mu, lam = normalize(mu), normalize(lam)
-    n = max(len(mu), len(lam))
-    for i in range(1, n + 1):
-        if not (part(lam, i) >= part(mu, i) >= part(lam, i + 1)):
-            return False
-    return True
-
-
-def arm(lam, cell: Cell) -> int:
-    if not contains(lam, cell):
-        raise ValueError(f"cell {cell} outside shape {lam}")
-    return part(lam, cell.row) - cell.col
-
-
-def leg(lam, cell: Cell) -> int:
-    if not contains(lam, cell):
-        raise ValueError(f"cell {cell} outside shape {lam}")
-    return part(conjugate(lam), cell.col) - cell.row
-
-
-def hook(lam, cell: Cell) -> int:
-    """Hook length arm + leg + 1 of a cell of the diagram."""
-    return arm(lam, cell) + leg(lam, cell) + 1
-
-
 def hook_lengths(lam) -> list[int]:
-    """Multiset of hook lengths, in reading order of cells()."""
+    """The hook lengths of `hook_table`, rows bottom-up, each row left to
+    right."""
     return [h for row in hook_table(lam) for h in row]
 
 
@@ -128,20 +91,6 @@ def maya_mask(lam, zeta: int) -> int:
     return mask
 
 
-def partition_from_mask(mask: int, zeta: int) -> tuple[int, ...]:
-    """Inverse of `maya_mask`: the i-th set bit from the top, at position
-    p, is the part p - zeta + i, up to the first part that is not positive."""
-    parts = []
-    while mask:
-        p = mask.bit_length() - 1
-        v = p - zeta + len(parts) + 1
-        if v <= 0:
-            break
-        parts.append(v)
-        mask ^= 1 << p
-    return tuple(parts)
-
-
 def maya(lam, half_width: int) -> int:
     """The `maya_mask` of lam centred at half_width: bit t + half_width is
     site t, for sites -half_width .. half_width - 1."""
@@ -156,47 +105,6 @@ def maya(lam, half_width: int) -> int:
     if right != left:
         raise AssertionError(f"center is not the balance point of {lam}")
     return mask
-
-
-# ---------------------------------------------------------------------------
-# Border strips
-
-
-class BorderStrip(NamedTuple):
-    """Edge-connected skew strip without a 2x2 block; index 1 is outermost."""
-
-    index: int
-    cells: tuple[Cell, ...]  # ordered from top-left end to bottom-right end
-
-
-def rim(lam) -> list[Cell]:
-    """Cells (r, c) of lam with (r+1, c+1) outside lam, by diagonal c - r."""
-    lam = normalize(lam)
-    out = []
-    for r, row_len in enumerate(lam, start=1):
-        for c in range(max(1, part(lam, r + 1)), row_len + 1):
-            out.append(Cell(r, c))
-    out.sort(key=lambda cell: cell.col - cell.row)
-    return out
-
-
-def remove_rim(lam) -> tuple[int, ...]:
-    return normalize([p - 1 for p in lam[1:] if p - 1 > 0])
-
-
-def border_strips(lam) -> list[BorderStrip]:
-    """Peel rims outermost-first; removing a rim leaves the diagram of
-    (lam_2 - 1, lam_3 - 1, ...) in place, so strip i of lam is the i-th cell
-    from the top of every diagonal it meets."""
-    lam = normalize(lam)
-    strips = []
-    shape = lam
-    index = 1
-    while shape:
-        strips.append(BorderStrip(index, tuple(rim(shape))))
-        shape = remove_rim(shape)
-        index += 1
-    return strips
 
 
 # ---------------------------------------------------------------------------

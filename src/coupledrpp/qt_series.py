@@ -6,8 +6,6 @@ kept sparse.  All coefficients are exact nonnegative Python ints.
 
 from __future__ import annotations
 
-import json
-
 from . import partitions
 
 
@@ -32,13 +30,6 @@ class QTSeries:
         self.trunc_q = trunc_q
         self.coeffs = clean
 
-    @classmethod
-    def one(cls, trunc_q: int) -> "QTSeries":
-        return cls(trunc_q, {(0, 0): 1})
-
-    def coefficient(self, n: int, k: int) -> int:
-        return self.coeffs.get((n, k), 0)
-
     def add_term(self, n: int, k: int, c: int = 1) -> None:
         """In-place accumulation; used while summing over enumerations."""
         if n > self.trunc_q:
@@ -49,27 +40,10 @@ class QTSeries:
         else:
             self.coeffs.pop((n, k), None)
 
-    def __mul__(self, other: "QTSeries") -> "QTSeries":
-        if self.trunc_q != other.trunc_q:
-            raise ValueError(
-                f"mismatched truncation: {self.trunc_q} vs {other.trunc_q}")
-        out = {}
-        for (n1, k1), c1 in self.coeffs.items():
-            for (n2, k2), c2 in other.coeffs.items():
-                n = n1 + n2
-                if n > self.trunc_q:
-                    continue
-                key = (n, k1 + k2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return QTSeries(self.trunc_q, out)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, QTSeries)
                 and self.trunc_q == other.trunc_q
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.trunc_q, tuple(sorted(self.coeffs.items()))))
 
     def t_zero_slice(self) -> "QTSeries":
         """Keep only t-degree-0 terms (the t -> 0 limit of the series)."""
@@ -86,16 +60,6 @@ class QTSeries:
     def terms(self) -> list[tuple[int, int, int]]:
         return sorted((n, k, c) for (n, k), c in self.coeffs.items())
 
-    def to_json(self) -> str:
-        return json.dumps({"trunc_q": self.trunc_q,
-                           "coeffs": [list(t) for t in self.terms()]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "QTSeries":
-        data = json.loads(text)
-        return cls(data["trunc_q"],
-                   {(n, k): c for n, k, c in data["coeffs"]})
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -109,20 +73,6 @@ class QTSeries:
             return "*".join(pieces) or "1"
 
         return " + ".join(fmt(*t) for t in self.terms())
-
-
-def geometric_inverse(a: int, b: int, trunc_q: int) -> QTSeries:
-    """Expansion of 1/(1 - q^a t^b): sum of q^(a m) t^(b m), truncated."""
-    if a < 1:
-        raise ValueError("q-exponent a must be >= 1")
-    if b < 0:
-        raise ValueError("t-exponent b must be >= 0")
-    coeffs = {}
-    m = 0
-    while a * m <= trunc_q:
-        coeffs[(a * m, b * m)] = 1
-        m += 1
-    return QTSeries(trunc_q, coeffs)
 
 
 def hook_product_single(lam, trunc_q: int) -> QTSeries:

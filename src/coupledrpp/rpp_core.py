@@ -35,9 +35,6 @@ class RPP(_RPPFields):
     dict.  Equality, hash and repr read only the two fields, so a kept
     datum never changes them."""
 
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[r - 1][c - 1]
-
     @cached_property
     def chain(self) -> "SliceSequence":
         """The slice chain; `enumerate_rpps` hands over the one it built."""
@@ -55,9 +52,6 @@ class RPP(_RPPFields):
         """The sum of the entries; `enumerate_rpps` and `from_diagonals`
         hand over the one they know."""
         return sum(map(sum, self.rows))
-
-    def reading_word(self) -> tuple[int, ...]:
-        return tuple(v for row in self.rows for v in row)
 
 
 def validate(shape, rows) -> RPP:
@@ -179,32 +173,6 @@ def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
     rpp.__dict__["chain"] = SliceSequence(geometry.pattern, chain)
     rpp.__dict__["volume"] = sum(map(sum, slices))
     return rpp
-
-
-def shape_from_pattern(pattern) -> tuple[int, ...]:
-    """Rebuild the shape whose Maya hole/particle pattern is given."""
-    pattern = tuple(pattern)
-    mask = sum(1 << b for b, rel in enumerate(pattern) if rel == SUCCEQ)
-    lam = partitions.partition_from_mask(mask, mask.bit_count())
-    if interaction_pattern(lam) != pattern:
-        raise ValueError(f"pattern {pattern} does not match any shape")
-    return lam
-
-
-def from_slices(ss: SliceSequence) -> RPP:
-    """Inverse of to_slices; raises if the chain does not encode an RPP."""
-    shape = shape_from_pattern(ss.pattern)
-    n = len(ss.pattern) - 1
-    if len(ss.slices) != n + 2:
-        raise ValueError(f"expected {n + 2} slices, got {len(ss.slices)}")
-    if ss.slices[0] or ss.slices[-1]:
-        raise ValueError("chain must start and end with the empty partition")
-    for k, rel in enumerate(ss.pattern):
-        a, b = ss.slices[k], ss.slices[k + 1]
-        ok = partitions.interlaces(a, b) if rel == PRECEQ else partitions.interlaces(b, a)
-        if not ok:
-            raise ValueError(f"slices {a} {rel} {b} violate interlacing at step {k}")
-    return from_diagonals(shape, [normalize(sl) for sl in ss.slices[1:-1]])
 
 
 # ---------------------------------------------------------------------------

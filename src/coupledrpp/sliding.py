@@ -35,7 +35,7 @@ from __future__ import annotations
 from operator import ge
 
 from . import rpp_core
-from .partitions import Cell, border_strips, normalize
+from .partitions import normalize
 from .coupling import PairRPP, make_pair
 from .qt_series import hook_product_pair, hook_product_single
 from .rpp_core import PRECEQ, RPP, shape_geometry
@@ -57,20 +57,6 @@ def check_t0_constraints(pair: PairRPP) -> bool:
                 and all(map(ge, r_lo, b_hi)) and all(map(ge, b_lo, r_hi[1:]))):
             return False
     return True
-
-
-def forced_zero_region(pair: PairRPP) -> list[tuple[str, Cell]]:
-    """Cells the constraints force to zero: blue strip i inside the first i
-    rows or columns, red strip i inside the first i-1."""
-    out = []
-    for strip in border_strips(pair.shape):
-        i = strip.index
-        for cell in strip.cells:
-            if cell.row <= i or cell.col <= i:
-                out.append(("blue", cell))
-            if cell.row <= i - 1 or cell.col <= i - 1:
-                out.append(("red", cell))
-    return out
 
 
 def slide(pair: PairRPP) -> RPP:

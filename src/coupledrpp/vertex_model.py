@@ -15,8 +15,8 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
-from .partitions import interlaces, maya_mask, normalize, part
-from .rpp_core import PRECEQ, RPP, SUCCEQ, next_slices, shape_geometry
+from .partitions import maya_mask, normalize
+from .rpp_core import PRECEQ, RPP, shape_geometry
 
 
 class VertexState(NamedTuple):
@@ -152,19 +152,6 @@ def row_states(kind: str, bottom: int, top: int,
     return states
 
 
-def row_weight_closed(kind: str, mu, lam, x, ell: int = 0):
-    """Closed-form row weight: white x^(|lam|-|mu|) iff mu <= lam, gray
-    x^(|mu|-|lam|+ell) iff lam <= mu; None when no configuration exists."""
-    mu, lam = normalize(mu), normalize(lam)
-    if kind == WHITE:
-        if not interlaces(mu, lam):
-            return None
-        return x ** (sum(lam) - sum(mu))
-    if not interlaces(lam, mu):
-        return None
-    return x ** (sum(mu) - sum(lam) + ell)
-
-
 def centered_row_states(kind: str, mu, lam, ell: int,
                         window: int) -> list[VertexState] | None:
     """The `row_states` of a row from slice mu up to slice lam, ell columns
@@ -179,7 +166,8 @@ def centered_row_states(kind: str, mu, lam, ell: int,
 
 
 def row_weight_explicit(kind: str, mu, lam, x, ell: int, window: int):
-    """Vertex-by-vertex product over the window; must agree with the closed form."""
+    """Vertex-by-vertex product over the window; None when no configuration
+    exists."""
     states = centered_row_states(kind, mu, lam, ell, window)
     if states is None:
         return None
@@ -452,46 +440,3 @@ def verify_ybe(kind: str, samples=DEFAULT_SAMPLES) -> dict:
     boundary (i1, i2, i3, j1, j2, j3) is the 6-bit code with i1 lowest."""
     boundaries = [tuple(code >> i & 1 for i in range(6)) for code in range(64)]
     return ybe_report(kind, lambda x, y: ybe_tables(kind, x, y), samples, boundaries)
-
-
-# ---------------------------------------------------------------------------
-# Row commutation (the two-row swap identity)
-
-
-def verify_commutation(mu, lam, x, y, window: int) -> dict:
-    """Exact check of: (gray x below, white y above) summed over the middle
-    interface equals (1 - xy) times the swapped stack.
-
-    The unbounded first part of the middle partition on the swapped side is
-    resummed as an exact geometric tail, which is how the |xy| < 1 hypothesis
-    is realized without floating point.  The common factor x^columns-left is
-    dropped from both sides.
-    """
-    mu, lam = normalize(mu), normalize(lam)
-    if window < 1:
-        raise ValueError("window too narrow")
-    cap = max(part(mu, 1), part(lam, 1)) + window
-
-    lhs = 0
-    for nu in next_slices(mu, SUCCEQ, len(mu), sum(mu)):  # nu <= mu
-        if interlaces(nu, lam):
-            lhs += x ** (sum(mu) - sum(nu)) * y ** (sum(lam) - sum(nu))
-
-    partial = 0
-    at_cap = 0
-    # mu <= nu gives nu_i <= mu_(i-1), so nu_1 <= cap bounds |nu| by cap + |mu|
-    for nu in next_slices(mu, PRECEQ, len(mu) + 1, cap + sum(mu)):
-        if part(nu, 1) > cap or not interlaces(lam, nu):
-            continue
-        term = y ** (sum(nu) - sum(mu)) * x ** (sum(nu) - sum(lam))
-        if part(nu, 1) == cap:
-            at_cap += term
-        else:
-            partial += term
-    one = x ** 0
-    if one - x * y == 0:
-        raise ValueError("xy = 1 degenerates the geometric tail")
-    rhs_total = partial + at_cap / (one - x * y)
-    rhs = (one - x * y) * rhs_total
-    return {"mu": list(mu), "lam": list(lam), "x": str(x), "y": str(y),
-            "lhs": str(lhs), "rhs": str(rhs), "passed": lhs == rhs}

@@ -423,6 +423,22 @@ def test_maya_zero_half_width_exits_2(capsys):
                                          "--shape", "[3,1]", "--half-width", "0")
 
 
+def test_long_arguments_give_short_usage_errors(capsys):
+    # the argument echoed and the reason it was refused are each cut to
+    # cli.ECHO_CHARS characters; a short argument's message is whole
+    assert usage_error(capsys, "hook", "--shape", "[1,2]") == \
+        "error: bad shape '[1,2]': parts not weakly decreasing: (1, 2)\n"
+    cut = cli.ECHO_CHARS
+    shape = "[" + "1,2," * 25_000 + "1]"  # 100 KB, and so is the reason
+    reason = f"parts not weakly decreasing: {(1, 2) * 25_000 + (1,)}"
+    assert usage_error(capsys, "hook", "--shape", shape) == \
+        f"error: bad {f'shape {shape!r}'[:cut]}...: {reason[:cut]}...\n"
+    samples = "[" * 5_000 + "]" * 5_000
+    err = usage_error(capsys, "ybe", "--smoke", "--samples", samples)
+    assert err.startswith(f"error: bad {f'samples {samples!r}'[:cut]}...: maximum recursion")
+    assert len(err.encode()) < 1024
+
+
 HUGE = 10 ** 20
 HUGE_RPP = json.dumps({"shape": [1], "rows": [[HUGE]]})
 HUGE_PAIR = json.dumps({"shape": [1], "blue": {"shape": [1], "rows": [[0]]},

@@ -92,6 +92,45 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def unreferenced_public_names(sources) -> list[str]:
+    """Every public top-level function or class, and public method of a
+    top-level class, defined in `sources` whose name no source reads."""
+    trees = [ast.parse(source) for source in sources]
+    defined, read = [], set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defined.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [qualified for qualified, name in defined if name not in read]
+
+
+def test_every_public_name_is_referenced_in_the_package():
+    source = ("class Series:\n"
+              "    def add(self): pass\n"
+              "    def spare(self): pass\n"
+              "    def __hash__(self): pass\n"
+              "def used(): return Series().add()\n"
+              "def unused(): pass\n"
+              "def _private(): pass\n"
+              "unused = used()\n")
+    assert unreferenced_public_names([source]) == ["Series.spare", "unused"]
+    # what only the re-exports of __init__ or the tests reach is dead code
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name not in ("__init__.py", "__main__.py")]
+    assert len(sources) >= 9
+    assert unreferenced_public_names(sources) == []
+
+
 def test_cli_start_up_loads_no_introspection_modules():
     # dataclasses pulls in inspect (and with it ast, dis and tokenize) at
     # import; the records are named tuples so that every command starts
@@ -127,7 +166,6 @@ def test_the_two_g_routes_read_apart(monkeypatch):
         assert [coupling.g_via_lozenges(pair) for pair in _fresh_pairs()] == want
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "_lozenge_masks", _refuse)
-        patch.setattr(coupling, "classify", _refuse)
         with pytest.raises(AssertionError, match="other g route"):
             coupling.g_via_lozenges(_fresh_pairs()[-1])
         assert [coupling.g_via_vertex(pair) for pair in _fresh_pairs()] == want

@@ -3,13 +3,8 @@ import random
 import pytest
 
 from coupledrpp import partitions as P
-from coupledrpp.qt_series import (
-    QTSeries,
-    geometric_inverse,
-    hook_count,
-    hook_product_pair,
-    hook_product_single,
-)
+from coupledrpp.qt_series import QTSeries, hook_count, hook_product_pair, hook_product_single
+from oracles import geometric_inverse, one, product
 
 
 def series(trunc, terms):
@@ -18,15 +13,15 @@ def series(trunc, terms):
 
 def test_mul_examples():
     a = series(2, [(0, 0, 1), (1, 0, 1)])               # 1 + q
-    assert (a * a).terms() == [(0, 0, 1), (1, 0, 2), (2, 0, 1)]
-    assert a * QTSeries.one(2) == a
+    assert product(a, a).terms() == [(0, 0, 1), (1, 0, 2), (2, 0, 1)]
+    assert product(a, one(2)) == a
     qt = series(2, [(0, 0, 1), (1, 1, 1)])              # 1 + q t
-    assert (qt * qt).terms() == [(0, 0, 1), (1, 1, 2), (2, 2, 1)]
+    assert product(qt, qt).terms() == [(0, 0, 1), (1, 1, 2), (2, 2, 1)]
 
 
 def test_mul_truncation_mismatch():
     with pytest.raises(ValueError):
-        QTSeries.one(3) * QTSeries.one(4)
+        product(one(3), one(4))
 
 
 def test_constructor_rejects_bad_terms():
@@ -49,8 +44,8 @@ def test_mul_commutative_associative():
     rng = random.Random(20240811)
     for _ in range(60):
         a, b, c = (random_series(rng, 6) for _ in range(3))
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
+        assert product(a, b) == product(b, a)
+        assert product(product(a, b), c) == product(a, product(b, c))
 
 
 def test_geometric_inverse_examples():
@@ -64,14 +59,15 @@ def test_geometric_inverse_examples():
 def test_hook_product_single_examples():
     assert hook_product_single((1,), 4).terms() == [(n, 0, 1) for n in range(5)]
     # (2,1) has hooks {3,1,1}: expand 1/((1-q)^2 (1-q^3)) by convolution
-    want = geometric_inverse(1, 0, 6) * geometric_inverse(1, 0, 6) * geometric_inverse(3, 0, 6)
+    want = product(product(geometric_inverse(1, 0, 6), geometric_inverse(1, 0, 6)),
+                   geometric_inverse(3, 0, 6))
     assert hook_product_single((2, 1), 6) == want
-    assert hook_product_single((), 9) == QTSeries.one(9)
+    assert hook_product_single((), 9) == one(9)
 
 
 def test_hook_product_pair_examples():
-    assert hook_product_pair((), 5) == QTSeries.one(5)
-    want = geometric_inverse(1, 0, 2) * geometric_inverse(1, 1, 2)
+    assert hook_product_pair((), 5) == one(5)
+    want = product(geometric_inverse(1, 0, 2), geometric_inverse(1, 1, 2))
     assert hook_product_pair((1,), 2) == want
     assert hook_product_pair((1,), 2).t_zero_slice().terms() == \
         [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
@@ -80,10 +76,11 @@ def test_hook_product_pair_examples():
 def test_hook_products_equal_the_products_of_geometric_series():
     # the in-place division against the product of truncated expansions
     for lam in P.all_partitions(5):
-        single = pair = QTSeries.one(10)
+        single = pair = one(10)
         for h in P.hook_lengths(lam):
-            single = single * geometric_inverse(h, 0, 10)
-            pair = pair * geometric_inverse(h, 0, 10) * geometric_inverse(h, 1, 10)
+            single = product(single, geometric_inverse(h, 0, 10))
+            pair = product(product(pair, geometric_inverse(h, 0, 10)),
+                           geometric_inverse(h, 1, 10))
         assert hook_product_single(lam, 10) == single, lam
         assert hook_product_pair(lam, 10) == pair, lam
 
@@ -108,12 +105,12 @@ def test_pair_t_zero_slice_is_single_product():
         assert hook_product_pair(lam, 8).t_zero_slice() == hook_product_single(lam, 8)
 
 
-def test_json_roundtrip():
-    s = series(5, [(0, 0, 1), (2, 3, 4), (5, 0, 2)])
-    assert QTSeries.from_json(s.to_json()) == s
-    assert s.to_json() == QTSeries.from_json(s.to_json()).to_json()
+def test_series_do_not_hash():
+    # add_term changes a series in place, so equal series may not stay equal
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(one(3))
 
 
 def test_repr_is_readable():
-    assert repr(QTSeries.one(3)) == "1"
+    assert repr(one(3)) == "1"
     assert repr(series(3, [(1, 1, 2), (0, 0, 1)])) == "1 + 2*q*t"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles as O
 from coupledrpp import coupling, partitions, render, rpp_core, vertex_model
 from coupledrpp.coupling import make_pair
 
@@ -172,7 +173,7 @@ def test_drawn_kinds_are_the_classified_kinds():
                 top = 2 + max(max(m.bit_length() - 1, 0) for m in masks)
                 want = []
                 for k in range(1, len(masks)):
-                    kinds = [coupling.classify(masks[k - 1], masks[k], site)
+                    kinds = [O.classify(masks[k - 1], masks[k], site)
                              for site in range(top + 1)]
                     want += [fills[kind] for kind in kinds if kind != coupling.GREEN]
                 want += [fills[coupling.GREEN]] * sum(m.bit_count() for m in masks)

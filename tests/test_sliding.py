@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles as O
 from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
@@ -91,7 +92,7 @@ def _random_filling(rng, shape, still):
 
 def test_paths_one_per_strip():
     profiles, _ = _paths(OUT_RPP)
-    assert len(profiles) == len(P.border_strips(SHAPE)) == 3
+    assert len(profiles) == len(O.border_strips(SHAPE)) == 3
     assert all(len(prof) == len(R.interaction_pattern(SHAPE)) + 1
                for prof in profiles)
 
@@ -185,9 +186,9 @@ def test_forced_region_zero_under_constraints():
             pair = C.make_pair(blue, red)
             if not S.check_t0_constraints(pair):
                 continue
-            for color, cell in S.forced_zero_region(pair):
+            for color, cell in O.forced_zero_region(pair):
                 source = pair.blue if color == "blue" else pair.red
-                assert source.entry(*cell) == 0, (pair, color, cell)
+                assert source.rows[cell.row - 1][cell.col - 1] == 0, (pair, color, cell)
 
 
 def test_slide_worked_example():
@@ -244,7 +245,7 @@ def _strip_slide(pair):
     """Sliding as the strips move: red strip i onto strip 2i-1, blue strip i
     onto strip 2i, cell by cell."""
     shape = pair.shape
-    strips = P.border_strips(shape)
+    strips = O.border_strips(shape)
     rows = [[0] * p for p in shape]
     for strip in strips:
         k = strip.index
@@ -252,9 +253,10 @@ def _strip_slide(pair):
         source, shift = (pair.red, i - 1) if k % 2 else (pair.blue, i)
         for r, c in strips[i - 1].cells:
             target = P.Cell(r - shift, c - shift)
-            if P.contains(shape, target):
-                rows[target.row - 1][target.col - 1] = source.entry(r, c)
-            elif source.entry(r, c) != 0:
+            entry = source.rows[r - 1][c - 1]
+            if O.contains(shape, target):
+                rows[target.row - 1][target.col - 1] = entry
+            elif entry != 0:
                 raise AssertionError(f"nonzero entry at {(r, c)} slides off")
     return R.validate(shape, rows)
 
@@ -265,15 +267,15 @@ def _strip_unslide(rpp):
     shape = rpp.shape
     blue = [[0] * p for p in shape]
     red = [[0] * p for p in shape]
-    for strip in P.border_strips(shape):
+    for strip in O.border_strips(shape):
         i = strip.index
         for r, c in strip.cells:
             src_red = P.Cell(r - (i - 1), c - (i - 1))
-            if P.contains(shape, src_red):
-                red[r - 1][c - 1] = rpp.entry(*src_red)
+            if O.contains(shape, src_red):
+                red[r - 1][c - 1] = rpp.rows[src_red.row - 1][src_red.col - 1]
             src_blue = P.Cell(r - i, c - i)
-            if P.contains(shape, src_blue):
-                blue[r - 1][c - 1] = rpp.entry(*src_blue)
+            if O.contains(shape, src_blue):
+                blue[r - 1][c - 1] = rpp.rows[src_blue.row - 1][src_blue.col - 1]
     return C.make_pair(R.validate(shape, blue), R.validate(shape, red))
 
 
@@ -318,7 +320,7 @@ def test_forced_region_is_what_slides_off():
                 if 2 * i - 1 > len(cells):
                     off.add(("red", P.Cell(r + 1, c + 1)))
         zero = R.zero_rpp(lam)
-        region = S.forced_zero_region(C.make_pair(zero, zero))
+        region = O.forced_zero_region(C.make_pair(zero, zero))
         assert len(region) == len(set(region))
         assert set(region) == off, lam
 

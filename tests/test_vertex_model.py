@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import oracles as O
 from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
@@ -69,11 +70,11 @@ def test_cross_weight_table():
 
 
 def test_row_weight_closed_examples():
-    assert V.row_weight_closed(WHITE, (1, 1), (3, 1, 1), X) == X ** 3
-    assert V.row_weight_closed(GRAY, (3, 1, 1), (2, 1), X, ell=4) == X ** 6
-    assert V.row_weight_closed(WHITE, (2, 1), (2, 1), X) == 1
-    assert V.row_weight_closed(WHITE, (2,), (1,), X) is None
-    assert V.row_weight_closed(GRAY, (1,), (2,), X, ell=3) is None
+    assert O.row_weight_closed(WHITE, (1, 1), (3, 1, 1), X) == X ** 3
+    assert O.row_weight_closed(GRAY, (3, 1, 1), (2, 1), X, ell=4) == X ** 6
+    assert O.row_weight_closed(WHITE, (2, 1), (2, 1), X) == 1
+    assert O.row_weight_closed(WHITE, (2,), (1,), X) is None
+    assert O.row_weight_closed(GRAY, (1,), (2,), X, ell=3) is None
 
 
 def test_row_weight_explicit_examples():
@@ -93,10 +94,10 @@ def test_row_weight_explicit_matches_closed_exhaustively():
             ell = max(len(mu), len(lam), 1) + 1
             window = ell + max(mu[0] if mu else 0, lam[0] if lam else 0) + 3
             assert V.row_weight_explicit(WHITE, mu, lam, X, ell, window) == \
-                V.row_weight_closed(WHITE, mu, lam, X)
+                O.row_weight_closed(WHITE, mu, lam, X)
             if len(mu) <= ell:  # gray rows hold ell+1 entering paths
                 assert V.row_weight_explicit(GRAY, mu, lam, X, ell - 1, window) == \
-                    V.row_weight_closed(GRAY, mu, lam, X, ell - 1)
+                    O.row_weight_closed(GRAY, mu, lam, X, ell - 1)
 
 
 EX_RPP = R.validate((4, 3, 1), [[0, 1, 3, 4], [1, 1, 4], [3]])
@@ -333,8 +334,8 @@ def test_ybe_report_sweeps_int_tables(monkeypatch):
 
 def test_commutation_trivial_and_small():
     x, y = Fraction(1, 2), Fraction(1, 3)
-    assert V.verify_commutation((), (), x, y, window=4)["passed"]
-    assert V.verify_commutation((1,), (1,), x, y, window=4)["passed"]
+    assert O.verify_commutation((), (), x, y, window=4)["passed"]
+    assert O.verify_commutation((1,), (1,), x, y, window=4)["passed"]
 
 
 def test_commutation_exhaustive_small():
@@ -342,12 +343,12 @@ def test_commutation_exhaustive_small():
     for mu in P.all_partitions(4):
         for lam in P.all_partitions(4):
             for x, y in points:
-                assert V.verify_commutation(mu, lam, x, y, window=4)["passed"], (mu, lam)
+                assert O.verify_commutation(mu, lam, x, y, window=4)["passed"], (mu, lam)
 
 
 def test_commutation_rejects_degenerate_point():
     with pytest.raises(ValueError, match="xy"):
-        V.verify_commutation((1,), (), Fraction(2), Fraction(1, 2), window=3)
+        O.verify_commutation((1,), (), Fraction(2), Fraction(1, 2), window=3)
 
 
 def test_config_weight_q_is_the_product_of_vertex_weights():
