@@ -33,6 +33,14 @@ def _clip(text: str) -> str:
     return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
 
 
+def _file_error(exc: OSError):
+    """A usage error with the message of exc, its file name `_clip`ped, so
+    a long path gives a short message and an ordinary one is echoed whole."""
+    if isinstance(exc.filename, str):
+        exc.filename = _clip(exc.filename)
+    _usage_error(str(exc))
+
+
 def _checked(what: str, fn, *args):
     """fn(*args), where fn parses or validates input: malformed input (bad
     JSON, JSON nested deeper than the parser recurses, a missing key, a
@@ -68,7 +76,7 @@ def _read_input(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        _usage_error(str(exc))
+        _file_error(exc)
 
 
 def _emit(data, fmt: str, text_lines) -> None:
@@ -292,7 +300,7 @@ def cmd_render(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(out + "\n")
         except OSError as exc:
-            _usage_error(str(exc))
+            _file_error(exc)
     else:
         print(out)
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
-from operator import and_, sub
+from operator import and_, itemgetter, mul, sub
 from typing import NamedTuple
 
 from . import rpp_core, vertex_model
@@ -239,10 +239,30 @@ def _lozenge_masks(bottom: int, top: int) -> tuple[int, int, int]:
     its bottom and top interface masks.  A top site is a green top face;
     any other site is the right edge of a descending face (orchid) when one
     path passes it, or of an ascending one (sienna) when none does.  The
-    paths passing a site, bottom sites at or below it less top sites at or
-    below it, are counted in one walk up the sites.  Only sites up to the
-    highest path are read: above it a row is all sienna (white) or all
-    orchid (gray), and neither meets a coupled pattern there."""
+    paths passing a site are the bottom sites at or below it less the top
+    sites at or below it; their parity is a prefix XOR of `bottom ^ top`,
+    taken in doubling shifts.  When bottom-only and top-only sites
+    alternate, bottom first, that count is 0 or 1, so it is its parity;
+    any other row is counted by `_lozenge_walk`, which raises or answers.
+    Only sites up to the highest path are read: above it a row is all
+    sienna (white) or all orchid (gray), and neither meets a coupled
+    pattern there."""
+    width = max(bottom.bit_length(), top.bit_length())
+    window = (1 << width) - 1
+    passing, shift = bottom ^ top, 1
+    while shift < width:
+        passing ^= passing << shift
+        shift <<= 1
+    passing &= window
+    if bottom & ~top & ~passing or top & ~bottom & passing:
+        return _lozenge_walk(bottom, top)
+    return top, passing & ~top, window & ~(top | passing)
+
+
+def _lozenge_walk(bottom: int, top: int) -> tuple[int, int, int]:
+    """`_lozenge_masks` of any row, counting the paths passing each site
+    in one walk up the sites; a site other than a top site that more than
+    one path, or fewer than none, passes is malformed and raises."""
     orchid = sienna = below = 0
     for site in range(max(bottom.bit_length(), top.bit_length())):
         below += (bottom >> site & 1) - (top >> site & 1)
@@ -386,48 +406,51 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
 
     Each row maps mu to its moves (need, |nu|, nu, roles), smallest need
     first: need is |nu| plus the least volume the chain still takes after
-    nu, and roles are the row's `_row_roles`, checked on every move.  A
-    forward pass finds the least volume that reaches each slice, a backward
-    pass the least volume that closes from it and the interface mask of
-    every slice it keeps.
+    nu, and roles are the row's `_row_roles`, checked on every move.
+
+    One forward pass keeps the least volume that reaches each slice and the
+    interface mask of each slice it reaches.  The need has a closed form:
+    the least continuation keeps nu on white (PRECEQ) rows and drops its
+    first part on gray (SUCCEQ) rows, so part i of the slice at interface
+    k is held until the i-th gray row j_i after k and costs its value
+    times j_i - k.  Every part has such a row: the slice has at most one
+    part per cell of its diagonal, these cells lie on distinct rows of the
+    shape, and each of those rows ends at a particle, a gray row, after k.
+    A move is kept when the least volume reaching mu plus the need of nu
+    is within max_total.  Every slice a kept move reaches lies on such a
+    chain, so no backward pass is needed.
     """
     geometry = rpp_core.shape_geometry(lam)
     lengths = [len(cells) for cells in geometry.cells] + [0]
     zetas = geometry.zetas
-    reach = [{(): 0}]  # per interface: slice -> least volume up to it
-    steps = []
+    grays = [j for j, rel in enumerate(pattern, start=1) if rel != PRECEQ]
+    reach = {(): 0}  # slice -> least volume up to it, at the row's bottom
+    bottoms = {(): maya_mask((), zetas[0])}  # slice -> its interface mask
+    rows = []
     for k, rel in enumerate(pattern, start=1):
-        step, nxt = {}, {}
-        for mu, low in reach[-1].items():
-            step[mu] = [(sum(nu), nu) for nu in rpp_core.next_slices(
-                mu, rel, lengths[k - 1], max_total - low)]
-            for size, nu in step[mu]:
+        white_row = rel == PRECEQ
+        costs = [j - k for j in grays if j > k]
+        row, nxt, tops = {}, {}, {}
+        for mu, low in reach.items():
+            spare, bottom, size_mu = max_total - low, bottoms[mu], sum(mu)
+            moves = []
+            for nu in rpp_core.next_slices(mu, rel, lengths[k - 1], spare):
+                need = sum(map(mul, nu, costs))
+                if need > spare:
+                    continue
+                top = tops.get(nu)
+                if top is None:
+                    top = tops[nu] = maya_mask(nu, zetas[k])
+                size = sum(nu)
+                moves.append((need, size, nu, _row_roles(
+                    white_row, _lozenge_masks(bottom, top), size - size_mu)))
                 if low + size < nxt.get(nu, max_total + 1):
                     nxt[nu] = low + size
-        steps.append(step)
-        reach.append(nxt)
-    rest = {(): 0} if () in reach[-1] else {}  # slice -> least volume after it
-    # slice -> its interface mask, at the top interface of the row
-    tops = {(): maya_mask((), zetas[-1])}
-    rows = []
-    for k in range(len(pattern), 0, -1):
-        white_row = pattern[k - 1] == PRECEQ
-        row, before, bottoms_of = {}, {}, {}
-        for mu, low in reach[k - 1].items():
-            moves = [(size + rest[nu], size, nu) for size, nu in steps[k - 1][mu]
-                     if nu in rest and low + size + rest[nu] <= max_total]
-            if not moves:
-                continue
-            bottom = bottoms_of[mu] = maya_mask(mu, zetas[k - 1])
-            row[mu] = sorted(
-                ((need, size, nu, _row_roles(
-                    white_row, _lozenge_masks(bottom, tops[nu]), size - sum(mu)))
-                 for need, size, nu in moves),
-                key=lambda move: move[0])
-            before[mu] = row[mu][0][0]
+            if moves:
+                moves.sort(key=itemgetter(0))
+                row[mu] = moves
         rows.append(row)
-        rest, tops = before, bottoms_of
-    rows.reverse()
+        reach, bottoms = nxt, tops
     return rows
 
 
@@ -463,6 +486,11 @@ def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
     slices by the next slices of `_live_moves` and adds the row's coupled
     lozenge count to g, keeping only partial chains that can still close
     within the volume budget; the last row closes both chains at ().
+    Whether a chain can close is read off each move's need, the exact
+    least volume from its slice on (a closed form, see `_live_moves`).
+    A need too large would drop counts the series keeps; one too small
+    would keep partial chains that cannot close, whose counts may reach
+    2^B in a kept slot.
 
     Packed layout (Kronecker substitution): with W = max_total + 1, the
     count of (v, g) has the key v W + g, and a state is (least key, one

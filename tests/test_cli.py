@@ -177,6 +177,24 @@ def test_genfun_bytes(capsys, paired, fmt):
     assert out == GENFUN_21_N6_STDOUT[(paired, fmt)]
 
 
+# length and sha256 of `genfun --paired --force --format json` stdout at
+# bounds where the engine's cut and packed slots carry the work, taken
+# before the move table was built in one pass
+GENFUN_PAIRED_AT_SCALE = {
+    ("[3,2,1]", "20"): (6899, "c6ee54943cb4ef331c47f0f170595d007dd4e44cd5cec98c63ec864924851999"),
+    ("[4,4,3,3,1]", "10"): (1843, "fed5035a0bbf228e14f95c875551e5fc4620a8ec50690caa79396f2521ce7ec1"),
+}
+
+
+@pytest.mark.parametrize("shape,bound", sorted(GENFUN_PAIRED_AT_SCALE))
+def test_genfun_paired_bytes_at_scale(capsys, shape, bound):
+    code, out = run(capsys, "genfun", "--shape", shape, "--max-volume", bound,
+                    "--paired", "--force", "--format", "json")
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == GENFUN_PAIRED_AT_SCALE[(shape, bound)]
+
+
 def test_genfun_empty_shape(capsys):
     code, out = run(capsys, "genfun", "--shape", "[]", "--max-volume", "3",
                     "--paired", "--format", "json")
@@ -437,6 +455,21 @@ def test_long_arguments_give_short_usage_errors(capsys):
     err = usage_error(capsys, "ybe", "--smoke", "--samples", samples)
     assert err.startswith(f"error: bad {f'samples {samples!r}'[:cut]}...: maximum recursion")
     assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("argv", [("--input", "a" * 100_000),
+                                  ("--shape", "[2,1]", "--out", "a" * 100_000)])
+def test_long_paths_give_short_usage_errors(capsys, argv):
+    # only the file name is cut, to cli.ECHO_CHARS characters
+    err = usage_error(capsys, "render", "--object", "rpp", *argv)
+    assert err.startswith("error: [Errno ") and f"'{'a' * cli.ECHO_CHARS}...'" in err
+    assert len(err.encode()) < 300
+
+
+def test_missing_file_is_echoed_whole(capsys):
+    assert usage_error(capsys, "render", "--object", "pair", "--input",
+                       "/nonexistent.json") == \
+        "error: [Errno 2] No such file or directory: '/nonexistent.json'\n"
 
 
 HUGE = 10 ** 20
@@ -783,22 +816,37 @@ class _Fuzz:
         return argv, stdin
 
 
+# traced bytes one seeded case may allocate at its peak: 64 per site of
+# the largest drawing the guards let through (cli.SITE_BOUND sites)
+FUZZ_PEAK_BYTES = 64 * cli.SITE_BOUND
+
+
 def test_seeded_cli_cases_keep_the_exit_contract(capsys, monkeypatch, tmp_path):
     fuzz = _Fuzz(FUZZ_SEED, tmp_path)
     codes = Counter()
-    breaches = []
-    for _ in range(FUZZ_CASES):
-        argv, stdin = fuzz.case()
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        except Exception:
-            code = traceback.format_exc()
-        err = capsys.readouterr().err
-        codes[code if code in (0, 1, 2) else "breach"] += 1
-        if code not in (0, 1, 2) or "Traceback" in err:
-            breaches.append((argv, code, err[-500:]))
+    breaches, heavy = [], []
+    tracemalloc.start()
+    try:
+        for _ in range(FUZZ_CASES):
+            argv, stdin = fuzz.case()
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                code = traceback.format_exc()
+            peak = tracemalloc.get_traced_memory()[1] - before
+            err = capsys.readouterr().err
+            codes[code if code in (0, 1, 2) else "breach"] += 1
+            if code not in (0, 1, 2) or "Traceback" in err:
+                breaches.append((argv, code, err[-500:]))
+            if peak > FUZZ_PEAK_BYTES:
+                heavy.append((argv, peak))
+    finally:
+        tracemalloc.stop()
     assert breaches == []
+    assert heavy == []
     assert min(codes[0], codes[1], codes[2]) > 0  # every outcome is reached

@@ -371,6 +371,34 @@ def test_live_moves_need_the_volume_still_to_come():
         [(0, 0, ()), (6, 1, (1,)), (12, 2, (2,))]
 
 
+def test_live_moves_need_is_the_least_volume_of_the_fillings_taking_them(monkeypatch):
+    # the closed-form need of every live move (k, mu, nu) against the least
+    # volume from nu on over the fillings whose chain takes mu -> nu at row
+    # k; every row these moves meet takes the prefix-parity masks, never
+    # the per-site walk
+    def refuse(bottom, top):
+        raise AssertionError(f"walked the row ({bottom:b}, {top:b})")
+
+    monkeypatch.setattr(C, "_lozenge_walk", refuse)
+    cases = [(lam, 8) for lam in P.all_partitions(7)] + [((4, 4, 3, 3, 1), 6)]
+    moves = 0
+    for lam, n in cases:
+        pattern = R.interaction_pattern(lam)
+        least = {}
+        for rpp in R.enumerate_rpps(lam, n):
+            chain = rpp.chain.slices
+            rest = rpp.volume
+            for k in range(len(pattern)):
+                rest -= sum(chain[k])  # the volume from slice k + 1 on
+                move = (k, chain[k], chain[k + 1])
+                least[move] = min(least.get(move, rest), rest)
+        needs = {(k, mu, nu): need for k, row in enumerate(C._live_moves(lam, pattern, n))
+                 for mu, row_moves in row.items() for need, _size, nu, _roles in row_moves}
+        assert needs == least, lam
+        moves += len(needs)
+    assert moves == 3477
+
+
 def test_pair_json_roundtrip():
     text = C.pair_to_json(WORKED_PAIR)
     assert C.pair_from_json(text) == WORKED_PAIR
