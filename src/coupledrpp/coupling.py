@@ -9,6 +9,7 @@ patterns directly on the superimposed tilings.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 from operator import and_, itemgetter, mul, sub
@@ -400,13 +401,17 @@ def pair_genfun_bruteforce(lam, max_total: int) -> QTSeries:
     return series
 
 
-def _live_moves(lam, pattern, max_total: int) -> list[dict]:
+def _live_moves(lam, pattern, max_total: int) -> tuple[list[list], list[list]]:
     """Row by row, every move mu -> nu of one color's slice chain that lies
-    on some chain closing at () with volume <= max_total.
+    on some chain closing at () with volume <= max_total, on slice numbers.
 
-    Each row maps mu to its moves (need, |nu|, nu, roles), smallest need
-    first: need is |nu| plus the least volume the chain still takes after
-    nu, and roles are the row's `_row_roles`, checked on every move.
+    Each slice gets one number per interface, 0, 1, ... in the order the
+    forward pass first reaches it.  Row k is a list indexed by the number
+    of mu at interface k-1; entry mu holds its moves (need, |nu|, number of
+    nu, as blue, as red), smallest need first: need is |nu| plus the least
+    volume the chain still takes after nu, and the roles are the row's
+    `_row_roles`, checked on every move.  Also returned: each interface's
+    slices in number order.
 
     One forward pass keeps the least volume that reaches each slice and the
     interface mask of each slice it reaches.  The need has a closed form:
@@ -418,51 +423,56 @@ def _live_moves(lam, pattern, max_total: int) -> list[dict]:
     shape, and each of those rows ends at a particle, a gray row, after k.
     A move is kept when the least volume reaching mu plus the need of nu
     is within max_total.  Every slice a kept move reaches lies on such a
-    chain, so no backward pass is needed.
+    chain, so it has a move in the next row and no backward pass is needed.
     """
     geometry = rpp_core.shape_geometry(lam)
     lengths = [len(cells) for cells in geometry.cells] + [0]
     zetas = geometry.zetas
     grays = [j for j, rel in enumerate(pattern, start=1) if rel != PRECEQ]
-    reach = {(): 0}  # slice -> least volume up to it, at the row's bottom
-    bottoms = {(): maya_mask((), zetas[0])}  # slice -> its interface mask
-    rows = []
+    slices = [()]
+    reach = [0]  # per slice number: least volume up to it
+    bottoms = [maya_mask((), zetas[0])]  # per slice number: interface mask
+    rows, numbered = [], [slices]
     for k, rel in enumerate(pattern, start=1):
         white_row = rel == PRECEQ
         costs = [j - k for j in grays if j > k]
-        row, nxt, tops = {}, {}, {}
-        for mu, low in reach.items():
-            spare, bottom, size_mu = max_total - low, bottoms[mu], sum(mu)
+        row, number, nxt, tops, reached = [], {}, [], [], []
+        for mu, low, bottom in zip(slices, reach, bottoms):
+            spare, size_mu = max_total - low, sum(mu)
             moves = []
             for nu in rpp_core.next_slices(mu, rel, lengths[k - 1], spare):
                 need = sum(map(mul, nu, costs))
                 if need > spare:
                     continue
-                top = tops.get(nu)
-                if top is None:
-                    top = tops[nu] = maya_mask(nu, zetas[k])
                 size = sum(nu)
-                moves.append((need, size, nu, _row_roles(
-                    white_row, _lozenge_masks(bottom, top), size - size_mu)))
-                if low + size < nxt.get(nu, max_total + 1):
-                    nxt[nu] = low + size
-            if moves:
-                moves.sort(key=itemgetter(0))
-                row[mu] = moves
+                i = number.get(nu)
+                if i is None:
+                    i = number[nu] = len(reached)
+                    reached.append(nu)
+                    nxt.append(low + size)
+                    tops.append(maya_mask(nu, zetas[k]))
+                elif low + size < nxt[i]:
+                    nxt[i] = low + size
+                moves.append((need, size, i, *_row_roles(
+                    white_row, _lozenge_masks(bottom, tops[i]), size - size_mu)))
+            moves.sort(key=itemgetter(0))
+            row.append(moves)
         rows.append(row)
-        reach, bottoms = nxt, tops
-    return rows
+        numbered.append(reached)
+        slices, reach, bottoms = reached, nxt, tops
+    return rows, numbered
 
 
-def _fold(parts: dict, bits: int) -> tuple[int, int]:
-    """One packed state from its parts, {least key: packed counts}, each
-    part added at its key's offset.  Horner's rule from the highest key
-    down, in runs of 16 parts and then over the runs' results, so each
-    part is read a bounded number of times per level; one Horner pass over
-    all parts would reread the growing sum once per part."""
-    if len(parts) == 1:
-        return next(iter(parts.items()))
-    items = sorted(parts.items(), reverse=True)
+def _fold(items: list, bits: int) -> tuple[int, int]:
+    """One packed state from its parts, a list of (least key, packed
+    counts) that may repeat a key, each part added at its key's offset.
+    One part is returned as it is.  Otherwise Horner's rule from the
+    highest key down, in runs of 16 parts and then over the runs' results,
+    so each part is read a bounded number of times per level; one Horner
+    pass over all parts would reread the growing sum once per part."""
+    if len(items) == 1:
+        return items[0]
+    items.sort(reverse=True)
     while len(items) > 1:
         runs = []
         for i in range(0, len(items), 16):
@@ -481,7 +491,8 @@ def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
 
     g is a sum of per-row terms, each reading interfaces k-1 and k of both
     colors, and the volume is the sum of the slice sizes.  After interface
-    k a state is a (blue slice, red slice) pair holding the number of
+    k a state is a (blue slice, red slice) pair, both named by their
+    numbers at k (see `_live_moves`), holding the number of
     partial slice chains per (volume so far, g so far).  Row k extends both
     slices by the next slices of `_live_moves` and adds the row's coupled
     lozenge count to g, keeping only partial chains that can still close
@@ -497,10 +508,10 @@ def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
     int) holding the count of key `least + i` at bits [i B, (i + 1) B).
     A move pair adds (|blue nu| + |red nu|) W + gain to the least key and
     leaves the int as it is; the gain is one AND and one popcount of the
-    two moves' `_row_roles`.  The parts reaching a state are summed
-    per least key and folded into one int once per row (`_fold`), which
-    is then cut below the first key that can no longer close within
-    max_total, only when the int reaches that far.
+    two moves' `_row_roles`.  Each move pair appends its (key, int) to the
+    parts of its target state, which are folded into one int once per row
+    (`_fold`); that int is then cut below the first key that can no
+    longer close within max_total, only when it reaches that far.
 
     The key is exact because a partial g never exceeds its partial volume,
     so every kept count has g < W: a white row's gain is at most its blue
@@ -519,44 +530,39 @@ def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
     lam = normalize(lam)
     series = QTSeries(max_total)
     pattern = rpp_core.interaction_pattern(lam)
-    rows = _live_moves(lam, pattern, max_total)
+    rows, _ = _live_moves(lam, pattern, max_total)
     width = max_total + 1
     bits = 8 * -(-hook_count(lam, max_total, 2).bit_length() // 8)
-    # per interface: slice -> least volume still to come after it
-    closing = [{mu: moves[0][0] for mu, moves in row.items()} for row in rows[1:]]
-    closing.append({(): 0})
-    states = {((), ()): (0, 1)}
+    # per interface and slice number: least volume still to come after it
+    closing = [[moves[0][0] for moves in row] for row in rows[1:]]
+    closing.append([0])
+    states = [(0, 0, 0, 1)]  # (blue no., red no., least key, packed counts)
     for moves, rest in zip(rows, closing):
-        parts = {}  # blue slice -> red slice -> least key -> packed counts
-        for (blue, red), (least, packed) in states.items():
+        # per blue no.: red no. -> parts (least key, packed counts)
+        parts = [defaultdict(list) for _ in rest]
+        for blue, red, least, packed in states:
             spare = max_total - least // width
-            for b_need, b_size, b_next, (as_blue, _) in moves[blue]:
-                if b_need > spare:
+            reds = moves[red]
+            for b_need, b_size, b_next, as_blue, _ in moves[blue]:
+                limit = spare - b_need
+                if limit < 0:
                     break
                 base = least + b_size * width
-                by_red = parts.get(b_next)
-                if by_red is None:
-                    by_red = parts[b_next] = {}
-                for r_need, r_size, r_next, (_, as_red) in moves[red]:
-                    if b_need + r_need > spare:
+                by_red = parts[b_next]
+                for r_need, r_size, r_next, _, as_red in reds:
+                    if r_need > limit:
                         break
                     key = base + r_size * width + (as_blue & as_red).bit_count()
-                    out = by_red.get(r_next)
-                    if out is None:
-                        by_red[r_next] = {key: packed}
-                    elif key in out:
-                        out[key] += packed
-                    else:
-                        out[key] = packed
-        states = {}
-        for blue, by_red in parts.items():
-            for red, out in by_red.items():
-                least, packed = _fold(out, bits)
+                    by_red[r_next].append((key, packed))
+        states = []
+        for blue, by_red in enumerate(parts):
+            for red, items in by_red.items():
+                least, packed = _fold(items, bits)
                 cut = ((max_total + 1 - rest[blue] - rest[red]) * width - least) * bits
                 if packed.bit_length() > cut:
                     packed &= (1 << cut) - 1
-                states[(blue, red)] = (least, packed)
-    least, packed = states[((), ())]
+                states.append((blue, red, least, packed))
+    [(_, _, least, packed)] = states
     size = bits // 8
     data = packed.to_bytes(-(-packed.bit_length() // bits) * size, "little")
     for i in range(0, len(data), size):

@@ -285,7 +285,7 @@ def test_kept_states_stop_at_the_volume_bound(lam, n, monkeypatch):
     fold, longest = C._fold, []
 
     def watched(parts, bits):
-        longest.append(max(part.bit_length() for part in parts.values()) / bits)
+        longest.append(max(part.bit_length() for _key, part in parts) / bits)
         return fold(parts, bits)
 
     monkeypatch.setattr(C, "_fold", watched)
@@ -297,22 +297,26 @@ def test_kept_states_stop_at_the_volume_bound(lam, n, monkeypatch):
                                    ((4, 4, 3, 3, 1), 8), ((6,), 30)])
 def test_slots_hold_the_sums_of_the_parts(lam, n, monkeypatch):
     # summed exactly at each absolute key over the parts `_fold` adds up,
-    # no count reaches 2^B, so the packed sum carries no slot into the next
-    fold, fullest = C._fold, []
+    # no count reaches 2^B, so the packed sum carries no slot into the next;
+    # the parts may repeat a least key: some fold of each case with more
+    # than one row gets a repeat, and the one-row cases get none
+    fold, fullest, repeats = C._fold, [], []
 
     def watched(parts, bits):
         size, sums = bits // 8, {}
-        for least, packed in parts.items():
+        for least, packed in parts:
             data = packed.to_bytes(-(-packed.bit_length() // bits) * size, "little")
             for i in range(0, len(data), size):
                 key = least + i // size
                 sums[key] = sums.get(key, 0) + int.from_bytes(data[i:i + size], "little")
         fullest.append(max(sums.values()) / 2 ** bits)
+        repeats.append(len({least for least, _packed in parts}) < len(parts))
         return fold(parts, bits)
 
     monkeypatch.setattr(C, "_fold", watched)
     assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
     assert 0 < max(fullest) < 1
+    assert any(repeats) == (len(lam) > 1)
 
 
 @pytest.mark.parametrize("lam,n", [((3, 2, 1), 5), ((4, 1), 4), ((2, 2), 4), ((3,), 6)])
@@ -323,9 +327,9 @@ def test_live_moves_are_the_moves_of_closed_chains(lam, n):
     for rpp in R.enumerate_rpps(lam, n):
         chain = R.to_slices(rpp).slices
         taken.update((k, chain[k], chain[k + 1]) for k in range(len(pattern)))
-    rows = C._live_moves(lam, pattern, n)
-    live = {(k, mu, nu) for k, row in enumerate(rows)
-            for mu, moves in row.items() for _need, _size, nu, _masks in moves}
+    rows, slices = C._live_moves(lam, pattern, n)
+    live = {(k, slices[k][mu], slices[k + 1][nu]) for k, row in enumerate(rows)
+            for mu, moves in enumerate(row) for _need, _size, nu, *_roles in moves}
     assert live == taken
 
 
@@ -338,19 +342,22 @@ def test_coupling_sites_bound_g_by_the_volume():
     for lam, n in cases:
         pattern = R.interaction_pattern(lam)
         zetas = R.shape_geometry(lam).zetas
-        for k, row in enumerate(C._live_moves(lam, pattern, n), start=1):
+        rows, slices = C._live_moves(lam, pattern, n)
+        for k, row in enumerate(rows, start=1):
             white = pattern[k - 1] == R.PRECEQ
-            for mu, row_moves in row.items():
-                for _need, size_nu, nu, roles in row_moves:
+            for i, row_moves in enumerate(row):
+                mu = slices[k - 1][i]
+                for _need, size_nu, j, *roles in row_moves:
+                    nu = slices[k][j]
                     green, orchid, sienna = C._lozenge_masks(
                         P.maya_mask(mu, zetas[k - 1]),
                         P.maya_mask(nu, zetas[k]))
                     if white:
                         assert orchid.bit_count() == size_nu - sum(mu)
-                        assert roles == (orchid, green | orchid)
+                        assert roles == [orchid, green | orchid]
                     else:
                         assert sienna.bit_count() == sum(mu) - size_nu
-                        assert roles == (sienna | green, sienna)
+                        assert roles == [sienna | green, sienna]
                     moves += 1
     assert moves == 3605
 
@@ -366,8 +373,9 @@ def test_engine_rejects_masks_that_break_the_bound(monkeypatch):
 
 def test_live_moves_need_the_volume_still_to_come():
     # (6,) is a weakly increasing row: a first entry a costs at least 6a
-    first = C._live_moves((6,), R.interaction_pattern((6,)), 14)[0][()]
-    assert [(need, size, nu) for need, size, nu, _masks in first] == \
+    rows, slices = C._live_moves((6,), R.interaction_pattern((6,)), 14)
+    assert slices[0] == [()]
+    assert [(need, size, slices[1][nu]) for need, size, nu, *_roles in rows[0][0]] == \
         [(0, 0, ()), (6, 1, (1,)), (12, 2, (2,))]
 
 
@@ -392,11 +400,34 @@ def test_live_moves_need_is_the_least_volume_of_the_fillings_taking_them(monkeyp
                 rest -= sum(chain[k])  # the volume from slice k + 1 on
                 move = (k, chain[k], chain[k + 1])
                 least[move] = min(least.get(move, rest), rest)
-        needs = {(k, mu, nu): need for k, row in enumerate(C._live_moves(lam, pattern, n))
-                 for mu, row_moves in row.items() for need, _size, nu, _roles in row_moves}
+        rows, slices = C._live_moves(lam, pattern, n)
+        needs = {(k, slices[k][mu], slices[k + 1][nu]): need for k, row in enumerate(rows)
+                 for mu, row_moves in enumerate(row)
+                 for need, _size, nu, *_roles in row_moves}
         assert needs == least, lam
         moves += len(needs)
     assert moves == 3477
+
+
+def test_numbered_moves_have_no_dead_ends():
+    # the engine indexes rows by slice number and reads each number's
+    # least need: at every interface the numbers 0..m-1 name m distinct
+    # slices, each reached by some move and, before the last interface,
+    # leaving by some move; the last interface holds () alone
+    cases = [(lam, 8) for lam in P.all_partitions(7)] + [((4, 4, 3, 3, 1), 6)]
+    for lam, n in cases:
+        pattern = R.interaction_pattern(lam)
+        rows, slices = C._live_moves(lam, pattern, n)
+        assert len(rows) == len(pattern) and len(slices) == len(pattern) + 1
+        assert slices[0] == [()] and slices[-1] == [()], lam
+        for k, row in enumerate(rows):
+            assert len(set(slices[k])) == len(slices[k]) == len(row), (lam, k)
+            assert all(row), (lam, k)  # every number at interface k moves on
+            reached = {nu for moves in row for _need, _size, nu, *_roles in moves}
+            assert reached == set(range(len(slices[k + 1]))), (lam, k)
+            for moves in row:
+                for _need, size, nu, *_roles in moves:
+                    assert size == sum(slices[k + 1][nu])
 
 
 def test_pair_json_roundtrip():
