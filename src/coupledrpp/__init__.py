@@ -12,8 +12,7 @@ from .partitions import (
 )
 from .qt_series import (
     QTSeries,
-    hook_product_pair,
-    hook_product_single,
+    hook_product,
 )
 from .rpp_core import (
     RPP,
@@ -37,9 +36,6 @@ from .vertex_model import (
 )
 from .coupling import (
     PairRPP,
-    colored_cross_weight,
-    colored_gray_weight,
-    colored_white_weight,
     coupled_pairs,
     g_via_lozenges,
     g_via_vertex,
@@ -47,7 +43,6 @@ from .coupling import (
     pair_config_weight,
     pair_genfun_bruteforce,
     pair_genfun_transfer,
-    verify_colored_ybe,
 )
 from .sliding import (
     check_t0_constraints,

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from . import coupling, partitions, rpp_core, sliding, vertex_model
 from .coupling import make_pair
-from .qt_series import QTSeries, hook_product_pair, hook_product_single
+from .qt_series import QTSeries, hook_product
 from .vertex_model import GRAY, Monomial, WHITE
 
 
@@ -92,7 +92,7 @@ def check_single_genfun(trunc=10) -> dict:
         counts = QTSeries(trunc)
         for rpp in rpp_core.enumerate_rpps(lam, trunc):
             counts.add_term(rpp.volume, 0)
-        if counts != hook_product_single(lam, trunc):
+        if counts != hook_product(lam, trunc, 1):
             bad.append(list(lam))
     return _report("single-genfun", not bad, shapes=len(GENFUN_SHAPES),
                    trunc=trunc, mismatched=bad)
@@ -105,7 +105,7 @@ def check_pair_genfun(trunc=8) -> dict:
     for lam in PAIR_SHAPES:
         if not (coupling.pair_genfun_bruteforce(lam, trunc)
                 == coupling.pair_genfun_transfer(lam, trunc)
-                == hook_product_pair(lam, trunc)):
+                == hook_product(lam, trunc, 2)):
             bad.append(list(lam))
     return _report("pair-genfun", not bad, shapes=len(PAIR_SHAPES),
                    trunc=trunc, mismatched=bad)
@@ -113,9 +113,9 @@ def check_pair_genfun(trunc=8) -> dict:
 
 def check_ybe() -> dict:
     """Exhaustive one-color (64 boundaries) and colored (4096) YBE sweeps."""
-    reports = [vertex_model.verify_ybe(vertex_model.WHITE_WHITE),
-               vertex_model.verify_ybe(vertex_model.WHITE_GRAY),
-               coupling.verify_colored_ybe()]
+    reports = [vertex_model.verify_ybe(vertex_model.WHITE_WHITE, 1),
+               vertex_model.verify_ybe(vertex_model.WHITE_GRAY, 1),
+               vertex_model.verify_ybe(vertex_model.WHITE_GRAY, 2)]
     violations = sum(len(r["violations"]) for r in reports)
     return _report("yang-baxter", violations == 0,
                    checked=sum(r["checked"] for r in reports),
@@ -164,14 +164,14 @@ def check_worked_values() -> dict:
             failures.append({"label": label, "got": str(got), "want": str(want)})
 
     expect("white-row", vertex_model.row_weight_explicit(
-        WHITE, (1, 1), (3, 1, 1), x, ell=3, window=12), x ** 3)
+        WHITE, ((1, 1),), ((3, 1, 1),), x, ell=3, window=12), x ** 3)
     expect("gray-row", vertex_model.row_weight_explicit(
-        GRAY, (3, 1, 1), (2, 1), x, ell=4, window=12), x ** 6)
-    expect("colored-white-row", coupling.colored_row_weight_explicit(
-        WHITE, ((2, 1), (1,)), ((4, 2), (4, 1)), x, t, ell=2, window=10),
+        GRAY, ((3, 1, 1),), ((2, 1),), x, ell=4, window=12), x ** 6)
+    expect("colored-white-row", vertex_model.row_weight_explicit(
+        WHITE, ((2, 1), (1,)), ((4, 2), (4, 1)), x, ell=2, window=10, t=t),
         x ** 7 * t ** 3)
-    expect("colored-gray-row", coupling.colored_row_weight_explicit(
-        GRAY, ((3, 1, 1), (2, 1)), ((1, 1), (1, 1)), x, t, ell=2, window=10),
+    expect("colored-gray-row", vertex_model.row_weight_explicit(
+        GRAY, ((3, 1, 1), (2, 1)), ((1, 1), (1, 1)), x, ell=2, window=10, t=t),
         x ** 8 * t ** 3)
 
     # configuration weight of the shape-(4,3,1) example: along the chain
@@ -183,7 +183,7 @@ def check_worked_values() -> dict:
     for k, row in enumerate(config.states, start=1):
         weigh = (vertex_model.white_weight if config.kind(k) == WHITE
                  else vertex_model.gray_weight)
-        profile.append(sum(1 for v in row if weigh(v, Fraction(2)) == Fraction(2)))
+        profile.append(sum(1 for v in row if weigh((v,), Fraction(2)) == Fraction(2)))
     expect("config-row-profile", tuple(profile), (3, 4, 0, 4, 3, 1, 4))
     expect("config-weight-identity",
            vertex_model.config_weight_q((4, 3, 1), ex) * vertex_model.A_lambda((4, 3, 1)),
@@ -263,22 +263,22 @@ def check_internal_consistency() -> dict:
                (Fraction(7, 4), Fraction(5, 9))]
     for vb in states:
         for vr in states:
-            xe, te = coupling.GRAY_TABLE_VERBATIM[(vb, vr)]
+            xe, te = vertex_model.GRAY_TABLE_VERBATIM[(vb, vr)]
             for x, t in samples:
-                if coupling.colored_gray_weight(vb, vr, x, t) != x ** xe * t ** te:
+                if vertex_model.gray_weight((vb, vr), x, t) != x ** xe * t ** te:
                     failures.append(f"gray-table {vb} {vr}")
     x = Fraction(5, 8)
     for v in states:
-        if vertex_model.gray_weight(v, x) != x * vertex_model.white_weight(v, 1 / x):
+        if vertex_model.gray_weight((v,), x) != x * vertex_model.white_weight((v,), 1 / x):
             failures.append(f"gray-from-white {v}")
     x = Fraction(4, 9)
     for vb in states:
         for vr in states:
-            if coupling.colored_white_weight(vb, vr, x, Fraction(1)) != \
-                    vertex_model.white_weight(vb, x) * vertex_model.white_weight(vr, x):
+            if vertex_model.white_weight((vb, vr), x, Fraction(1)) != \
+                    vertex_model.white_weight((vb,), x) * vertex_model.white_weight((vr,), x):
                 failures.append(f"t1-white {vb} {vr}")
-            if coupling.colored_gray_weight(vb, vr, x, Fraction(1)) != \
-                    vertex_model.gray_weight(vb, x) * vertex_model.gray_weight(vr, x):
+            if vertex_model.gray_weight((vb, vr), x, Fraction(1)) != \
+                    vertex_model.gray_weight((vb,), x) * vertex_model.gray_weight((vr,), x):
                 failures.append(f"t1-gray {vb} {vr}")
     return _report("internal-consistency", not failures, failures=failures)
 

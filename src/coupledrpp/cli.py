@@ -11,10 +11,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from . import checks, coupling, partitions, render, rpp_core, sliding, vertex_model
-from .qt_series import QTSeries, hook_count, hook_product_pair, hook_product_single
+from .qt_series import QTSeries, hook_count, hook_product
 
 BUDGET_STATES = 10 ** 7
 # sites of one drawn tiling, configuration or Maya diagram; cells of a shape
@@ -144,12 +144,11 @@ def cmd_genfun(args) -> int:
         return 2
     if args.paired:
         direct = coupling.pair_genfun_transfer(lam, n)
-        product = hook_product_pair(lam, n)
     else:
         direct = QTSeries(n)
         for rpp in rpp_core.enumerate_rpps(lam, n):
             direct.add_term(rpp.volume, 0)
-        product = hook_product_single(lam, n)
+    product = hook_product(lam, n, 2 if args.paired else 1)
     ok = direct == product
     # "bruteforce" / "brute force" name the direct sum, whichever engine made it
     data = {"shape": list(lam), "max_volume": n, "paired": args.paired,
@@ -164,10 +163,10 @@ def cmd_genfun(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_samples(text: str, arity: int):
+def _parse_samples(text: str, colors: int):
     """At least one exact point, (x, y) for one color or (x, y, t) for two;
     the sweeps divide by x resp. t, so that entry must be nonzero."""
-    divisor, name = (0, "x") if arity == 2 else (2, "t")
+    arity, divisor, name = (2, 0, "x") if colors == 1 else (3, 2, "t")
 
     def parse():
         out = []
@@ -189,26 +188,16 @@ def _parse_samples(text: str, arity: int):
 
 
 def cmd_ybe(args) -> int:
-    # --smoke: the first sample at the boundary with every edge empty
-    if args.mode == "one-color":
-        samples = (_parse_samples(args.samples, 2) if args.samples
-                   else vertex_model.DEFAULT_SAMPLES)
-        kinds = (vertex_model.WHITE_WHITE, vertex_model.WHITE_GRAY)
-        if args.smoke:
-            reports = [vertex_model.ybe_report(
-                kind, partial(vertex_model.ybe_tables, kind), samples[:1], [(0,) * 6])
-                for kind in kinds]
-        else:
-            reports = [vertex_model.verify_ybe(kind, samples) for kind in kinds]
-    else:
-        samples = (_parse_samples(args.samples, 3) if args.samples
-                   else coupling.COLORED_SAMPLES)
-        if args.smoke:
-            reports = [vertex_model.ybe_report(
-                coupling.COLORED_WHITE_GRAY, coupling.colored_ybe_tables,
-                samples[:1], [((0, 0),) * 6])]
-        else:
-            reports = [coupling.verify_colored_ybe(samples)]
+    colors = 1 if args.mode == "one-color" else 2
+    samples = (_parse_samples(args.samples, colors) if args.samples
+               else vertex_model.YBE_SAMPLES[colors])
+    kinds = ((vertex_model.WHITE_WHITE, vertex_model.WHITE_GRAY) if colors == 1
+             else (vertex_model.WHITE_GRAY,))
+    boundaries = None
+    if args.smoke:  # the first sample at the boundary with every edge empty
+        samples, boundaries = samples[:1], vertex_model.ybe_boundaries(colors)[:1]
+    reports = [vertex_model.verify_ybe(kind, colors, samples, boundaries)
+               for kind in kinds]
     passed = all(r["passed"] for r in reports)
     data = {"command": "ybe", "mode": args.mode,
             "status": "pass" if passed else "fail", "reports": reports}

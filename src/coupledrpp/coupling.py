@@ -1,8 +1,10 @@
-"""Two-color vertex model and the interaction statistic g of an RPP pair.
+"""Pairs of RPPs and their interaction statistic g, and the row-transfer
+engine that sums pairs by volume and g.
 
-Blue is color 1 and red is color 2; every t-asymmetry below follows that
-order.  The statistic g is computed two independent ways: from the t-degree
-of the colored configuration weight, and by counting the four coupled-lozenge
+Blue is color 1 and red is color 2 of the colored vertex model
+(`vertex_model`); every t-asymmetry below follows that order.  The
+statistic g is computed two independent ways: from the t-degree of the
+colored configuration weight, and by counting the four coupled-lozenge
 patterns directly on the superimposed tilings.
 """
 
@@ -10,8 +12,6 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from fractions import Fraction
-from itertools import product
 from operator import and_, itemgetter, mul, sub
 from typing import NamedTuple
 
@@ -19,116 +19,7 @@ from . import rpp_core, vertex_model
 from .partitions import maya_mask, normalize
 from .qt_series import QTSeries, hook_count
 from .rpp_core import PRECEQ, RPP
-from .vertex_model import (
-    ALLOWED_CROSSINGS,
-    ALLOWED_STATES,
-    BOTTOM_RIGHT,
-    CROSS_NWSE,
-    EMPTY,
-    HORIZONTAL,
-    LEFT_TOP,
-    Monomial,
-    VERTICAL,
-    WHITE,
-    cross_weight,
-    white_weight,
-)
-
-
-def colored_white_weight(v_blue, v_red, x, t):
-    """Blue picks up an extra t for a right exit whenever red is present."""
-    delta = 0 if v_red == EMPTY else 1
-    return white_weight(v_blue, x * t ** delta) * white_weight(v_red, x)
-
-
-_EXITS_TOP = (VERTICAL, LEFT_TOP)
-
-
-def _gray_color_factor(v, x, t, alpha, beta):
-    """Per-color factor of the 2-color gray weight: t^beta for the two
-    right-exit states, x t^(alpha+beta) for the other three."""
-    if v not in ALLOWED_STATES:
-        raise ValueError(f"disallowed vertex state {v}")
-    if v.out_right:
-        return t ** beta
-    return x * t ** (alpha + beta)
-
-
-def colored_gray_weight(v_blue, v_red, x, t):
-    """Product of per-color factors; alpha/beta count higher colors that are
-    empty resp. exiting through the top."""
-    alpha1 = 1 if v_red == EMPTY else 0
-    beta1 = 1 if v_red in _EXITS_TOP else 0
-    blue_part = _gray_color_factor(v_blue, x, t, alpha1, beta1)
-    red_part = _gray_color_factor(v_red, x, t, 0, 0)
-    return blue_part * red_part
-
-
-# The published 5x5 gray table, (x-exponent, t-exponent) per state pair,
-# rows ordered [empty, vertical, horizontal, bottom-right, left-top] for
-# blue and the same order for red.
-GRAY_TABLE_VERBATIM = {
-    (EMPTY, EMPTY): (2, 1), (EMPTY, VERTICAL): (2, 1), (EMPTY, HORIZONTAL): (1, 0),
-    (EMPTY, BOTTOM_RIGHT): (1, 0), (EMPTY, LEFT_TOP): (2, 1),
-    (VERTICAL, EMPTY): (2, 1), (VERTICAL, VERTICAL): (2, 1),
-    (VERTICAL, HORIZONTAL): (1, 0), (VERTICAL, BOTTOM_RIGHT): (1, 0),
-    (VERTICAL, LEFT_TOP): (2, 1),
-    (HORIZONTAL, EMPTY): (1, 0), (HORIZONTAL, VERTICAL): (1, 1),
-    (HORIZONTAL, HORIZONTAL): (0, 0), (HORIZONTAL, BOTTOM_RIGHT): (0, 0),
-    (HORIZONTAL, LEFT_TOP): (1, 1),
-    (BOTTOM_RIGHT, EMPTY): (1, 0), (BOTTOM_RIGHT, VERTICAL): (1, 1),
-    (BOTTOM_RIGHT, HORIZONTAL): (0, 0), (BOTTOM_RIGHT, BOTTOM_RIGHT): (0, 0),
-    (BOTTOM_RIGHT, LEFT_TOP): (1, 1),
-    (LEFT_TOP, EMPTY): (2, 1), (LEFT_TOP, VERTICAL): (2, 1),
-    (LEFT_TOP, HORIZONTAL): (1, 0), (LEFT_TOP, BOTTOM_RIGHT): (1, 0),
-    (LEFT_TOP, LEFT_TOP): (2, 1),
-}
-
-
-def colored_cross_weight(c_blue, c_red, z, t):
-    """Blue crossing weight at z / t^r where r flags a red NW-SE strand."""
-    if c_blue not in ALLOWED_CROSSINGS or c_red not in ALLOWED_CROSSINGS:
-        raise ValueError(f"disallowed crossing pair {(c_blue, c_red)}")
-    r = 1 if c_red == CROSS_NWSE else 0
-    return cross_weight(c_blue, z / t ** r) * cross_weight(c_red, z)
-
-
-# ---------------------------------------------------------------------------
-# Colored YBE
-
-
-COLORED_WHITE_GRAY = "colored-white-gray"
-COLORED_SAMPLES = (
-    (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
-    (Fraction(2, 7), Fraction(3, 5), Fraction(1, 2)),
-    (Fraction(1, 3), Fraction(1, 4), Fraction(3, 7)),
-)
-
-
-def colored_ybe_tables(x, y, t):
-    """The `ybe_sweep` tables (cross, bottom, top) of two colors: a gray row
-    at x below a white row at y, each edge a (blue, red) pair of bits.
-
-    The crossing parameter is z = x y t: gray weights are white weights at
-    1/(x t) up to a per-vertex factor, so the white-white crossing parameter
-    y/x turns into x y t.  At t = 1 this is the one-color value x y.
-    """
-    z = x * y * t
-    state_pairs = list(product(ALLOWED_STATES, repeat=2))
-    return ({tuple(zip(cb, cr)): colored_cross_weight(cb, cr, z, t)
-             for cb, cr in product(ALLOWED_CROSSINGS, repeat=2)},
-            {tuple(zip(vb, vr)): colored_gray_weight(vb, vr, x, t)
-             for vb, vr in state_pairs},
-            {tuple(zip(vb, vr)): colored_white_weight(vb, vr, y, t)
-             for vb, vr in state_pairs})
-
-
-def verify_colored_ybe(samples=COLORED_SAMPLES) -> dict:
-    """All 4^6 colored boundary assignments of `colored_ybe_tables` at
-    every sample point, in `itertools.product` order."""
-    boundaries = list(product(product((0, 1), repeat=2), repeat=6))
-    return vertex_model.ybe_report(COLORED_WHITE_GRAY, colored_ybe_tables,
-                                   samples, boundaries)
+from .vertex_model import Monomial
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +62,6 @@ def pair_from_json(text: str) -> PairRPP:
     if normalize(data["shape"]) != blue.shape:
         raise ValueError("pair shape disagrees with the blue filling")
     return make_pair(blue, red)
-
-
-def colored_row_weight_explicit(kind, mu_pair, lam_pair, x, t, ell, window):
-    """Vertex-by-vertex weight of one 2-color row with per-color boundary
-    partitions; None when either color admits no configuration."""
-    per_color = []
-    for mu, lam in zip(mu_pair, lam_pair):
-        states = vertex_model.centered_row_states(kind, mu, lam, ell, window)
-        if states is None:
-            return None
-        per_color.append(states)
-    weigh = colored_white_weight if kind == WHITE else colored_gray_weight
-    total = x ** 0
-    for vb, vr in zip(*per_color):
-        total = total * weigh(vb, vr, x, t)
-    return total
 
 
 def pair_config_weight(pair: PairRPP) -> Monomial:

@@ -75,9 +75,11 @@ class QTSeries:
         return " + ".join(fmt(*t) for t in self.terms())
 
 
-def hook_product_single(lam, trunc_q: int) -> QTSeries:
-    """Product over cells of 1/(1 - q^hook), truncated."""
-    return _divide_by_hooks(lam, trunc_q, (0,))
+def hook_product(lam, trunc_q: int, colors: int) -> QTSeries:
+    """Product over cells of 1/((1 - q^hook) (1 - t q^hook) ... (1 -
+    t^(colors-1) q^hook)), truncated: one color's single fillings, or two
+    colors' pairs with their statistic g."""
+    return _divide_by_hooks(lam, trunc_q, range(colors))
 
 
 def hook_count(lam, trunc_q: int, colors: int = 1) -> int:
@@ -90,11 +92,6 @@ def hook_count(lam, trunc_q: int, colors: int = 1) -> int:
         for n in range(h, trunc_q + 1):
             coeffs[n] += coeffs[n - h]
     return sum(coeffs)
-
-
-def hook_product_pair(lam, trunc_q: int) -> QTSeries:
-    """Product over cells of 1/((1 - q^hook)(1 - q^hook t)), truncated."""
-    return _divide_by_hooks(lam, trunc_q, (0, 1))
 
 
 def _divide_by_hooks(lam, trunc_q: int, t_exponents) -> QTSeries:

@@ -37,7 +37,7 @@ from operator import ge
 from . import rpp_core
 from .partitions import normalize
 from .coupling import PairRPP, make_pair
-from .qt_series import hook_product_pair, hook_product_single
+from .qt_series import hook_product
 from .rpp_core import PRECEQ, RPP, shape_geometry
 
 
@@ -104,8 +104,8 @@ def verify_t0_counting(lam, max_volume: int, fillings=None) -> dict:
     single_counts = [0] * (max_volume + 1)
     for rpp in fillings:
         single_counts[rpp.volume] += 1
-    series_pair = hook_product_pair(lam, max_volume).t_zero_slice().q_coefficients()
-    series_single = hook_product_single(lam, max_volume).q_coefficients()
+    series_pair = hook_product(lam, max_volume, 2).t_zero_slice().q_coefficients()
+    series_single = hook_product(lam, max_volume, 1).q_coefficients()
     mismatches = [n for n in range(max_volume + 1)
                   if not (pair_counts[n] == single_counts[n]
                           == series_pair[n] == series_single[n])]

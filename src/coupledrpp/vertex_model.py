@@ -1,4 +1,9 @@
-"""One-color five-vertex model: weights, row transfer, YBE, weight bijection.
+"""The colored five-vertex model: weights of one color or several, row
+transfer, YBE, weight bijection.
+
+A vertex of n colors is a column of n one-color states, lowest color
+first; one color is the case n = 1, and blue and red (`coupling`) are the
+case n = 2.
 
 Rows live on a finite window of cells 0..window-1.  Interface k carries the
 particle sites of the k-th slice partition as one int bitmask, its Maya
@@ -11,7 +16,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 from math import lcm
 from typing import NamedTuple
 
@@ -62,18 +68,59 @@ class Monomial(NamedTuple):
         return f"q^{self.q_exp}" + (f"*t^{self.t_exp}" if self.t_exp else "")
 
 
-def white_weight(v: VertexState, x):
-    """x when the path leaves to the right, 1 otherwise."""
-    if v not in _ALLOWED:
-        raise ValueError(f"disallowed vertex state {v}")
-    return x if v.out_right else x ** 0
+def white_weight(column, x, t=1):
+    """Weight of a column of per-color states, lowest color first: color a
+    weighs x t^(higher colors present) when it leaves to the right, 1
+    otherwise.  With one color, x on a right exit."""
+    a = b = present = 0
+    for v in reversed(column):
+        if v not in _ALLOWED:
+            raise ValueError(f"disallowed vertex state {v}")
+        if v.out_right:
+            a += 1
+            b += present
+        present += v != EMPTY
+    return x ** a * t ** b if b else x ** a
 
 
-def gray_weight(v: VertexState, x):
-    """Complementary table: x exactly where the white weight is 1."""
-    if v not in _ALLOWED:
-        raise ValueError(f"disallowed vertex state {v}")
-    return x ** 0 if v.out_right else x
+def gray_weight(column, x, t=1):
+    """Color a weighs t^beta when it leaves to the right, x t^(alpha+beta)
+    otherwise, where alpha counts the higher colors that are EMPTY and
+    beta those that leave through the top.  With one color, the
+    complement of the white table: x exactly where the white weight is 1."""
+    a = b = empty = tops = 0
+    for v in reversed(column):
+        if v not in _ALLOWED:
+            raise ValueError(f"disallowed vertex state {v}")
+        if v.out_right:
+            b += tops
+        else:
+            a += 1
+            b += empty + tops
+        empty += v == EMPTY
+        tops += v.out_top
+    return x ** a * t ** b if b else x ** a
+
+
+# The published 5x5 two-color gray table, (x-exponent, t-exponent) per
+# (blue, red) state pair, rows ordered [empty, vertical, horizontal,
+# bottom-right, left-top] for blue and the same order for red.
+GRAY_TABLE_VERBATIM = {
+    (EMPTY, EMPTY): (2, 1), (EMPTY, VERTICAL): (2, 1), (EMPTY, HORIZONTAL): (1, 0),
+    (EMPTY, BOTTOM_RIGHT): (1, 0), (EMPTY, LEFT_TOP): (2, 1),
+    (VERTICAL, EMPTY): (2, 1), (VERTICAL, VERTICAL): (2, 1),
+    (VERTICAL, HORIZONTAL): (1, 0), (VERTICAL, BOTTOM_RIGHT): (1, 0),
+    (VERTICAL, LEFT_TOP): (2, 1),
+    (HORIZONTAL, EMPTY): (1, 0), (HORIZONTAL, VERTICAL): (1, 1),
+    (HORIZONTAL, HORIZONTAL): (0, 0), (HORIZONTAL, BOTTOM_RIGHT): (0, 0),
+    (HORIZONTAL, LEFT_TOP): (1, 1),
+    (BOTTOM_RIGHT, EMPTY): (1, 0), (BOTTOM_RIGHT, VERTICAL): (1, 1),
+    (BOTTOM_RIGHT, HORIZONTAL): (0, 0), (BOTTOM_RIGHT, BOTTOM_RIGHT): (0, 0),
+    (BOTTOM_RIGHT, LEFT_TOP): (1, 1),
+    (LEFT_TOP, EMPTY): (2, 1), (LEFT_TOP, VERTICAL): (2, 1),
+    (LEFT_TOP, HORIZONTAL): (1, 0), (LEFT_TOP, BOTTOM_RIGHT): (1, 0),
+    (LEFT_TOP, LEFT_TOP): (2, 1),
+}
 
 
 class CrossState(NamedTuple):
@@ -93,15 +140,25 @@ ALLOWED_CROSSINGS = (CROSS_NWSE, CROSS_TOP, CROSS_BOTTOM, CROSS_BOTH, CROSS_EMPT
 _ALLOWED_CROSS = frozenset(ALLOWED_CROSSINGS)
 
 
-def cross_weight(c: CrossState, z):
-    """Weights 1-z, z, 1, z, 1 in the order of ALLOWED_CROSSINGS."""
-    if c not in _ALLOWED_CROSS:
-        raise ValueError(f"disallowed crossing state {c}")
-    if c == CROSS_NWSE:
-        return z ** 0 - z
-    if c in (CROSS_TOP, CROSS_BOTH):
-        return z
-    return z ** 0
+def cross_weight(column, z, t=1):
+    """Weight of a column of per-color crossings, lowest color first: color
+    a is the one-color crossing, 1-z, z, 1, z, 1 in the order of
+    ALLOWED_CROSSINGS, at z / t^(higher colors on the NW-SE strand)."""
+    a = b = strands = 0
+    nwse = []  # per color on the NW-SE strand: how many higher colors are
+    for c in reversed(column):
+        if c not in _ALLOWED_CROSS:
+            raise ValueError(f"disallowed crossing state {c}")
+        if c == CROSS_NWSE:
+            nwse.append(strands)
+            strands += 1
+        elif c.right_top:
+            a += 1
+            b += strands
+    w = z ** a / t ** b if b else z ** a
+    for r in nwse:
+        w = w * (z ** 0 - (z / t ** r if r else z))
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +222,20 @@ def centered_row_states(kind: str, mu, lam, ell: int,
                       maya_mask(lam, ell), window)
 
 
-def row_weight_explicit(kind: str, mu, lam, x, ell: int, window: int):
-    """Vertex-by-vertex product over the window; None when no configuration
-    exists."""
-    states = centered_row_states(kind, mu, lam, ell, window)
-    if states is None:
-        return None
+def row_weight_explicit(kind: str, mus, lams, x, ell: int, window: int, t=1):
+    """Vertex-by-vertex product over the window of one row whose colors,
+    lowest first, run from slice mus[a] up to slice lams[a]; None when
+    some color admits no configuration."""
+    per_color = []
+    for mu, lam in zip(mus, lams):
+        states = centered_row_states(kind, mu, lam, ell, window)
+        if states is None:
+            return None
+        per_color.append(states)
     weigh = white_weight if kind == WHITE else gray_weight
     total = x ** 0
-    for v in states:
-        total = total * weigh(v, x)
+    for column in zip(*per_color):
+        total = total * weigh(column, x, t)
     return total
 
 
@@ -376,27 +437,44 @@ def ybe_sweep(cross, bottom, top):
     return lhs, rhs
 
 
-def ybe_tables(kind: str, x, y):
-    """The `ybe_sweep` tables (cross, bottom, top) of one color: a white or
-    gray row at x below a white row at y, crossing at y/x resp. x y."""
+def ybe_tables(kind: str, colors: int, x, y, t=1):
+    """The `ybe_sweep` tables (cross, bottom, top) of `colors` colors: a
+    white or gray row at x below a white row at y.  An edge is a bit for
+    one color and a tuple of bits, lowest color first, for more.
+
+    White rows cross at z = y/x.  A gray weight at x is x^colors
+    t^(colors (colors-1)/2) times the white weight at 1/(x t^(colors-1)),
+    so a gray row crosses a white one at z = x y t^(colors-1): x y for one
+    color, x y t for two.
+    """
     if kind == WHITE_WHITE:
         z, weigh_bottom = y / x, white_weight
     elif kind == WHITE_GRAY:
-        z, weigh_bottom = y * x, gray_weight
+        z, weigh_bottom = x * y * t ** (colors - 1), gray_weight
     else:
         raise ValueError(f"unknown YBE kind {kind!r}")
-    return ({c: cross_weight(c, z) for c in ALLOWED_CROSSINGS},
-            {v: weigh_bottom(v, x) for v in ALLOWED_STATES},
-            {v: white_weight(v, y) for v in ALLOWED_STATES})
+
+    def edges(column):
+        return column[0] if colors == 1 else tuple(zip(*column))
+
+    columns = list(product(ALLOWED_STATES, repeat=colors))
+    return ({edges(c): cross_weight(c, z, t)
+             for c in product(ALLOWED_CROSSINGS, repeat=colors)},
+            {edges(v): weigh_bottom(v, x, t) for v in columns},
+            {edges(v): white_weight(v, y, t) for v in columns})
 
 
-DEFAULT_SAMPLES = (
-    (Fraction(2, 3), Fraction(1, 5)),
-    (Fraction(1, 2), Fraction(1, 3)),
-    (Fraction(3, 7), Fraction(2, 9)),
-    (Fraction(5, 4), Fraction(1, 7)),
-    (Fraction(1, 9), Fraction(8, 3)),
-)
+# Exact sample points, (x, y) for one color and (x, y, t) for more
+YBE_SAMPLES = {
+    1: ((Fraction(2, 3), Fraction(1, 5)),
+        (Fraction(1, 2), Fraction(1, 3)),
+        (Fraction(3, 7), Fraction(2, 9)),
+        (Fraction(5, 4), Fraction(1, 7)),
+        (Fraction(1, 9), Fraction(8, 3))),
+    2: ((Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
+        (Fraction(2, 7), Fraction(3, 5), Fraction(1, 2)),
+        (Fraction(1, 3), Fraction(1, 4), Fraction(3, 7))),
+}
 
 
 def _integer_table(table):
@@ -409,7 +487,7 @@ def ybe_report(kind: str, tables_at, samples, boundaries) -> dict:
     """The YBE report of `kind`: both sides of `ybe_sweep` over the rational
     tables `tables_at(*sample)` compared at every boundary, sample by sample.
     A violation names its boundary, as JSON lists, its sample point (x, y
-    and, for two colors, t) and both sides.
+    and, for more than one color, t) and both sides.
 
     Each table is scaled to ints first.  Every term on either side is one
     cross, one bottom and one top weight, so both sides carry the product
@@ -435,8 +513,21 @@ def ybe_report(kind: str, tables_at, samples, boundaries) -> dict:
             "violations": violations, "passed": not violations}
 
 
-def verify_ybe(kind: str, samples=DEFAULT_SAMPLES) -> dict:
-    """Check the YBE at every boundary assignment and sample point; the
-    boundary (i1, i2, i3, j1, j2, j3) is the 6-bit code with i1 lowest."""
-    boundaries = [tuple(code >> i & 1 for i in range(6)) for code in range(64)]
-    return ybe_report(kind, lambda x, y: ybe_tables(kind, x, y), samples, boundaries)
+def ybe_boundaries(colors: int) -> list:
+    """Every boundary (i1, i2, i3, j1, j2, j3): for one color the 6-bit
+    codes with i1 lowest, for more the `itertools.product` of the edges."""
+    if colors == 1:
+        return [tuple(code >> i & 1 for i in range(6)) for code in range(64)]
+    return list(product(product((0, 1), repeat=colors), repeat=6))
+
+
+def verify_ybe(kind: str, colors: int, samples=None, boundaries=None) -> dict:
+    """Check the YBE of `ybe_tables` at every boundary (by default all of
+    `ybe_boundaries`) and sample point (by default those of `YBE_SAMPLES`).
+    Reports for more than one color are labelled `colored-<kind>`."""
+    if samples is None:
+        samples = YBE_SAMPLES[min(colors, 2)]
+    if boundaries is None:
+        boundaries = ybe_boundaries(colors)
+    label = kind if colors == 1 else f"colored-{kind}"
+    return ybe_report(label, partial(ybe_tables, kind, colors), samples, boundaries)

@@ -4,8 +4,9 @@ Each of these computes something the package also computes, by another
 route: per-site lozenge kinds, border strips and the cells they force to
 zero, interlacing as a per-part predicate, the inverse of the slice chain
 and of `maya_mask`, the hook products as plain products of geometric
-series, and the one-color row weights in closed form with the row
-commutation they satisfy.
+series, the one-color row weights in closed form with the row
+commutation they satisfy, and the two-color vertex weights as products of
+per-color one-color weights.
 """
 
 from __future__ import annotations
@@ -17,7 +18,17 @@ from coupledrpp.coupling import GREEN, ORCHID, SIENNA, PairRPP
 from coupledrpp.partitions import Cell, normalize, part
 from coupledrpp.qt_series import QTSeries
 from coupledrpp.rpp_core import PRECEQ, RPP, SUCCEQ, SliceSequence, next_slices
-from coupledrpp.vertex_model import WHITE
+from coupledrpp.vertex_model import (
+    ALLOWED_CROSSINGS,
+    ALLOWED_STATES,
+    CROSS_BOTH,
+    CROSS_NWSE,
+    CROSS_TOP,
+    EMPTY,
+    LEFT_TOP,
+    VERTICAL,
+    WHITE,
+)
 
 # ---------------------------------------------------------------------------
 # Lozenges
@@ -245,3 +256,62 @@ def verify_commutation(mu, lam, x, y, window: int) -> dict:
     rhs = factor * (partial + at_cap / factor)
     return {"mu": list(mu), "lam": list(lam), "x": str(x), "y": str(y),
             "lhs": str(lhs), "rhs": str(rhs), "passed": lhs == rhs}
+
+
+# ---------------------------------------------------------------------------
+# Two-color vertex weights, one per-color factor at a time
+
+
+def white_weight(v, x):
+    """One color: x when the path leaves to the right, 1 otherwise."""
+    if v not in ALLOWED_STATES:
+        raise ValueError(f"disallowed vertex state {v}")
+    return x if v.out_right else x ** 0
+
+
+def cross_weight(c, z):
+    """One color: weights 1-z, z, 1, z, 1 in the order of ALLOWED_CROSSINGS."""
+    if c not in ALLOWED_CROSSINGS:
+        raise ValueError(f"disallowed crossing state {c}")
+    if c == CROSS_NWSE:
+        return z ** 0 - z
+    if c in (CROSS_TOP, CROSS_BOTH):
+        return z
+    return z ** 0
+
+
+def colored_white_weight(v_blue, v_red, x, t):
+    """Blue picks up an extra t for a right exit whenever red is present."""
+    delta = 0 if v_red == EMPTY else 1
+    return white_weight(v_blue, x * t ** delta) * white_weight(v_red, x)
+
+
+_EXITS_TOP = (VERTICAL, LEFT_TOP)
+
+
+def _gray_color_factor(v, x, t, alpha, beta):
+    """Per-color factor of the 2-color gray weight: t^beta for the two
+    right-exit states, x t^(alpha+beta) for the other three."""
+    if v not in ALLOWED_STATES:
+        raise ValueError(f"disallowed vertex state {v}")
+    if v.out_right:
+        return t ** beta
+    return x * t ** (alpha + beta)
+
+
+def colored_gray_weight(v_blue, v_red, x, t):
+    """Product of per-color factors; alpha/beta count higher colors that are
+    empty resp. exiting through the top."""
+    alpha1 = 1 if v_red == EMPTY else 0
+    beta1 = 1 if v_red in _EXITS_TOP else 0
+    blue_part = _gray_color_factor(v_blue, x, t, alpha1, beta1)
+    red_part = _gray_color_factor(v_red, x, t, 0, 0)
+    return blue_part * red_part
+
+
+def colored_cross_weight(c_blue, c_red, z, t):
+    """Blue crossing weight at z / t^r where r flags a red NW-SE strand."""
+    if c_blue not in ALLOWED_CROSSINGS or c_red not in ALLOWED_CROSSINGS:
+        raise ValueError(f"disallowed crossing pair {(c_blue, c_red)}")
+    r = 1 if c_red == CROSS_NWSE else 0
+    return cross_weight(c_blue, z / t ** r) * cross_weight(c_red, z)

@@ -88,6 +88,13 @@ def test_zero_x_sample_exits_2():
     assert "x = 0" in run.stderr
 
 
+def test_zero_x_sample_passes_with_two_colors(capsys):
+    # the colored tables divide only by t
+    code, out = run(capsys, "ybe", "--mode", "two-color",
+                    "--samples", '[["0","1/3","2/5"]]')
+    assert code == 0 and out.splitlines()[-1] == "status: pass"
+
+
 def test_zero_t_sample_exits_2():
     run = cli_process("ybe", "--mode", "two-color", "--samples", '[["1","1","0"]]')
     assert run.returncode == 2 and "Traceback" not in run.stderr

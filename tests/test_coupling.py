@@ -9,7 +9,7 @@ from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
 from coupledrpp import vertex_model as V
-from coupledrpp.qt_series import hook_product_pair
+from coupledrpp.qt_series import hook_product
 from coupledrpp.vertex_model import GRAY, Monomial, WHITE
 
 X, T = Fraction(3, 5), Fraction(2, 7)
@@ -20,59 +20,59 @@ WORKED_PAIR = C.make_pair(WORKED_BLUE, WORKED_RED)
 
 
 def test_colored_white_weight_examples():
-    assert C.colored_white_weight(V.HORIZONTAL, V.HORIZONTAL, X, T) == X * X * T
-    assert C.colored_white_weight(V.EMPTY, V.EMPTY, X, T) == 1
-    assert C.colored_white_weight(V.BOTTOM_RIGHT, V.VERTICAL, X, T) == X * T
+    assert V.white_weight((V.HORIZONTAL, V.HORIZONTAL), X, T) == X * X * T
+    assert V.white_weight((V.EMPTY, V.EMPTY), X, T) == 1
+    assert V.white_weight((V.BOTTOM_RIGHT, V.VERTICAL), X, T) == X * T
 
 
 def test_colored_white_t1_factors():
     for vb in V.ALLOWED_STATES:
         for vr in V.ALLOWED_STATES:
-            assert C.colored_white_weight(vb, vr, X, Fraction(1)) == \
-                V.white_weight(vb, X) * V.white_weight(vr, X)
+            assert V.white_weight((vb, vr), X, Fraction(1)) == \
+                V.white_weight((vb,), X) * V.white_weight((vr,), X)
 
 
 def test_colored_gray_weight_examples():
-    assert C.colored_gray_weight(V.EMPTY, V.EMPTY, X, T) == X * X * T
-    assert C.colored_gray_weight(V.HORIZONTAL, V.HORIZONTAL, X, T) == 1
-    assert C.colored_gray_weight(V.HORIZONTAL, V.VERTICAL, X, T) == X * T
+    assert V.gray_weight((V.EMPTY, V.EMPTY), X, T) == X * X * T
+    assert V.gray_weight((V.HORIZONTAL, V.HORIZONTAL), X, T) == 1
+    assert V.gray_weight((V.HORIZONTAL, V.VERTICAL), X, T) == X * T
 
 
 def test_colored_gray_table_vs_formula():
     # published table against the per-color factorization, symbolically
     x, t = Monomial(1, 0), Monomial(0, 1)
-    for (vb, vr), (xe, te) in C.GRAY_TABLE_VERBATIM.items():
-        assert C.colored_gray_weight(vb, vr, x, t) == Monomial(xe, te)
+    for (vb, vr), (xe, te) in V.GRAY_TABLE_VERBATIM.items():
+        assert V.gray_weight((vb, vr), x, t) == Monomial(xe, te)
 
 
 def test_colored_gray_change_of_variable():
     # (L')_{x;t} = x^2 t L_{1/(xt);t} on all 25 state pairs
     for vb in V.ALLOWED_STATES:
         for vr in V.ALLOWED_STATES:
-            assert C.colored_gray_weight(vb, vr, X, T) == \
-                X * X * T * C.colored_white_weight(vb, vr, 1 / (X * T), T)
+            assert V.gray_weight((vb, vr), X, T) == \
+                X * X * T * V.white_weight((vb, vr), 1 / (X * T), T)
 
 
 def test_colored_cross_examples():
     z = Fraction(2, 9)
-    assert C.colored_cross_weight(V.CROSS_EMPTY, V.CROSS_EMPTY, z, T) == 1
-    assert C.colored_cross_weight(V.CROSS_EMPTY, V.CROSS_NWSE, z, T) == 1 - z
+    assert V.cross_weight((V.CROSS_EMPTY, V.CROSS_EMPTY), z, T) == 1
+    assert V.cross_weight((V.CROSS_EMPTY, V.CROSS_NWSE), z, T) == 1 - z
     with pytest.raises(ValueError):
-        C.colored_cross_weight(V.CrossState(0, 1, 1, 0), V.CROSS_EMPTY, z, T)
+        V.cross_weight((V.CrossState(0, 1, 1, 0), V.CROSS_EMPTY), z, T)
 
 
 def test_colored_cross_worked_identity():
     # the displayed two-white-row crossing computation
     x, y, t = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)
     z = y / x
-    lhs = C.colored_cross_weight(V.CROSS_NWSE, V.CROSS_EMPTY, z, t) * \
-        C.colored_white_weight(V.HORIZONTAL, V.BOTTOM_RIGHT, x, t)
-    term1 = C.colored_cross_weight(V.CROSS_NWSE, V.CROSS_BOTTOM, z, t) * \
-        C.colored_white_weight(V.EMPTY, V.BOTTOM_RIGHT, y, t) * \
-        C.colored_white_weight(V.HORIZONTAL, V.EMPTY, x, t)
-    term2 = C.colored_cross_weight(V.CROSS_NWSE, V.CROSS_NWSE, z, t) * \
-        C.colored_white_weight(V.EMPTY, V.VERTICAL, y, t) * \
-        C.colored_white_weight(V.HORIZONTAL, V.BOTTOM_RIGHT, x, t)
+    lhs = V.cross_weight((V.CROSS_NWSE, V.CROSS_EMPTY), z, t) * \
+        V.white_weight((V.HORIZONTAL, V.BOTTOM_RIGHT), x, t)
+    term1 = V.cross_weight((V.CROSS_NWSE, V.CROSS_BOTTOM), z, t) * \
+        V.white_weight((V.EMPTY, V.BOTTOM_RIGHT), y, t) * \
+        V.white_weight((V.HORIZONTAL, V.EMPTY), x, t)
+    term2 = V.cross_weight((V.CROSS_NWSE, V.CROSS_NWSE), z, t) * \
+        V.white_weight((V.EMPTY, V.VERTICAL), y, t) * \
+        V.white_weight((V.HORIZONTAL, V.BOTTOM_RIGHT), x, t)
     assert lhs == x * x * t * (1 - y / x)
     assert term1 == x * y * (1 - y / x)
     assert term2 == x * x * t * (1 - y / x) * (1 - y / (x * t))
@@ -82,24 +82,24 @@ def test_colored_cross_worked_identity():
 def test_colored_row_weights_worked_examples():
     # white row x^7 t^3 (= x^3 x^4 per color); gray row x^8 t^3, whose
     # x-part factors as x^5 * x^3 through the per-color closed forms
-    w = C.colored_row_weight_explicit(
-        WHITE, ((2, 1), (1,)), ((4, 2), (4, 1)), X, T, ell=2, window=10)
+    w = V.row_weight_explicit(
+        WHITE, ((2, 1), (1,)), ((4, 2), (4, 1)), X, ell=2, window=10, t=T)
     assert w == X ** 7 * T ** 3
-    g = C.colored_row_weight_explicit(
-        GRAY, ((3, 1, 1), (2, 1)), ((1, 1), (1, 1)), X, T, ell=2, window=10)
+    g = V.row_weight_explicit(
+        GRAY, ((3, 1, 1), (2, 1)), ((1, 1), (1, 1)), X, ell=2, window=10, t=T)
     assert g == X ** 8 * T ** 3
-    assert C.colored_row_weight_explicit(
-        WHITE, ((2,), (0,)), ((1,), (1,)), X, T, ell=1, window=8) is None
+    assert V.row_weight_explicit(
+        WHITE, ((2,), (0,)), ((1,), (1,)), X, ell=1, window=8, t=T) is None
 
 
 def test_colored_ybe_full_sweep():
-    report = C.verify_colored_ybe()
+    report = V.verify_ybe(V.WHITE_GRAY, 2)
     assert report["passed"], report["violations"][:3]
     assert report["checked"] == 3 * 4 ** 6
 
 
 def test_colored_ybe_t1_matches_one_color():
-    report = C.verify_colored_ybe([(Fraction(1, 2), Fraction(1, 3), Fraction(1))])
+    report = V.verify_ybe(V.WHITE_GRAY, 2, [(Fraction(1, 2), Fraction(1, 3), Fraction(1))])
     assert report["passed"]
 
 
@@ -111,14 +111,14 @@ def test_colored_ybe_reports_a_broken_weight(monkeypatch):
     # blue vertical under red horizontal weighs double; the pinned report
     # (48 violations, their order and strings) is the one found by summing
     # both sides boundary by boundary
-    true_weight = C.colored_white_weight
+    true_weight = V.white_weight
 
-    def broken(vb, vr, x, t):
-        w = true_weight(vb, vr, x, t)
-        return 2 * w if (vb, vr) == (V.VERTICAL, V.HORIZONTAL) else w
+    def broken(column, x, t=1):
+        w = true_weight(column, x, t)
+        return 2 * w if column == (V.VERTICAL, V.HORIZONTAL) else w
 
-    monkeypatch.setattr(C, "colored_white_weight", broken)
-    report = C.verify_colored_ybe()
+    monkeypatch.setattr(V, "white_weight", broken)
+    report = V.verify_ybe(V.WHITE_GRAY, 2)
     assert report["checked"] == 12288 and len(report["violations"]) == 48
     assert report["violations"][0] == {
         "boundary": [[0, 0], [0, 1], [1, 0], [0, 1], [0, 0], [1, 0]],
@@ -199,13 +199,13 @@ def test_pair_genfun_single_cell():
     series = C.pair_genfun_bruteforce((1,), 2)
     assert series.terms() == [(0, 0, 1), (1, 0, 1), (1, 1, 1),
                               (2, 0, 1), (2, 1, 1), (2, 2, 1)]
-    assert series == hook_product_pair((1,), 2)
+    assert series == hook_product((1,), 2, 2)
 
 
 def test_pair_genfun_matches_hook_product():
     for lam in [(2,), (1, 1), (2, 1)]:
-        assert C.pair_genfun_bruteforce(lam, 6) == hook_product_pair(lam, 6)
-    assert C.pair_genfun_bruteforce((), 4) == hook_product_pair((), 4)
+        assert C.pair_genfun_bruteforce(lam, 6) == hook_product(lam, 6, 2)
+    assert C.pair_genfun_bruteforce((), 4) == hook_product((), 4, 2)
 
 
 def test_classify_rejects_malformed_interfaces():
@@ -257,7 +257,7 @@ def test_transfer_matches_bruteforce_larger_shapes():
                                    ((4, 4, 3, 3, 1), 12)])
 def test_transfer_matches_hook_product_at_scale(lam, n):
     # 1.86 M, 4.2 M and 0.42 M pairs: out of the brute force's reach
-    assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
+    assert C.pair_genfun_transfer(lam, n) == hook_product(lam, n, 2)
 
 
 def test_transfer_edge_cases():
@@ -275,7 +275,7 @@ def test_transfer_edge_cases():
 def test_transfer_matches_hook_product_on_sparse_states(lam, n):
     # states holding a few counts at a high g or far above their least
     # volume, which the packed layout stores from the least key up
-    assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
+    assert C.pair_genfun_transfer(lam, n) == hook_product(lam, n, 2)
 
 
 @pytest.mark.parametrize("lam,n", [((6,), 20), ((3, 2, 1), 12), ((4, 1), 15)])
@@ -289,7 +289,7 @@ def test_kept_states_stop_at_the_volume_bound(lam, n, monkeypatch):
         return fold(parts, bits)
 
     monkeypatch.setattr(C, "_fold", watched)
-    assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
+    assert C.pair_genfun_transfer(lam, n) == hook_product(lam, n, 2)
     assert 0 < max(longest) <= (n + 1) ** 2
 
 
@@ -314,7 +314,7 @@ def test_slots_hold_the_sums_of_the_parts(lam, n, monkeypatch):
         return fold(parts, bits)
 
     monkeypatch.setattr(C, "_fold", watched)
-    assert C.pair_genfun_transfer(lam, n) == hook_product_pair(lam, n)
+    assert C.pair_genfun_transfer(lam, n) == hook_product(lam, n, 2)
     assert 0 < max(fullest) < 1
     assert any(repeats) == (len(lam) > 1)
 
@@ -445,13 +445,13 @@ def test_pair_config_weight_is_the_product_of_vertex_weights():
         for k in range(1, len(blue_cfg.pattern) + 1):
             kind = blue_cfg.kind(k)
             x = Monomial(-k) if kind == WHITE else Monomial(k)
-            weigh = C.colored_white_weight if kind == WHITE else C.colored_gray_weight
+            weigh = V.white_weight if kind == WHITE else V.gray_weight
             tail = V.EMPTY if kind == WHITE else V.HORIZONTAL
             brow, rrow = blue_cfg.states[k - 1], red_cfg.states[k - 1]
             for c in range(window):
                 vb = brow[c] if c < len(brow) else tail
                 vr = rrow[c] if c < len(rrow) else tail
-                total = total * weigh(vb, vr, x, t)
+                total = total * weigh((vb, vr), x, t)
         return total
 
     checked = 0

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from coupledrpp import partitions as P
-from coupledrpp.qt_series import QTSeries, hook_count, hook_product_pair, hook_product_single
+from coupledrpp.qt_series import QTSeries, hook_count, hook_product
 from oracles import geometric_inverse, one, product
 
 
@@ -57,19 +57,19 @@ def test_geometric_inverse_examples():
 
 
 def test_hook_product_single_examples():
-    assert hook_product_single((1,), 4).terms() == [(n, 0, 1) for n in range(5)]
+    assert hook_product((1,), 4, 1).terms() == [(n, 0, 1) for n in range(5)]
     # (2,1) has hooks {3,1,1}: expand 1/((1-q)^2 (1-q^3)) by convolution
     want = product(product(geometric_inverse(1, 0, 6), geometric_inverse(1, 0, 6)),
                    geometric_inverse(3, 0, 6))
-    assert hook_product_single((2, 1), 6) == want
-    assert hook_product_single((), 9) == one(9)
+    assert hook_product((2, 1), 6, 1) == want
+    assert hook_product((), 9, 1) == one(9)
 
 
 def test_hook_product_pair_examples():
-    assert hook_product_pair((), 5) == one(5)
+    assert hook_product((), 5, 2) == one(5)
     want = product(geometric_inverse(1, 0, 2), geometric_inverse(1, 1, 2))
-    assert hook_product_pair((1,), 2) == want
-    assert hook_product_pair((1,), 2).t_zero_slice().terms() == \
+    assert hook_product((1,), 2, 2) == want
+    assert hook_product((1,), 2, 2).t_zero_slice().terms() == \
         [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
 
 
@@ -81,28 +81,28 @@ def test_hook_products_equal_the_products_of_geometric_series():
             single = product(single, geometric_inverse(h, 0, 10))
             pair = product(product(pair, geometric_inverse(h, 0, 10)),
                            geometric_inverse(h, 1, 10))
-        assert hook_product_single(lam, 10) == single, lam
-        assert hook_product_pair(lam, 10) == pair, lam
+        assert hook_product(lam, 10, 1) == single, lam
+        assert hook_product(lam, 10, 2) == pair, lam
 
 
 def test_hook_product_single_keeps_one_coefficient_per_q_degree():
     # no t-degrees stored in single mode: 10^5 + 1 terms in linear space
-    series = hook_product_single((1,), 10 ** 5)
+    series = hook_product((1,), 10 ** 5, 1)
     assert series.terms() == [(n, 0, 1) for n in range(10 ** 5 + 1)]
 
 
 def test_hook_count_is_the_product_at_t_one():
     for lam in P.all_partitions(5):
         for n in (0, 3, 7):
-            assert hook_count(lam, n) == sum(hook_product_single(lam, n).q_coefficients())
-            assert hook_count(lam, n, 2) == sum(hook_product_pair(lam, n).q_coefficients())
+            assert hook_count(lam, n) == sum(hook_product(lam, n, 1).q_coefficients())
+            assert hook_count(lam, n, 2) == sum(hook_product(lam, n, 2).q_coefficients())
     assert hook_count((3, 2, 1), 8, 2) == 5307
     assert hook_count((), 10 ** 9, 2) == 1  # no series built for the empty shape
 
 
 def test_pair_t_zero_slice_is_single_product():
     for lam in P.all_partitions(6):
-        assert hook_product_pair(lam, 8).t_zero_slice() == hook_product_single(lam, 8)
+        assert hook_product(lam, 8, 2).t_zero_slice() == hook_product(lam, 8, 1)
 
 
 def test_series_do_not_hash():

@@ -8,7 +8,7 @@ from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
 from coupledrpp import sliding as S
 from coupledrpp import vertex_model as V
-from coupledrpp.qt_series import hook_product_single
+from coupledrpp.qt_series import hook_product
 from coupledrpp.rpp_core import PRECEQ, SUCCEQ
 
 EX_RPP = R.validate((4, 3, 1), [[0, 1, 3, 4], [1, 1, 4], [3]])
@@ -183,7 +183,7 @@ def test_enumerate_counts_against_hook_product():
             counts[rpp.volume] += 1
             assert rpp.rows not in seen, "enumeration must be duplicate-free"
             seen.add(rpp.rows)
-        assert counts == hook_product_single(lam, 10).q_coefficients(), lam
+        assert counts == hook_product(lam, 10, 1).q_coefficients(), lam
 
 
 def test_enumerate_volume_counts_21():

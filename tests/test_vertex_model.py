@@ -8,7 +8,6 @@ from itertools import product
 import pytest
 
 import oracles as O
-from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
 from coupledrpp import vertex_model as V
@@ -23,50 +22,59 @@ def report_digest(report):
 
 
 def test_white_weight_table():
-    assert V.white_weight(V.EMPTY, X) == 1
-    assert V.white_weight(V.BOTTOM_RIGHT, X) == X
-    assert V.white_weight(V.HORIZONTAL, X) == X
-    assert V.white_weight(V.VERTICAL, X) == 1
-    assert V.white_weight(V.LEFT_TOP, X) == 1
+    assert V.white_weight((V.EMPTY,), X) == 1
+    assert V.white_weight((V.BOTTOM_RIGHT,), X) == X
+    assert V.white_weight((V.HORIZONTAL,), X) == X
+    assert V.white_weight((V.VERTICAL,), X) == 1
+    assert V.white_weight((V.LEFT_TOP,), X) == 1
 
 
 def test_gray_weight_table():
-    assert V.gray_weight(V.EMPTY, X) == X
-    assert V.gray_weight(V.BOTTOM_RIGHT, X) == 1
-    assert V.gray_weight(V.HORIZONTAL, X) == 1
-    assert V.gray_weight(V.VERTICAL, X) == X
-    assert V.gray_weight(V.LEFT_TOP, X) == X
+    assert V.gray_weight((V.EMPTY,), X) == X
+    assert V.gray_weight((V.BOTTOM_RIGHT,), X) == 1
+    assert V.gray_weight((V.HORIZONTAL,), X) == 1
+    assert V.gray_weight((V.VERTICAL,), X) == X
+    assert V.gray_weight((V.LEFT_TOP,), X) == X
 
 
 def test_gray_is_white_after_inversion():
     # L'_x(v) = x L_{1/x}(v), checked at several exact points and symbolically
     for x in [Fraction(2, 3), Fraction(1, 5), Fraction(7, 2), Fraction(9, 4), Fraction(1, 9)]:
         for v in V.ALLOWED_STATES:
-            assert V.gray_weight(v, x) == x * V.white_weight(v, 1 / x)
+            assert V.gray_weight((v,), x) == x * V.white_weight((v,), 1 / x)
     q = Monomial(1)
     for v in V.ALLOWED_STATES:
-        assert V.gray_weight(v, q) == q * V.white_weight(v, Monomial(-1))
+        assert V.gray_weight((v,), q) == q * V.white_weight((v,), Monomial(-1))
+
+
+def test_three_color_gray_is_white_after_inversion():
+    # n colors: x^n t^(n(n-1)/2) times the white weight at 1/(x t^(n-1));
+    # n = 1 and n = 2 are the tests above and test_colored_gray_change_of_variable
+    x, t = Fraction(3, 5), Fraction(2, 7)
+    for column in product(V.ALLOWED_STATES, repeat=3):
+        assert V.gray_weight(column, x, t) == \
+            x ** 3 * t ** 3 * V.white_weight(column, 1 / (x * t * t), t), column
 
 
 def test_disallowed_state_raises():
     bad = V.VertexState(1, 1, 1, 1)
     with pytest.raises(ValueError):
-        V.white_weight(bad, X)
+        V.white_weight((bad,), X)
     with pytest.raises(ValueError):
-        V.gray_weight(bad, X)
+        V.gray_weight((bad,), X)
     assert V.vertex_state(1, 1, 1, 1) is None
     assert V.vertex_state(1, 1, 0, 1) is None
 
 
 def test_cross_weight_table():
     z = Fraction(2, 5)
-    assert V.cross_weight(V.CROSS_NWSE, z) == 1 - z
-    assert V.cross_weight(V.CROSS_TOP, z) == z
-    assert V.cross_weight(V.CROSS_BOTTOM, z) == 1
-    assert V.cross_weight(V.CROSS_BOTH, z) == z
-    assert V.cross_weight(V.CROSS_EMPTY, z) == 1
+    assert V.cross_weight((V.CROSS_NWSE,), z) == 1 - z
+    assert V.cross_weight((V.CROSS_TOP,), z) == z
+    assert V.cross_weight((V.CROSS_BOTTOM,), z) == 1
+    assert V.cross_weight((V.CROSS_BOTH,), z) == z
+    assert V.cross_weight((V.CROSS_EMPTY,), z) == 1
     with pytest.raises(ValueError):
-        V.cross_weight(V.CrossState(0, 1, 1, 0), z)
+        V.cross_weight((V.CrossState(0, 1, 1, 0),), z)
 
 
 def test_row_weight_closed_examples():
@@ -78,14 +86,14 @@ def test_row_weight_closed_examples():
 
 
 def test_row_weight_explicit_examples():
-    assert V.row_weight_explicit(WHITE, (1, 1), (3, 1, 1), X, ell=3, window=12) == X ** 3
-    assert V.row_weight_explicit(GRAY, (3, 1, 1), (2, 1), X, ell=4, window=12) == X ** 6
-    assert V.row_weight_explicit(WHITE, (2, 1), (2, 1), X, ell=2, window=8) == 1
+    assert V.row_weight_explicit(WHITE, ((1, 1),), ((3, 1, 1),), X, ell=3, window=12) == X ** 3
+    assert V.row_weight_explicit(GRAY, ((3, 1, 1),), ((2, 1),), X, ell=4, window=12) == X ** 6
+    assert V.row_weight_explicit(WHITE, ((2, 1),), ((2, 1),), X, ell=2, window=8) == 1
 
 
 def test_row_weight_explicit_window_too_narrow():
     with pytest.raises(ValueError, match="window"):
-        V.row_weight_explicit(WHITE, (1, 1), (3, 1, 1), X, ell=3, window=4)
+        V.row_weight_explicit(WHITE, ((1, 1),), ((3, 1, 1),), X, ell=3, window=4)
 
 
 def test_row_weight_explicit_matches_closed_exhaustively():
@@ -93,11 +101,50 @@ def test_row_weight_explicit_matches_closed_exhaustively():
         for lam in P.all_partitions(6):
             ell = max(len(mu), len(lam), 1) + 1
             window = ell + max(mu[0] if mu else 0, lam[0] if lam else 0) + 3
-            assert V.row_weight_explicit(WHITE, mu, lam, X, ell, window) == \
+            assert V.row_weight_explicit(WHITE, (mu,), (lam,), X, ell, window) == \
                 O.row_weight_closed(WHITE, mu, lam, X)
             if len(mu) <= ell:  # gray rows hold ell+1 entering paths
-                assert V.row_weight_explicit(GRAY, mu, lam, X, ell - 1, window) == \
+                assert V.row_weight_explicit(GRAY, (mu,), (lam,), X, ell - 1, window) == \
                     O.row_weight_closed(GRAY, mu, lam, X, ell - 1)
+
+
+def test_two_color_columns_are_the_per_color_products():
+    # the column weights against the two-color weights as products of
+    # one-color factors: all 25 state pairs and all 25 crossing pairs at
+    # the colored samples, and the monomial vertex weights symbolically
+    symbolic = (Monomial(1, 0), Monomial(0, 1))
+    for x, y, t in V.YBE_SAMPLES[2]:
+        z = x * y * t
+        for cb, cr in product(V.ALLOWED_CROSSINGS, repeat=2):
+            assert V.cross_weight((cb, cr), z, t) == O.colored_cross_weight(cb, cr, z, t)
+    for x, t in [sample[::2] for sample in V.YBE_SAMPLES[2]] + [symbolic]:
+        for vb, vr in product(V.ALLOWED_STATES, repeat=2):
+            assert V.white_weight((vb, vr), x, t) == O.colored_white_weight(vb, vr, x, t)
+            assert V.gray_weight((vb, vr), x, t) == O.colored_gray_weight(vb, vr, x, t)
+    bad_state, bad_cross = V.VertexState(1, 1, 1, 1), V.CrossState(0, 1, 1, 0)
+    for column in ((bad_state, V.EMPTY), (V.EMPTY, bad_state)):
+        for weigh in (V.white_weight, V.gray_weight):
+            with pytest.raises(ValueError, match="disallowed vertex state"):
+                weigh(column, X, X)
+    for column in ((bad_cross, V.CROSS_EMPTY), (V.CROSS_EMPTY, bad_cross)):
+        with pytest.raises(ValueError, match="disallowed crossing state"):
+            V.cross_weight(column, X, X)
+
+
+def test_two_color_rows_at_t1_are_products_of_one_color_rows():
+    one = Fraction(1)
+    checked = 0
+    for kind in (WHITE, GRAY):
+        for mb, mr, lb, lr in product(P.all_partitions(3), repeat=4):
+            got = V.row_weight_explicit(kind, (mb, mr), (lb, lr), X, 3, 9, one)
+            blue = V.row_weight_explicit(kind, (mb,), (lb,), X, 3, 9)
+            red = V.row_weight_explicit(kind, (mr,), (lr,), X, 3, 9)
+            if blue is None or red is None:
+                assert got is None
+            else:
+                assert got == blue * red
+                checked += 1
+    assert checked == 2 * 324
 
 
 EX_RPP = R.validate((4, 3, 1), [[0, 1, 3, 4], [1, 1, 4], [3]])
@@ -111,7 +158,7 @@ def test_config_rows_of_worked_example():
     profile = []
     for k, row in enumerate(config.states, start=1):
         weigh = V.white_weight if config.kind(k) == WHITE else V.gray_weight
-        profile.append(sum(1 for v in row if weigh(v, Fraction(2)) == Fraction(2)))
+        profile.append(sum(1 for v in row if weigh((v,), Fraction(2)) == Fraction(2)))
     assert profile == [3, 4, 0, 4, 3, 1, 4]
 
 
@@ -173,7 +220,7 @@ def test_corner_flip_changes_weight_by_q():
 
 def ybe_sides(kind, x, y, boundary):
     return tuple(side.get(boundary, 0)
-                 for side in V.ybe_sweep(*V.ybe_tables(kind, x, y)))
+                 for side in V.ybe_sweep(*V.ybe_tables(kind, 1, x, y)))
 
 
 def test_ybe_worked_boundary():
@@ -192,7 +239,7 @@ def test_ybe_empty_boundary():
 
 def test_ybe_unknown_kind():
     with pytest.raises(ValueError, match="unknown YBE kind"):
-        V.verify_ybe("gray-gray")
+        V.verify_ybe("gray-gray", 1)
 
 
 def test_ybe_reports_a_broken_weight(monkeypatch):
@@ -201,12 +248,13 @@ def test_ybe_reports_a_broken_weight(monkeypatch):
     # sides boundary by boundary
     true_weight = V.white_weight
 
-    def broken(v, x):
-        return 2 * true_weight(v, x) if v == V.VERTICAL else true_weight(v, x)
+    def broken(column, x, t=1):
+        w = true_weight(column, x, t)
+        return 2 * w if column == (V.VERTICAL,) else w
 
     monkeypatch.setattr(V, "white_weight", broken)
-    white_white = V.verify_ybe(V.WHITE_WHITE)
-    white_gray = V.verify_ybe(V.WHITE_GRAY)
+    white_white = V.verify_ybe(V.WHITE_WHITE, 1)
+    white_gray = V.verify_ybe(V.WHITE_GRAY, 1)
     assert [len(r["violations"]) for r in (white_white, white_gray)] == [10, 20]
     assert white_white["violations"][0] == {
         "boundary": [0, 0, 1, 1, 0, 0], "x": "2/3", "y": "1/5",
@@ -220,8 +268,32 @@ def test_ybe_reports_a_broken_weight(monkeypatch):
 
 
 def test_ybe_full_sweeps():
-    assert V.verify_ybe(V.WHITE_WHITE)["passed"]
-    assert V.verify_ybe(V.WHITE_GRAY)["passed"]
+    assert V.verify_ybe(V.WHITE_WHITE, 1)["passed"]
+    assert V.verify_ybe(V.WHITE_GRAY, 1)["passed"]
+
+
+def ybe_counts(tables):
+    # (boundaries where the two sides differ, boundaries where either is nonzero)
+    lhs, rhs = V.ybe_sweep(*tables)
+    reached = lhs.keys() | rhs.keys()
+    return (sum(lhs.get(key, 0) != rhs.get(key, 0) for key in reached),
+            sum(bool(lhs.get(key, 0) or rhs.get(key, 0)) for key in reached))
+
+
+def test_ybe_beyond_the_pinned_sweeps():
+    # three colors cross at z = x y t^2 below a white row and at y/x
+    # between white rows; at x y t, one power of t short, they do not
+    x, y, t = V.YBE_SAMPLES[2][0]
+    assert ybe_counts(V.ybe_tables(V.WHITE_GRAY, 3, x, y, t)) == (0, 2744)
+    assert ybe_counts(V.ybe_tables(V.WHITE_WHITE, 3, x, y, t)) == (0, 2744)
+    _, bottom, top = V.ybe_tables(V.WHITE_GRAY, 3, x, y, t)
+    cross = {tuple(zip(*c)): V.cross_weight(c, x * y * t, t)
+             for c in product(V.ALLOWED_CROSSINGS, repeat=3)}
+    assert ybe_counts((cross, bottom, top)) == (2149, 2744)
+    # two white rows of two colors, at every colored sample
+    report = V.verify_ybe(V.WHITE_WHITE, 2)
+    assert report["passed"] and report["kind"] == "colored-white-white"
+    assert report["checked"] == 3 * 4 ** 6
 
 
 def fraction_ybe_report(kind, tables_at, samples, boundaries):
@@ -249,21 +321,21 @@ DOUBLED_GRAY = tuple(zip(V.VERTICAL, V.HORIZONTAL))
 
 def doubled_gray_tables(x, y, t):
     # a wrong model: one colored gray weight doubled
-    cross, bottom, top = C.colored_ybe_tables(x, y, t)
+    cross, bottom, top = V.ybe_tables(V.WHITE_GRAY, 2, x, y, t)
     return cross, {**bottom, DOUBLED_GRAY: 2 * bottom[DOUBLED_GRAY]}, top
 
 
 def crossing_at_xy_tables(x, y, t):
     # a wrong model: the colored crossing at z = x y instead of x y t
-    _, bottom, top = C.colored_ybe_tables(x, y, t)
-    return ({tuple(zip(cb, cr)): C.colored_cross_weight(cb, cr, x * y, t)
+    _, bottom, top = V.ybe_tables(V.WHITE_GRAY, 2, x, y, t)
+    return ({tuple(zip(cb, cr)): V.cross_weight((cb, cr), x * y, t)
              for cb, cr in product(V.ALLOWED_CROSSINGS, repeat=2)}, bottom, top)
 
 
 def no_vertical_tables(x, y):
     # a wrong model: the bottom row has no vertical vertex, so some
     # boundaries are reached by one side only
-    cross, bottom, top = V.ybe_tables(V.WHITE_WHITE, x, y)
+    cross, bottom, top = V.ybe_tables(V.WHITE_WHITE, 1, x, y)
     return cross, {**bottom, V.VERTICAL: 0}, top
 
 
@@ -274,16 +346,16 @@ def seeded_samples(arity, seed):
                   for _ in range(arity)) for _ in range(3)]
 
 
-ONE_COLOR_CASES = {kind: partial(V.ybe_tables, kind) for kind in (V.WHITE_WHITE, V.WHITE_GRAY)}
+ONE_COLOR_CASES = {kind: partial(V.ybe_tables, kind, 1) for kind in (V.WHITE_WHITE, V.WHITE_GRAY)}
 ONE_COLOR_CASES["no-vertical"] = no_vertical_tables
-COLORED_CASES = {"colored": C.colored_ybe_tables, "doubled-gray": doubled_gray_tables,
+COLORED_CASES = {"colored": partial(V.ybe_tables, V.WHITE_GRAY, 2), "doubled-gray": doubled_gray_tables,
                  "crossing-at-xy": crossing_at_xy_tables}
 # (model, samples) -> (tables_at, samples, boundaries); "smoke" is the one
 # boundary of `ybe --smoke`, every edge empty, at the first default sample
 YBE_ORACLE_CASES = {}
 for cases, samples, boundaries in (
-        (ONE_COLOR_CASES, V.DEFAULT_SAMPLES, ONE_COLOR_BOUNDARIES),
-        (COLORED_CASES, C.COLORED_SAMPLES, COLORED_BOUNDARIES)):
+        (ONE_COLOR_CASES, V.YBE_SAMPLES[1], ONE_COLOR_BOUNDARIES),
+        (COLORED_CASES, V.YBE_SAMPLES[2], COLORED_BOUNDARIES)):
     for name, tables_at in cases.items():
         YBE_ORACLE_CASES[name, "default"] = (tables_at, samples, boundaries)
         YBE_ORACLE_CASES[name, "seeded"] = (
@@ -326,9 +398,9 @@ def test_ybe_report_sweeps_int_tables(monkeypatch):
         return true_sweep(*tables)
 
     monkeypatch.setattr(V, "ybe_sweep", spy)
-    assert V.verify_ybe(V.WHITE_WHITE)["passed"]
-    assert V.verify_ybe(V.WHITE_GRAY)["passed"]
-    assert C.verify_colored_ybe(seeded_samples(3, 4))["passed"]
+    assert V.verify_ybe(V.WHITE_WHITE, 1)["passed"]
+    assert V.verify_ybe(V.WHITE_GRAY, 1)["passed"]
+    assert V.verify_ybe(V.WHITE_GRAY, 2, seeded_samples(3, 4))["passed"]
     assert weight_types == [{int}] * 13
 
 
@@ -361,7 +433,7 @@ def test_config_weight_q_is_the_product_of_vertex_weights():
             else:
                 x, weigh = Monomial(k), V.gray_weight
             for v in row:
-                total = total * weigh(v, x)
+                total = total * weigh((v,), x)
         return total
 
     checked = 0
