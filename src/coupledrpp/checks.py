@@ -227,26 +227,11 @@ def check_sliding() -> dict:
     if sliding.unslide(want) != pair:
         failures.append("worked-unslide")
 
-    # Each filling's unslid pair must pass the g = 0 test (which `slide`
-    # makes first), slide back to it and keep its volume; then the g = 0
-    # pairs must be exactly these pairs, which makes slide and unslide
-    # mutual inverses between the two sets.
     for lam in SLIDE_SHAPES:
-        unslid = set()
-        for rpp in _fillings(lam, PAIR_MAX_VOLUME):
-            p = sliding.unslide(rpp)
-            try:
-                slid = sliding.slide(p)
-            except ValueError:
-                slid = None
-            if not (slid == rpp and p.blue.volume + p.red.volume == rpp.volume):
-                failures.append(f"unslide-slide {lam}")
-                break
-            unslid.add(p)
-        else:
-            zero = {p for p in _pairs(lam) if sliding.check_t0_constraints(p)}
-            if zero != unslid:
-                failures.append(f"slide-unslide {lam}")
+        _, failure = sliding.round_trips(_fillings(lam, PAIR_MAX_VOLUME), _pairs(lam))
+        if failure is not None:
+            way = "unslide-slide" if isinstance(failure, rpp_core.RPP) else "slide-unslide"
+            failures.append(f"{way} {lam}")
 
     counting = sliding.verify_t0_counting((2, 2), 8, _fillings((2, 2), 8))
     if not counting["passed"]:

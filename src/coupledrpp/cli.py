@@ -217,22 +217,14 @@ def cmd_slide(args) -> int:
         if refusal:
             print(f"error: {refusal}", file=sys.stderr)
             return 2
-        count = 0
         fillings = list(rpp_core.enumerate_rpps(lam, args.max_volume))
-        for rpp in fillings:
-            pair = sliding.unslide(rpp)
-            if sliding.slide(pair) != rpp:
-                print(f"status: fail at {rpp.rows}")
-                return 1
-            count += 1
-        for blue, red in rpp_core.pairs_within(fillings, args.max_volume):
-            pair = coupling.make_pair(blue, red)
-            if not sliding.check_t0_constraints(pair):
-                continue
-            if sliding.unslide(sliding.slide(pair)) != pair:
-                print(f"status: fail at {blue.rows} / {red.rows}")
-                return 1
-            count += 1
+        count, failure = sliding.round_trips(fillings, (
+            coupling.make_pair(*p) for p in rpp_core.pairs_within(fillings, args.max_volume)))
+        if failure is not None:
+            at = (failure.rows if isinstance(failure, rpp_core.RPP)
+                  else f"{failure.blue.rows} / {failure.red.rows}")
+            print(f"status: fail at {at}")
+            return 1
         print(f"round trips: {count}")
         print("status: pass")
         return 0
@@ -259,13 +251,17 @@ def cmd_render(args) -> int:
                          f"sites, more than {SITE_BOUND}")
         out = render.maya_ascii(_checked("--half-width", partitions.maya, lam, width),
                                 width)
-    elif args.object == "rpp":
+    elif args.object in ("rpp", "config"):
         if args.input:
             rpp = _checked("filling", rpp_core.rpp_from_json, _read_input(args.input))
         else:
             rpp = rpp_core.zero_rpp(_parse_shape(args.shape))
-        out = (render.rpp_svg(_drawable(rpp)) if args.format == "svg"
-               else render.rpp_ascii(rpp))
+        if args.object == "config":
+            out = vertex_model.config_to_json(
+                vertex_model.rpp_to_config(rpp.shape, _drawable(rpp)))
+        else:
+            out = (render.rpp_svg(_drawable(rpp)) if args.format == "svg"
+                   else render.rpp_ascii(rpp))
     elif args.object == "pair":
         pair = _checked("pair", coupling.pair_from_json, _read_input(args.input))
         if args.format == "svg":
@@ -275,13 +271,6 @@ def cmd_render(args) -> int:
         else:
             out = "blue:\n{}\nred:\n{}".format(
                 render.rpp_ascii(pair.blue), render.rpp_ascii(pair.red))
-    elif args.object == "config":
-        if args.input:
-            rpp = _checked("filling", rpp_core.rpp_from_json, _read_input(args.input))
-        else:
-            rpp = rpp_core.zero_rpp(_parse_shape(args.shape))
-        out = vertex_model.config_to_json(
-            vertex_model.rpp_to_config(rpp.shape, _drawable(rpp)))
     else:  # hook table drawing
         out = render.hook_ascii(_parse_shape(args.shape))
     if args.out:

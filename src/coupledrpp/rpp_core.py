@@ -37,7 +37,7 @@ class RPP(_RPPFields):
 
     @cached_property
     def chain(self) -> "SliceSequence":
-        """The slice chain; `enumerate_rpps` hands over the one it built."""
+        """The slice chain; `_from_chain` hands over the one it built from."""
         return to_slices(self)
 
     def derived(self, name: str, build):
@@ -49,8 +49,7 @@ class RPP(_RPPFields):
 
     @cached_property
     def volume(self) -> int:
-        """The sum of the entries; `enumerate_rpps` and `from_diagonals`
-        hand over the one they know."""
+        """The sum of the entries, unless `_from_chain` handed it over."""
         return sum(map(sum, self.rows))
 
 
@@ -84,7 +83,7 @@ def validate(shape, rows) -> RPP:
 
 def zero_rpp(shape) -> RPP:
     shape = normalize(shape)
-    return RPP(shape, tuple(tuple(0 for _ in range(p)) for p in shape))
+    return from_diagonals(shape, ((),) * len(shape_geometry(shape).cells))
 
 
 def interaction_pattern(lam) -> tuple[str, ...]:
@@ -93,8 +92,8 @@ def interaction_pattern(lam) -> tuple[str, ...]:
     centred at len(lam), up to the highest."""
     lam = normalize(lam)
     mask = partitions.maya_mask(lam, len(lam))
-    return tuple(SUCCEQ if mask >> b & 1 else PRECEQ
-                 for b in range(mask.bit_length()))
+    digits = f"{mask:b}"[::-1] if mask else ""  # lowest bit first, in one pass
+    return tuple(SUCCEQ if d == "1" else PRECEQ for d in digits)
 
 
 class SliceSequence(NamedTuple):
@@ -152,27 +151,41 @@ def to_slices(rpp: RPP) -> SliceSequence:
     return SliceSequence(geometry.pattern, tuple(slices))
 
 
+def _from_chain(shape: tuple[int, ...], geometry: ShapeGeometry, chain, volume: int) -> RPP:
+    """The filling of a normalized shape whose diagonal k holds chain[k], top
+    first, keeping the chain and volume: the one place rows are built from a chain."""
+    rows = [[0] * p for p in shape]
+    for cells, sl in zip(geometry.cells, chain[1:]):
+        for (r, c), v in zip(cells, sl):
+            rows[r][c] = v
+    rpp = RPP(shape, tuple(map(tuple, rows)))
+    rpp.__dict__.update(chain=SliceSequence(geometry.pattern, chain), volume=volume)
+    return rpp
+
+
 def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
     """The filling of a normalized shape whose diagonal k holds slices[k-1],
-    top first and zero past its parts, validated.  It keeps the chain of
-    these slices, which must be normalized partitions.  It raises
-    ValueError unless there is one slice per diagonal and each fits its
-    diagonal."""
+    top first, by `_from_chain`.  The chain (), *slices, () is checked, not
+    the rows: it raises ValueError unless there is one slice per diagonal,
+    each fits its diagonal, every part is a positive int (so no slice ends
+    in 0), and every step lo <= hi of the pattern interlaces, hi_1 >= lo_1
+    >= hi_2 >= ...: row and column monotonicity stated on the chain."""
     geometry = shape_geometry(shape)
     if len(slices) != len(geometry.cells):
         raise ValueError(f"expected {len(geometry.cells)} slices, got {len(slices)}")
-    rows = [[0] * p for p in shape]
+    if not all(type(v) is int and v > 0 for sl in slices for v in sl):
+        raise ValueError(f"a part of {slices} is not a positive int")
     for k, (cells, sl) in enumerate(zip(geometry.cells, slices), start=1):
         if len(sl) > len(cells):
             raise ValueError(f"slice {k} has {len(sl)} parts but the diagonal "
                              f"holds {len(cells)} cells")
-        for (r, c), v in zip(cells, sl):
-            rows[r][c] = v
-    rpp = validate(shape, rows)
     chain = ((), *slices, ()) if geometry.pattern else ((),)
-    rpp.__dict__["chain"] = SliceSequence(geometry.pattern, chain)
-    rpp.__dict__["volume"] = sum(map(sum, slices))
-    return rpp
+    for rel, before, after in zip(geometry.pattern, chain, chain[1:]):
+        lo, hi = (before, after) if rel == PRECEQ else (after, before)
+        if (lo or hi) and not (len(lo) <= len(hi) <= len(lo) + 1
+                               and all(map(ge, hi, lo)) and all(map(ge, lo, hi[1:]))):
+            raise ValueError(f"slices {before} {rel} {after} do not interlace")
+    return _from_chain(shape, geometry, chain, sum(map(sum, slices)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +234,7 @@ def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
     if max_volume < 0:
         return iter(())
     if not lam:
-        return iter((RPP((), ()),))
+        return iter((zero_rpp(lam),))
     found = []
     _extend(found, lam, shape_geometry(lam), max_volume, 1, (), [], 0)
     # every filling has the shape's row lengths, so ordering by rows is
@@ -238,14 +251,7 @@ def _extend(found: list, lam, geometry: ShapeGeometry, max_volume: int,
     if k == len(pattern):
         if pattern[-1] == PRECEQ and prev != ():
             return
-        rows = [[0] * p for p in lam]
-        for slice_cells, sl in zip(cells, chain):
-            for (r, c), v in zip(slice_cells, sl):
-                rows[r][c] = v
-        rpp = RPP(lam, tuple(map(tuple, rows)))
-        rpp.__dict__["chain"] = SliceSequence(pattern, ((), *chain, ()))
-        rpp.__dict__["volume"] = used
-        found.append(rpp)
+        found.append(_from_chain(lam, geometry, ((), *chain, ()), used))
         return
     for nu in next_slices(prev, pattern[k - 1], len(cells[k - 1]),
                           max_volume - used):

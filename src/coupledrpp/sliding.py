@@ -33,6 +33,7 @@ to zero, and total volume is preserved.
 from __future__ import annotations
 
 from operator import ge
+from typing import Iterable
 
 from . import rpp_core
 from .partitions import normalize
@@ -68,15 +69,13 @@ def slide(pair: PairRPP) -> RPP:
     diagonals = zip(shape_geometry(pair.shape).cells,
                     pair.blue.chain.slices[1:], pair.red.chain.slices[1:])
     for k, (cells, blue, red) in enumerate(diagonals, start=1):
-        riffle = [0] * (2 * max(len(blue), len(red)))
+        # red's parts at 2i-1, blue's at 2i: it ends in a part, off the shape if too long
+        riffle = [0] * max(2 * len(red) - 1, 2 * len(blue))
         riffle[0:2 * len(red):2] = red
         riffle[1:2 * len(blue):2] = blue
-        if any(riffle[len(cells):]):
+        if len(riffle) > len(cells):
             raise AssertionError(f"a nonzero entry of slice {k} slides off "
                                  f"the shape outside the forced region")
-        del riffle[len(cells):]
-        while riffle and not riffle[-1]:
-            riffle.pop()
         merged.append(tuple(riffle))
     return rpp_core.from_diagonals(pair.shape, merged)
 
@@ -87,6 +86,30 @@ def unslide(rpp: RPP) -> PairRPP:
     slices = rpp.chain.slices[1:-1]
     return make_pair(rpp_core.from_diagonals(rpp.shape, [sl[1::2] for sl in slices]),
                      rpp_core.from_diagonals(rpp.shape, [sl[0::2] for sl in slices]))
+
+
+def round_trips(fillings: list[RPP],
+                pairs: Iterable[PairRPP]) -> tuple[int, RPP | PairRPP | None]:
+    """The sliding bijection on a shape's fillings and their pairs: each
+    filling's unslid pair slides back to it and keeps its volume, and the
+    g = 0 pairs are exactly the unslid ones, so slide and unslide are
+    mutual inverses.  Returns the round trips made, one per filling and per
+    g = 0 pair matched to one, and the first failure: a filling, a pair, or
+    None."""
+    unslid = {}  # in the order of the fillings
+    for rpp in fillings:
+        pair = unslide(rpp)
+        try:
+            back = slide(pair)  # which makes the g = 0 test first
+        except ValueError:
+            back = None
+        if back != rpp or pair.blue.volume + pair.red.volume != rpp.volume:
+            return len(unslid), rpp
+        unslid[pair] = True
+    for pair in pairs:  # each g = 0 pair pops its unslid pair; any left were missed
+        if check_t0_constraints(pair) and not unslid.pop(pair, False):
+            return 2 * len(fillings) - len(unslid), pair
+    return 2 * len(fillings) - len(unslid), next(iter(unslid), None)
 
 
 def verify_t0_counting(lam, max_volume: int, fillings=None) -> dict:

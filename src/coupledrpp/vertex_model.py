@@ -189,12 +189,15 @@ def row_masks(kind: str, bottom: int, top: int):
 
 def row_states(kind: str, bottom: int, top: int,
                window: int) -> list[VertexState] | None:
-    """Per-cell states of the unique row configuration, or None; vertex c
-    reads (bottom bit c, out_right bit c-1, top bit c, out_right bit c)."""
+    """Per-cell states of the unique row configuration, or None."""
     masks = row_masks(kind, bottom, top)
-    if masks is None:
-        return None
-    right = masks[0]
+    return None if masks is None else _vertices(kind, bottom, masks[0], top, window)
+
+
+def _vertices(kind: str, bottom: int, right: int, top: int, window: int) -> list[VertexState]:
+    """The states of a row over the window from its bottom, out_right and
+    top site masks: vertex c reads (bottom bit c, out_right bit c-1, top
+    bit c, out_right bit c), and must be one of the five."""
     need = max(1, bottom.bit_length(), top.bit_length()) + 1
     if window < need:
         raise ValueError(f"window {window} too narrow; need >= {need}")
@@ -259,17 +262,10 @@ class VertexConfig(_ConfigFields):
 
     @cached_property
     def states(self) -> tuple[tuple[VertexState, ...], ...]:
-        """states[k-1] is row k, vertex by vertex over the window; built on
-        the first read and kept."""
-        masks = [maya_mask(sl, zeta)
-                 for sl, zeta in zip(self.interfaces, self.zetas)]
-        rows = []
-        for k in range(1, len(self.pattern) + 1):
-            states = row_states(self.kind(k), masks[k - 1], masks[k], self.window)
-            if states is None:
-                raise AssertionError(f"row {k} of a valid RPP has no configuration")
-            rows.append(tuple(states))
-        return tuple(rows)
+        """states[k-1] is row k over the window, read off its `masks` (the
+        bottom mask is out_top - out_right) on the first read and kept."""
+        return tuple(tuple(_vertices(self.kind(k), top - right, right, top, self.window))
+                     for k, (right, _, top) in enumerate(self.masks, start=1))
 
 
 def config_window(rpp: RPP) -> int:

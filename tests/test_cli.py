@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from coupledrpp import cli, partitions, render, rpp_core, vertex_model
+from coupledrpp import cli, coupling, partitions, render, rpp_core, sliding, vertex_model
 
 WORKED_PAIR_JSON = json.dumps({
     "shape": [4, 4, 3, 3, 1],
@@ -202,6 +202,23 @@ def test_genfun_paired_bytes_at_scale(capsys, shape, bound):
     assert (len(data), hashlib.sha256(data).hexdigest()) == GENFUN_PAIRED_AT_SCALE[(shape, bound)]
 
 
+# the same for single mode (`genfun --force --format json`), which
+# enumerates every filling
+GENFUN_SINGLE_AT_SCALE = {
+    ("[3,2,1]", "20"): (664, "d40ae43ed7f48a02e78aebd164b3efed66923cc5ee58b62f9024f0c7e46aacfa"),
+    ("[4,4,3,3,1]", "10"): (386, "6e1c4ed8c878d562893652e7432b371a006d78165bdeb5727b3240438253cc47"),
+}
+
+
+@pytest.mark.parametrize("shape,bound", sorted(GENFUN_SINGLE_AT_SCALE))
+def test_genfun_single_bytes_at_scale(capsys, shape, bound):
+    code, out = run(capsys, "genfun", "--shape", shape, "--max-volume", bound,
+                    "--force", "--format", "json")
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == GENFUN_SINGLE_AT_SCALE[(shape, bound)]
+
+
 def test_genfun_empty_shape(capsys):
     code, out = run(capsys, "genfun", "--shape", "[]", "--max-volume", "3",
                     "--paired", "--format", "json")
@@ -379,6 +396,32 @@ def test_slide_roundtrip_flag(capsys, monkeypatch):
                     "--max-volume", "6")
     assert code == 0 and out == "round trips: 78\nstatus: pass\n"
     assert calls == [((2, 2), 6)]
+
+
+def test_slide_roundtrip_fails_on_a_rejected_unslid_pair(capsys, monkeypatch):
+    # the g = 0 test rejects the pair one filling unslides to, so that
+    # filling does not slide back
+    check_t0 = sliding.check_t0_constraints
+    rpp = next(r for r in rpp_core.enumerate_rpps((2, 2), 6) if r.volume)
+    lost = sliding.unslide(rpp)
+    monkeypatch.setattr(sliding, "check_t0_constraints", lambda p: p != lost and check_t0(p))
+    code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",
+                    "--max-volume", "6")
+    assert code == 1 and out == f"status: fail at {rpp.rows}\n"
+
+
+def test_slide_roundtrip_fails_on_an_extra_g0_pair(capsys, monkeypatch):
+    # the g = 0 test accepts the first pair with g > 0, which no filling
+    # unslides to
+    check_t0 = sliding.check_t0_constraints
+    extra = next(p for p in (coupling.make_pair(b, r)
+                             for b, r in rpp_core.enumerate_pairs((2, 2), 6))
+                 if not check_t0(p))
+    monkeypatch.setattr(sliding, "check_t0_constraints", lambda p: p == extra or check_t0(p))
+    code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",
+                    "--max-volume", "6")
+    assert code == 1
+    assert out == f"status: fail at {extra.blue.rows} / {extra.red.rows}\n"
 
 
 def test_slide_roundtrip_budget_guard(capsys):

@@ -147,6 +147,39 @@ def test_from_diagonals_rejects_slices_that_do_not_fit_the_diagonals():
         R.from_diagonals((2, 1), [(1,)])
 
 
+def _outcome(fn, *args):
+    try:
+        rpp = fn(*args)
+    except (TypeError, ValueError):
+        return None
+    return rpp.rows, rpp.chain, rpp.volume
+
+
+def test_from_diagonals_accepts_exactly_the_valid_rows():
+    # every tuple of slices that fit their diagonals, with parts in 0..2 and
+    # none ending in 0: the chain check accepts what validate accepts
+    accepted = 0
+    for lam in P.all_partitions(5):
+        cells = R.shape_geometry(lam).cells
+        fits = [[sl for n in range(len(d) + 1) for sl in itertools.product(range(3), repeat=n)
+                 if not sl or sl[-1]] for d in cells]
+        for slices in itertools.product(*fits):
+            rows = [[0] * p for p in lam]
+            for d, sl in zip(cells, slices):
+                for (r, c), v in zip(d, sl):
+                    rows[r][c] = v
+            want = _outcome(R.validate, lam, rows)
+            assert _outcome(R.from_diagonals, lam, slices) == want, (lam, slices)
+            accepted += want is not None
+    assert accepted == sum(1 for lam in P.all_partitions(5)
+                           for rpp in R.enumerate_rpps(lam, 2 * sum(lam))
+                           if all(v <= 2 for row in rpp.rows for v in row))
+    # the diagonals of (2,2) hold 1, 2 and 1 cells
+    for slices in ([(1.0,), (), ()], [(True,), (), ()], [("1",), (), ()], [(), (1, 0), ()]):
+        with pytest.raises(ValueError, match="not a positive int"):
+            R.from_diagonals((2, 2), slices)
+
+
 def test_slice_roundtrip_exhaustive():
     # from_slices validates, so this also checks every enumerated filling
     for lam in P.all_partitions(5):

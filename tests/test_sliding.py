@@ -241,6 +241,16 @@ def test_roundtrips_exhaustive():
                 assert S.unslide(S.slide(pair)) == pair
 
 
+def test_round_trips_names_an_unslid_pair_no_pair_matched():
+    # one round trip per filling and per g = 0 pair; an unslid pair left
+    # out of the pairs is the failure
+    fillings = list(R.enumerate_rpps((2, 2), 6))
+    pairs = [C.make_pair(b, r) for b, r in R.pairs_within(fillings, 6)]
+    assert S.round_trips(fillings, pairs) == (78, None)
+    lost = S.unslide(fillings[3])
+    assert S.round_trips(fillings, [p for p in pairs if p != lost]) == (77, lost)
+
+
 def _strip_slide(pair):
     """Sliding as the strips move: red strip i onto strip 2i-1, blue strip i
     onto strip 2i, cell by cell."""
@@ -377,7 +387,9 @@ assert False, "this interpreter must drop assert statements"
 config = vertex_model.rpp_to_config((1,), rpp_core.zero_rpp((1,)))
 vertex_model.row_masks = lambda *args: None
 print(raises(vertex_model.rpp_to_config, (1,), rpp_core.zero_rpp((1,))))
-print(raises(lambda: config.states))  # built on the first read
+# states are read off the kept masks on the first read; a path that enters
+# from the left and the bottom and leaves nowhere is no vertex
+print(raises(lambda: config._replace(masks=((1, 0, 0),) * 2).states))
 sliding.check_t0_constraints = lambda pair: True
 blue = rpp_core.validate((2, 2), [[0, 1], [0, 1]])  # (1, 2) slides off the shape
 print(raises(sliding.slide, coupling.make_pair(blue, rpp_core.zero_rpp((2, 2)))))
@@ -402,7 +414,7 @@ def test_invariants_raise_under_python_O():
     lines = run.stdout.splitlines()
     assert len(lines) == 6
     assert "no configuration" in lines[0]
-    assert "no configuration" in lines[1]
+    assert "no allowed vertex" in lines[1]
     assert "slides off" in lines[2]
     assert "coupling sites" in lines[3]
     assert "coupling sites" in lines[4]
