@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Iterable
 
 from . import coupling, partitions, rpp_core, sliding, vertex_model
@@ -156,6 +155,7 @@ def check_weight_bijections() -> dict:
 def check_worked_values() -> dict:
     """Row weights, configuration weight, g, and the hook table of the
     worked examples, at exact rational sample points."""
+    from fractions import Fraction
     x, t = Fraction(3, 5), Fraction(2, 7)
     failures = []
 
@@ -228,7 +228,9 @@ def check_sliding() -> dict:
         failures.append("worked-unslide")
 
     for lam in SLIDE_SHAPES:
-        _, failure = sliding.round_trips(_fillings(lam, PAIR_MAX_VOLUME), _pairs(lam))
+        fillings = _fillings(lam, PAIR_MAX_VOLUME)
+        _, failure = sliding.round_trips(
+            fillings, rpp_core.pairs_within(fillings, PAIR_MAX_VOLUME))
         if failure is not None:
             way = "unslide-slide" if isinstance(failure, rpp_core.RPP) else "slide-unslide"
             failures.append(f"{way} {lam}")
@@ -242,6 +244,7 @@ def check_sliding() -> dict:
 def check_internal_consistency() -> dict:
     """Published gray table vs its factorization, the gray/white change of
     variable, and the t = 1 degeneration of the colored tables."""
+    from fractions import Fraction
     failures = []
     states = vertex_model.ALLOWED_STATES
     samples = [(Fraction(3, 5), Fraction(2, 7)), (Fraction(1, 2), Fraction(1, 3)),

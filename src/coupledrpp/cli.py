@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import checks, coupling, partitions, render, rpp_core, sliding, vertex_model
@@ -166,6 +165,7 @@ def cmd_genfun(args) -> int:
 def _parse_samples(text: str, colors: int):
     """At least one exact point, (x, y) for one color or (x, y, t) for two;
     the sweeps divide by x resp. t, so that entry must be nonzero."""
+    from fractions import Fraction
     arity, divisor, name = (2, 0, "x") if colors == 1 else (3, 2, "t")
 
     def parse():
@@ -218,8 +218,8 @@ def cmd_slide(args) -> int:
             print(f"error: {refusal}", file=sys.stderr)
             return 2
         fillings = list(rpp_core.enumerate_rpps(lam, args.max_volume))
-        count, failure = sliding.round_trips(fillings, (
-            coupling.make_pair(*p) for p in rpp_core.pairs_within(fillings, args.max_volume)))
+        count, failure = sliding.round_trips(
+            fillings, rpp_core.pairs_within(fillings, args.max_volume))
         if failure is not None:
             at = (failure.rows if isinstance(failure, rpp_core.RPP)
                   else f"{failure.blue.rows} / {failure.red.rows}")

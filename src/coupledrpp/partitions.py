@@ -81,13 +81,21 @@ def hook_table(lam) -> list[list[int]]:
 def maya_mask(lam, zeta: int) -> int:
     """The Maya diagram of a normalized partition on sites -zeta and up, as
     a bitmask: bit zeta + t is site t, so bit zeta + v - i is set for its
-    i-th part v and bits 0..zeta-n-1 for the zero parts past its n parts."""
+    i-th part v and bits 0..zeta-n-1 for the zero parts past its n parts.
+    Parts i+1..j equal to v set the block of bits zeta+v-j .. zeta+v-i-1,
+    one OR per run of equal parts."""
     n = len(lam)
     if n > zeta:
         raise ValueError(f"slice {lam} too long for {zeta} paths")
     mask = (1 << zeta - n) - 1
-    for i, v in enumerate(lam, start=1):
-        mask |= 1 << zeta + v - i
+    i = 0
+    while i < n:
+        v = lam[i]
+        j = i + 1
+        while j < n and lam[j] == v:
+            j += 1
+        mask |= ((1 << j - i) - 1) << zeta + v - j
+        i = j
     return mask
 
 

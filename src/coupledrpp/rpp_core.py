@@ -163,14 +163,13 @@ def _from_chain(shape: tuple[int, ...], geometry: ShapeGeometry, chain, volume: 
     return rpp
 
 
-def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
-    """The filling of a normalized shape whose diagonal k holds slices[k-1],
-    top first, by `_from_chain`.  The chain (), *slices, () is checked, not
-    the rows: it raises ValueError unless there is one slice per diagonal,
-    each fits its diagonal, every part is a positive int (so no slice ends
-    in 0), and every step lo <= hi of the pattern interlaces, hi_1 >= lo_1
-    >= hi_2 >= ...: row and column monotonicity stated on the chain."""
-    geometry = shape_geometry(shape)
+def check_diagonals(geometry: ShapeGeometry, slices) -> tuple:
+    """The slice chain (), *slices, () of a shape's geometry, checked
+    instead of its rows: it raises ValueError unless there is one slice
+    per diagonal, each fits its diagonal, every part is a positive int (so
+    no slice ends in 0), and every step lo <= hi of the pattern
+    interlaces, hi_1 >= lo_1 >= hi_2 >= ...: row and column monotonicity
+    stated on the chain."""
     if len(slices) != len(geometry.cells):
         raise ValueError(f"expected {len(geometry.cells)} slices, got {len(slices)}")
     if not all(type(v) is int and v > 0 for sl in slices for v in sl):
@@ -185,7 +184,15 @@ def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
         if (lo or hi) and not (len(lo) <= len(hi) <= len(lo) + 1
                                and all(map(ge, hi, lo)) and all(map(ge, lo, hi[1:]))):
             raise ValueError(f"slices {before} {rel} {after} do not interlace")
-    return _from_chain(shape, geometry, chain, sum(map(sum, slices)))
+    return chain
+
+
+def from_diagonals(shape: tuple[int, ...], slices) -> RPP:
+    """The filling of a normalized shape whose diagonal k holds slices[k-1],
+    top first: `_from_chain` on the chain `check_diagonals` accepts."""
+    geometry = shape_geometry(shape)
+    return _from_chain(shape, geometry, check_diagonals(geometry, slices),
+                       sum(map(sum, slices)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ Given the lines, the three row rules of row k come to two inequalities
 between its lower slice lo and its upper slice hi (lo = k-1, hi = k on
 white rows; lo = k, hi = k-1 on gray ones): b_(hi,i) <= r_(lo,i) and
 r_(hi,i+1) <= b_(lo,i).  Since each chain interlaces, these two imply
-line k, so they are all `check_t0_constraints` tests.
+line k, so they are all the g = 0 test checks.
 
 A pair with g = 0 collapses to a single RPP of the same shape: red strip i
 slides diagonally down-left i-1 steps onto border strip 2i-1, blue strip i
@@ -28,6 +28,13 @@ parts fill the odd positions and blue's the even ones.  The inequalities
 above say that these riffles interlace as the shape's slices must.
 Entries pushed off the diagram are exactly the ones the constraints force
 to zero, and total volume is preserved.
+
+Each of the three rules is one function on slice chains: `t0_chains`, the
+g = 0 test on a blue and a red chain; `riffle`, the slide; and `deal`,
+the unslide, which sends a filling's parts at odd positions to red and at
+even ones to blue.  `check_t0_constraints`, `slide` and `unslide` apply
+them to fillings and pairs, and `round_trips` sweeps the bijection on the
+chains alone, building a filling or a pair only for the failure it names.
 """
 
 from __future__ import annotations
@@ -42,14 +49,12 @@ from .qt_series import hook_product
 from .rpp_core import PRECEQ, RPP, shape_geometry
 
 
-def check_t0_constraints(pair: PairRPP) -> bool:
-    """Path-order test equivalent to g = 0, read off the two slice chains:
-    row by row, blue's upper slice lies within red's lower one, and red's
-    upper slice, past its first part, within blue's lower one.  It stops
-    at the first row that fails, lengths first."""
-    blue, red = pair.blue.chain.slices, pair.red.chain.slices
-    rows = zip(pair.blue.chain.pattern, blue, blue[1:], red, red[1:])
-    for rel, b0, b1, r0, r1 in rows:
+def t0_chains(pattern, blue, red) -> bool:
+    """The path-order test equivalent to g = 0 on a blue and a red slice
+    chain of one pattern: row by row, blue's upper slice lies within red's
+    lower one, and red's upper slice, past its first part, within blue's
+    lower one.  It stops at the first row that fails, lengths first."""
+    for rel, b0, b1, r0, r1 in zip(pattern, blue, blue[1:], red, red[1:]):
         if rel == PRECEQ:
             b_lo, b_hi, r_lo, r_hi = b0, b1, r0, r1
         else:
@@ -60,56 +65,80 @@ def check_t0_constraints(pair: PairRPP) -> bool:
     return True
 
 
-def slide(pair: PairRPP) -> RPP:
-    """Merge a g = 0 pair into one RPP of the same shape and total volume:
-    on every diagonal, red's parts and blue's parts riffled."""
-    if not check_t0_constraints(pair):
-        raise ValueError("pair has a coupled lozenge pair; sliding undefined")
+def riffle(cells, blue, red) -> tuple[tuple[int, ...], ...]:
+    """The diagonals, top first, of the filling a blue and a red slice
+    chain slide to: on diagonal k (cells[k-1]), red's parts at the odd
+    positions and blue's at the even ones, ending in a part.  It raises
+    AssertionError when a nonzero part slides off its diagonal."""
     merged = []
-    diagonals = zip(shape_geometry(pair.shape).cells,
-                    pair.blue.chain.slices[1:], pair.red.chain.slices[1:])
-    for k, (cells, blue, red) in enumerate(diagonals, start=1):
-        # red's parts at 2i-1, blue's at 2i: it ends in a part, off the shape if too long
-        riffle = [0] * max(2 * len(red) - 1, 2 * len(blue))
-        riffle[0:2 * len(red):2] = red
-        riffle[1:2 * len(blue):2] = blue
-        if len(riffle) > len(cells):
+    for k, (diagonal, b, r) in enumerate(zip(cells, blue[1:], red[1:]), start=1):
+        sl = [0] * max(2 * len(r) - 1, 2 * len(b))
+        sl[0:2 * len(r):2] = r
+        sl[1:2 * len(b):2] = b
+        if len(sl) > len(diagonal):
             raise AssertionError(f"a nonzero entry of slice {k} slides off "
                                  f"the shape outside the forced region")
-        merged.append(tuple(riffle))
-    return rpp_core.from_diagonals(pair.shape, merged)
+        merged.append(tuple(sl))
+    return tuple(merged)
+
+
+def deal(slices) -> tuple[tuple, tuple]:
+    """Blue's and red's slices, in that order, dealt from a filling's:
+    the parts at odd positions of each slice go to red, the even ones to
+    blue."""
+    return tuple(sl[1::2] for sl in slices), tuple(sl[0::2] for sl in slices)
+
+
+def check_t0_constraints(pair: PairRPP) -> bool:
+    """`t0_chains` on the pair's two slice chains."""
+    return t0_chains(pair.blue.chain.pattern, pair.blue.chain.slices, pair.red.chain.slices)
+
+
+def slide(pair: PairRPP) -> RPP:
+    """Merge a g = 0 pair into one RPP of the same shape and total volume,
+    its two chains riffled."""
+    if not check_t0_constraints(pair):
+        raise ValueError("pair has a coupled lozenge pair; sliding undefined")
+    cells = shape_geometry(pair.shape).cells
+    return rpp_core.from_diagonals(
+        pair.shape, riffle(cells, pair.blue.chain.slices, pair.red.chain.slices))
 
 
 def unslide(rpp: RPP) -> PairRPP:
-    """The unique g = 0 pair sliding back to the filling: on every diagonal
-    the odd positions go to red and the even ones to blue."""
-    slices = rpp.chain.slices[1:-1]
-    return make_pair(rpp_core.from_diagonals(rpp.shape, [sl[1::2] for sl in slices]),
-                     rpp_core.from_diagonals(rpp.shape, [sl[0::2] for sl in slices]))
+    """The unique g = 0 pair sliding back to the filling, its chain dealt."""
+    blue, red = deal(rpp.chain.slices[1:-1])
+    return make_pair(rpp_core.from_diagonals(rpp.shape, blue),
+                     rpp_core.from_diagonals(rpp.shape, red))
 
 
 def round_trips(fillings: list[RPP],
-                pairs: Iterable[PairRPP]) -> tuple[int, RPP | PairRPP | None]:
-    """The sliding bijection on a shape's fillings and their pairs: each
-    filling's unslid pair slides back to it and keeps its volume, and the
-    g = 0 pairs are exactly the unslid ones, so slide and unslide are
-    mutual inverses.  Returns the round trips made, one per filling and per
-    g = 0 pair matched to one, and the first failure: a filling, a pair, or
-    None."""
-    unslid = {}  # in the order of the fillings
+                pairs: Iterable[tuple[RPP, RPP]]) -> tuple[int, RPP | PairRPP | None]:
+    """The sliding bijection on a shape's fillings and its (blue, red)
+    pairs, as `rpp_core.pairs_within` yields them, swept on slice chains.
+    Each filling's chain is dealt; both halves must pass
+    `rpp_core.check_diagonals` (a half it rejects raises out of the
+    sweep), pass `t0_chains`, riffle back to the filling's own slices and
+    keep its volume.  The g = 0 pairs must then be exactly the dealt ones,
+    so slide and unslide are mutual inverses.  Returns the round trips
+    made, one per filling and per g = 0 pair matched to one, and the first
+    failure: a filling, a pair, or None."""
+    unslid = {}  # (blue chain, red chain) -> its filling, in the order of the fillings
     for rpp in fillings:
-        pair = unslide(rpp)
-        try:
-            back = slide(pair)  # which makes the g = 0 test first
-        except ValueError:
-            back = None
-        if back != rpp or pair.blue.volume + pair.red.volume != rpp.volume:
+        geometry = shape_geometry(rpp.shape)
+        slices = rpp.chain.slices[1:-1]
+        blue, red = (rpp_core.check_diagonals(geometry, half) for half in deal(slices))
+        if not (t0_chains(geometry.pattern, blue, red)
+                and riffle(geometry.cells, blue, red) == slices
+                and sum(map(sum, blue)) + sum(map(sum, red)) == rpp.volume):
             return len(unslid), rpp
-        unslid[pair] = True
-    for pair in pairs:  # each g = 0 pair pops its unslid pair; any left were missed
-        if check_t0_constraints(pair) and not unslid.pop(pair, False):
-            return 2 * len(fillings) - len(unslid), pair
-    return 2 * len(fillings) - len(unslid), next(iter(unslid), None)
+        unslid[blue, red] = rpp
+    for blue, red in pairs:  # each g = 0 pair pops its dealt chains; any left were missed
+        chains = blue.chain.slices, red.chain.slices
+        if t0_chains(blue.chain.pattern, *chains) and unslid.pop(chains, None) is None:
+            return 2 * len(fillings) - len(unslid), make_pair(blue, red)
+    missed = next(iter(unslid.values()), None)
+    return (2 * len(fillings) - len(unslid),
+            None if missed is None else unslide(missed))
 
 
 def verify_t0_counting(lam, max_volume: int, fillings=None) -> dict:
@@ -122,7 +151,7 @@ def verify_t0_counting(lam, max_volume: int, fillings=None) -> dict:
         fillings = list(rpp_core.enumerate_rpps(lam, max_volume))
     pair_counts = [0] * (max_volume + 1)
     for blue, red in rpp_core.pairs_within(fillings, max_volume):
-        if check_t0_constraints(make_pair(blue, red)):
+        if t0_chains(blue.chain.pattern, blue.chain.slices, red.chain.slices):
             pair_counts[blue.volume + red.volume] += 1
     single_counts = [0] * (max_volume + 1)
     for rpp in fillings:

@@ -15,8 +15,7 @@ gray rows move it one column left and send one path out to the right.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import product
 from math import lcm
 from typing import NamedTuple
@@ -460,17 +459,28 @@ def ybe_tables(kind: str, colors: int, x, y, t=1):
             {edges(v): white_weight(v, y, t) for v in columns})
 
 
-# Exact sample points, (x, y) for one color and (x, y, t) for more
-YBE_SAMPLES = {
-    1: ((Fraction(2, 3), Fraction(1, 5)),
-        (Fraction(1, 2), Fraction(1, 3)),
-        (Fraction(3, 7), Fraction(2, 9)),
-        (Fraction(5, 4), Fraction(1, 7)),
-        (Fraction(1, 9), Fraction(8, 3))),
-    2: ((Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
-        (Fraction(2, 7), Fraction(3, 5), Fraction(1, 2)),
-        (Fraction(1, 3), Fraction(1, 4), Fraction(3, 7))),
-}
+@cache
+def _ybe_samples() -> dict:
+    """Exact sample points, (x, y) for one color and (x, y, t) for more:
+    `YBE_SAMPLES`, built on first use so that importing the module does
+    not import `fractions`."""
+    from fractions import Fraction
+    return {
+        1: ((Fraction(2, 3), Fraction(1, 5)),
+            (Fraction(1, 2), Fraction(1, 3)),
+            (Fraction(3, 7), Fraction(2, 9)),
+            (Fraction(5, 4), Fraction(1, 7)),
+            (Fraction(1, 9), Fraction(8, 3))),
+        2: ((Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
+            (Fraction(2, 7), Fraction(3, 5), Fraction(1, 2)),
+            (Fraction(1, 3), Fraction(1, 4), Fraction(3, 7))),
+    }
+
+
+def __getattr__(name: str):
+    if name == "YBE_SAMPLES":
+        return _ybe_samples()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _integer_table(table):
@@ -498,6 +508,7 @@ def ybe_report(kind: str, tables_at, samples, boundaries) -> dict:
                   if lhs.get(key, 0) != rhs.get(key, 0)}
         if not differ:
             continue
+        from fractions import Fraction
         scale = d_cross * d_bottom * d_top
         for boundary in boundaries:
             if boundary in differ:
@@ -522,7 +533,7 @@ def verify_ybe(kind: str, colors: int, samples=None, boundaries=None) -> dict:
     `ybe_boundaries`) and sample point (by default those of `YBE_SAMPLES`).
     Reports for more than one color are labelled `colored-<kind>`."""
     if samples is None:
-        samples = YBE_SAMPLES[min(colors, 2)]
+        samples = _ybe_samples()[min(colors, 2)]
     if boundaries is None:
         boundaries = ybe_boundaries(colors)
     label = kind if colors == 1 else f"colored-{kind}"

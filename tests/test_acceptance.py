@@ -165,15 +165,43 @@ def test_run_all_leaves_no_pool(monkeypatch, capsys):
     assert checks._pool is None
 
 
+def test_criterion_7_builds_fillings_only_to_enumerate_them(monkeypatch):
+    # the round trips run on slice chains: only the enumerations, of 39,
+    # 57 and 331 fillings at volume <= 6 and 80 of (2, 2) at 8, and the
+    # worked example (one slide, one unslide) build fillings and pairs
+    built = Counter()
+
+    def counted(fn):
+        def count(*args):
+            built[fn.__name__] += 1
+            return fn(*args)
+        return count
+
+    monkeypatch.setattr(rpp_core, "_from_chain", counted(rpp_core._from_chain))
+    make_pair = counted(coupling.make_pair)
+    for module in (coupling, checks, sliding):  # each binds its own name
+        monkeypatch.setattr(module, "make_pair", make_pair)
+    assert checks.check_sliding()["passed"]
+    assert built == Counter({"_from_chain": 39 + 57 + 331 + 80 + 1 + 2, "make_pair": 2})
+
+
+def _chains(pair):
+    """The (blue, red) slice chains the g = 0 test reads of a pair."""
+    return pair.blue.chain.slices, pair.red.chain.slices
+
+
 def test_sliding_check_fails_either_way(monkeypatch):
     """Criterion 7 fails when the g = 0 test rejects a pair that unslide
     makes, and when it accepts one that unslide does not make."""
-    check_t0 = sliding.check_t0_constraints
+    check_t0, t0_chains = sliding.check_t0_constraints, sliding.t0_chains
     lost = sliding.unslide(next(r for r in rpp_core.enumerate_rpps((3, 1), 6) if r.volume))
-    monkeypatch.setattr(sliding, "check_t0_constraints", lambda p: p != lost and check_t0(p))
-    assert checks.check_sliding()["details"]["failures"] == ["unslide-slide (3, 1)"]
-
     extra = next(p for p in (make_pair(b, r) for b, r in rpp_core.enumerate_pairs((2, 2), 6))
                  if not check_t0(p))
-    monkeypatch.setattr(sliding, "check_t0_constraints", lambda p: p == extra or check_t0(p))
+    lost, extra = _chains(lost), _chains(extra)
+    monkeypatch.setattr(sliding, "t0_chains",
+                        lambda pattern, *chains: chains != lost and t0_chains(pattern, *chains))
+    assert checks.check_sliding()["details"]["failures"] == ["unslide-slide (3, 1)"]
+
+    monkeypatch.setattr(sliding, "t0_chains",
+                        lambda pattern, *chains: chains == extra or t0_chains(pattern, *chains))
     assert "slide-unslide (2, 2)" in checks.check_sliding()["details"]["failures"]

@@ -401,10 +401,12 @@ def test_slide_roundtrip_flag(capsys, monkeypatch):
 def test_slide_roundtrip_fails_on_a_rejected_unslid_pair(capsys, monkeypatch):
     # the g = 0 test rejects the pair one filling unslides to, so that
     # filling does not slide back
-    check_t0 = sliding.check_t0_constraints
+    t0_chains = sliding.t0_chains
     rpp = next(r for r in rpp_core.enumerate_rpps((2, 2), 6) if r.volume)
     lost = sliding.unslide(rpp)
-    monkeypatch.setattr(sliding, "check_t0_constraints", lambda p: p != lost and check_t0(p))
+    lost = lost.blue.chain.slices, lost.red.chain.slices
+    monkeypatch.setattr(sliding, "t0_chains",
+                        lambda pattern, *chains: chains != lost and t0_chains(pattern, *chains))
     code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",
                     "--max-volume", "6")
     assert code == 1 and out == f"status: fail at {rpp.rows}\n"
@@ -413,11 +415,13 @@ def test_slide_roundtrip_fails_on_a_rejected_unslid_pair(capsys, monkeypatch):
 def test_slide_roundtrip_fails_on_an_extra_g0_pair(capsys, monkeypatch):
     # the g = 0 test accepts the first pair with g > 0, which no filling
     # unslides to
-    check_t0 = sliding.check_t0_constraints
+    check_t0, t0_chains = sliding.check_t0_constraints, sliding.t0_chains
     extra = next(p for p in (coupling.make_pair(b, r)
                              for b, r in rpp_core.enumerate_pairs((2, 2), 6))
                  if not check_t0(p))
-    monkeypatch.setattr(sliding, "check_t0_constraints", lambda p: p == extra or check_t0(p))
+    chains_of_extra = extra.blue.chain.slices, extra.red.chain.slices
+    monkeypatch.setattr(sliding, "t0_chains", lambda pattern, *chains:
+                        chains == chains_of_extra or t0_chains(pattern, *chains))
     code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",
                     "--max-volume", "6")
     assert code == 1

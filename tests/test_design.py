@@ -4,6 +4,7 @@ import ast
 import gc
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -131,15 +132,28 @@ def test_every_public_name_is_referenced_in_the_package():
     assert unreferenced_public_names(sources) == []
 
 
+def _start_up_modules() -> set[str]:
+    """The modules loaded once the CLI has imported and built its parser.
+    -S: only the package's own imports are counted."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import coupledrpp.cli as cli; "
+            "cli.build_parser(); print(*sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(done.stdout.split())
+
+
 def test_cli_start_up_loads_no_introspection_modules():
     # dataclasses pulls in inspect (and with it ast, dis and tokenize) at
     # import; the records are named tuples so that every command starts
-    # without them.  -S: only the package's own imports are counted.
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import coupledrpp.cli as cli; "
-            "cli.build_parser(); print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)],
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout == "\n"
+    # without them.
+    assert {"dataclasses", "inspect"} & _start_up_modules() == set()
+
+
+def test_cli_start_up_loads_no_fractions():
+    # only `ybe` and `verify-all` compute with Fraction; they import it
+    # where they use it, and `vertex_model.YBE_SAMPLES` is built on first read
+    assert {"fractions", "decimal"} & _start_up_modules() == set()
+    assert vertex_model.YBE_SAMPLES[2][0] == (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 
 
 def _fresh_pairs():

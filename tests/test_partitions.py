@@ -114,6 +114,24 @@ def test_maya_balance_and_roundtrip():
         assert O.partition_from_mask(m, width) == lam
 
 
+def _mask_by_parts(lam, zeta):
+    """`maya_mask` by its definition, one bit per part: bit zeta + v - i
+    for the i-th part v and bits 0..zeta-n-1, read off a string of bits."""
+    bits = {zeta + v - i for i, v in enumerate(lam, start=1)} | set(range(zeta - len(lam)))
+    assert len(bits) == zeta
+    return int("".join("1" if b in bits else "0"
+                       for b in range(max(bits, default=0), -1, -1)), 2)
+
+
+def test_maya_mask_sets_one_block_per_run_of_equal_parts():
+    for lam in P.all_partitions(10):
+        for zeta in range(len(lam), len(lam) + 4):
+            assert P.maya_mask(lam, zeta) == _mask_by_parts(lam, zeta), (lam, zeta)
+    column, staircase = (1,) * 262144, tuple(range(700, 0, -1))
+    assert P.maya_mask(column, len(column)) == _mask_by_parts(column, len(column))
+    assert P.maya_mask(staircase, 700) == _mask_by_parts(staircase, 700)
+
+
 def test_maya_window_too_narrow():
     with pytest.raises(ValueError):
         P.maya((4, 3, 1), 3)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import oracles as O
+from coupledrpp import checks as K
 from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
@@ -245,10 +246,41 @@ def test_round_trips_names_an_unslid_pair_no_pair_matched():
     # one round trip per filling and per g = 0 pair; an unslid pair left
     # out of the pairs is the failure
     fillings = list(R.enumerate_rpps((2, 2), 6))
-    pairs = [C.make_pair(b, r) for b, r in R.pairs_within(fillings, 6)]
+    pairs = list(R.pairs_within(fillings, 6))
     assert S.round_trips(fillings, pairs) == (78, None)
     lost = S.unslide(fillings[3])
-    assert S.round_trips(fillings, [p for p in pairs if p != lost]) == (77, lost)
+    kept = [p for p in pairs if p != (lost.blue, lost.red)]
+    assert S.round_trips(fillings, kept) == (77, lost)
+
+
+def test_round_trips_counts_one_per_filling_and_per_g0_pair():
+    for lam, want in [((4, 4, 3, 3, 1), 662), ((3, 1), 114)]:
+        fillings = list(R.enumerate_rpps(lam, 6))
+        assert S.round_trips(fillings, R.pairs_within(fillings, 6)) == (want, None)
+
+
+def test_a_deal_the_wrong_way_round_fails_criterion_7(monkeypatch):
+    # blue takes the odd positions: the worked example and every shape's
+    # sweep fail
+    deal = S.deal
+    monkeypatch.setattr(S, "deal", lambda slices: deal(slices)[::-1])
+    assert K.check_sliding()["details"]["failures"] == [
+        "worked-unslide", *(f"unslide-slide {lam}" for lam in K.SLIDE_SHAPES)]
+
+
+def test_round_trips_fails_on_a_wrong_riffle_or_volume(monkeypatch):
+    # the riffle is compared with the filling's own slices and the halves'
+    # volumes with its volume: either mismatch names the filling
+    fillings = list(R.enumerate_rpps((3, 1), 6))
+    wrong = R.RPP(fillings[5].shape, fillings[5].rows)
+    wrong.__dict__["volume"] = fillings[5].volume + 1
+    bad = [*fillings[:5], wrong, *fillings[6:]]
+    assert S.round_trips(bad, R.pairs_within(fillings, 6)) == (5, wrong)
+
+    riffle = S.riffle
+    monkeypatch.setattr(S, "riffle", lambda cells, *chains: riffle(cells, *chains)[::-1])
+    _, failure = S.round_trips(fillings, R.pairs_within(fillings, 6))
+    assert failure in fillings and failure.chain.slices[1:-1][::-1] != failure.chain.slices[1:-1]
 
 
 def _strip_slide(pair):
