@@ -56,11 +56,14 @@ def _checked(what: str, fn, *args):
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    """The shape, unless it has more than SITE_BOUND cells: its hook
-    table, zero filling and slice geometry would each be that large."""
+    """The shape, a JSON list, unless it has more than SITE_BOUND cells:
+    its hook table and zero filling would each be that large."""
     if text is None:
         _usage_error("a --shape argument is required here")
-    lam = _checked(f"shape {text!r}", lambda: partitions.normalize(json.loads(text)))
+    what = f"shape {text!r}"
+    shape = _checked(what, json.loads, text)
+    lam = _checked(what, partitions.normalize, shape)
+    _checked(what, rpp_core.check_json_lists, {"shape": shape}, "shape")
     if sum(lam) > SITE_BOUND:
         _usage_error(f"the shape has {sum(lam)} cells, more than {SITE_BOUND}")
     return lam

@@ -57,10 +57,10 @@ def pair_to_json(pair: PairRPP) -> str:
 
 def pair_from_json(text: str) -> PairRPP:
     data = json.loads(text)
-    blue = rpp_core.validate(data["blue"]["shape"], data["blue"]["rows"])
-    red = rpp_core.validate(data["red"]["shape"], data["red"]["rows"])
+    blue, red = rpp_core.rpp_from_data(data["blue"]), rpp_core.rpp_from_data(data["red"])
     if normalize(data["shape"]) != blue.shape:
         raise ValueError("pair shape disagrees with the blue filling")
+    rpp_core.check_json_lists(data, "shape")
     return make_pair(blue, red)
 
 
@@ -276,7 +276,7 @@ def pair_genfun_bruteforce(lam, max_total: int) -> QTSeries:
     return series
 
 
-def _live_moves(lam, pattern, max_total: int) -> tuple[list[list], list[list]]:
+def _live_moves(lam, max_total: int) -> tuple[list[list], list[list]]:
     """Row by row, every move mu -> nu of one color's slice chain that lies
     on some chain closing at () with volume <= max_total, on slice numbers.
 
@@ -300,22 +300,20 @@ def _live_moves(lam, pattern, max_total: int) -> tuple[list[list], list[list]]:
     is within max_total.  Every slice a kept move reaches lies on such a
     chain, so it has a move in the next row and no backward pass is needed.
     """
-    geometry = rpp_core.shape_geometry(lam)
-    lengths = [len(cells) for cells in geometry.cells] + [0]
-    zetas = geometry.zetas
+    pattern, lengths, zetas = rpp_core.shape_geometry(lam)
     grays = [j for j, rel in enumerate(pattern, start=1) if rel != PRECEQ]
     slices = [()]
     reach = [0]  # per slice number: least volume up to it
     bottoms = [maya_mask((), zetas[0])]  # per slice number: interface mask
     rows, numbered = [], [slices]
-    for k, rel in enumerate(pattern, start=1):
+    for k, (rel, n) in enumerate(zip(pattern, (*lengths, 0)), start=1):  # the last slice is ()
         white_row = rel == PRECEQ
         costs = [j - k for j in grays if j > k]
         row, number, nxt, tops, reached = [], {}, [], [], []
         for mu, low, bottom in zip(slices, reach, bottoms):
             spare, size_mu = max_total - low, sum(mu)
             moves = []
-            for nu in rpp_core.next_slices(mu, rel, lengths[k - 1], spare):
+            for nu in rpp_core.next_slices(mu, rel, n, spare):
                 need = sum(map(mul, nu, costs))
                 if need > spare:
                     continue
@@ -404,8 +402,7 @@ def pair_genfun_transfer(lam, max_total: int) -> QTSeries:
     """
     lam = normalize(lam)
     series = QTSeries(max_total)
-    pattern = rpp_core.interaction_pattern(lam)
-    rows, _ = _live_moves(lam, pattern, max_total)
+    rows, _ = _live_moves(lam, max_total)
     width = max_total + 1
     bits = 8 * -(-hook_count(lam, max_total, 2).bit_length() // 8)
     # per interface and slice number: least volume still to come after it

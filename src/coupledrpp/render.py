@@ -7,12 +7,10 @@ heights (y), so no floating point enters the files.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from . import coupling, rpp_core, vertex_model
 from .coupling import GREEN, ORCHID, SIENNA, PairRPP
 from .partitions import hook_table
-from .rpp_core import PRECEQ, RPP, SUCCEQ
+from .rpp_core import RPP, SUCCEQ
 
 PARTICLE, HOLE = "●", "○"  # filled / open circle
 _SITE = str.maketrans("10", PARTICLE + HOLE)
@@ -126,11 +124,9 @@ def _line_heights(shape) -> list[int]:
     """y of site 0 on every interface line.  y is minus the doubled real
     height in _YS units: interface centres rise half a unit per hole slice
     and fall half a unit per particle slice, and site s lies s units above
-    site 0.  So y falls by _YS from each line to the next."""
-    geometry = rpp_core.shape_geometry(shape)
-    rises = accumulate((1 if rel == PRECEQ else -1 for rel in geometry.pattern),
-                       initial=0)
-    return [-(c2 - 2 * zeta + 1) * _YS for c2, zeta in zip(rises, geometry.zetas)]
+    site 0, so site 0 of line k is at doubled height k + 1 - 2 zetas[0]."""
+    zetas = rpp_core.shape_geometry(shape).zetas
+    return [(2 * zetas[0] - 1 - k) * _YS for k in range(len(zetas))]
 
 
 def _draw_tiling(texts: list[str], rpp: RPP, heights: list[int], attrs) -> int:

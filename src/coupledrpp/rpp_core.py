@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, lru_cache
-from operator import attrgetter, ge
+from itertools import accumulate, count
+from operator import attrgetter, ge, sub
 from typing import Iterator, NamedTuple
 
 from . import partitions
@@ -83,7 +84,7 @@ def validate(shape, rows) -> RPP:
 
 def zero_rpp(shape) -> RPP:
     shape = normalize(shape)
-    return from_diagonals(shape, ((),) * len(shape_geometry(shape).cells))
+    return from_diagonals(shape, ((),) * len(shape_geometry(shape).lengths))
 
 
 def interaction_pattern(lam) -> tuple[str, ...]:
@@ -101,52 +102,42 @@ class SliceSequence(NamedTuple):
     slices: tuple[tuple[int, ...], ...]  # empty partitions at both ends
 
 
-def interface_zetas(pattern) -> list[int]:
-    """Center positions of the interfaces 0..n of the vertex model: start
-    at the number of paths, drop by one per gray (SUCCEQ) row."""
-    zetas = [sum(1 for rel in pattern if rel == SUCCEQ)]
-    for rel in pattern:
-        zetas.append(zetas[-1] - (1 if rel == SUCCEQ else 0))
-    return zetas
-
-
 class ShapeGeometry(NamedTuple):
-    """What the package derives from a shape alone."""
+    """What the package derives from a shape alone: its pattern, the
+    number of cells of diagonal k (lengths[k-1]) and the interface centres."""
 
     pattern: tuple[str, ...]
-    # cells[k-1]: 0-based (row, column) indices slice k reads, top first
-    cells: tuple[tuple[tuple[int, int], ...], ...]
+    lengths: tuple[int, ...]
     zetas: tuple[int, ...]
 
 
 @lru_cache(maxsize=64)
 def shape_geometry(shape: tuple[int, ...]) -> ShapeGeometry:
-    """The geometry of a normalized shape, built once per shape; the 64
-    most recently used shapes are kept."""
+    """The geometry of a normalized shape, in one pass over its pattern; the
+    64 most recently used shapes are kept.  zetas[k] counts the particles
+    after interface k, and diagonal k holds the fewer of them and of the
+    holes before it, k - depth + zetas[k]: these are fewer for k < depth."""
     if normalize(shape) != shape:
         raise ValueError(f"shape {shape} is not a normalized partition")
-    pattern = interaction_pattern(shape)
-    depth = len(shape)
-    cells = [[] for _ in range(len(pattern) - 1)]
-    for r in range(depth - 1, -1, -1):  # top row first
-        for c in range(shape[r]):
-            cells[c - r + depth - 1].append((r, c))
-    return ShapeGeometry(pattern, tuple(map(tuple, cells)),
-                         tuple(interface_zetas(pattern)))
+    pattern, depth = interaction_pattern(shape), len(shape)
+    zetas = tuple(accumulate(map(SUCCEQ.__eq__, pattern), sub, initial=depth))
+    lengths = (*map(sub, zetas[1:depth], range(depth - 1, 0, -1)), *zetas[depth:-1])
+    return ShapeGeometry(pattern, lengths, zetas)
 
 
 def to_slices(rpp: RPP) -> SliceSequence:
-    """Read the filling along vertical slices, top of each diagonal first."""
+    """Read the filling along vertical slices, top of each diagonal first:
+    diagonal k, of column minus row j = k - depth, runs down from row zetas[k] - 1."""
     geometry = shape_geometry(rpp.shape)
     if not geometry.pattern:
         return SliceSequence((), ((),))
     rows = rpp.rows
     slices = [()]
-    for cells in geometry.cells:
-        d = [rows[r][c] for r, c in cells]
+    for j, n, top in zip(count(1 - len(rpp.shape)), geometry.lengths, geometry.zetas[1:]):
+        d = [rows[r][r + j] for r in range(top - 1, top - 1 - n, -1)]
         if not (all(map(ge, d, d[1:])) and d[-1] >= 0):
             raise ValueError(f"diagonal {d} of {rpp} is not a partition")
-        slices.append(tuple(d[:len(d) - d.count(0)]))  # trailing zeros dropped
+        slices.append(tuple(d[:n - d.count(0)]))  # trailing zeros dropped
     slices.append(())
     return SliceSequence(geometry.pattern, tuple(slices))
 
@@ -155,9 +146,10 @@ def _from_chain(shape: tuple[int, ...], geometry: ShapeGeometry, chain, volume: 
     """The filling of a normalized shape whose diagonal k holds chain[k], top
     first, keeping the chain and volume: the one place rows are built from a chain."""
     rows = [[0] * p for p in shape]
-    for cells, sl in zip(geometry.cells, chain[1:]):
-        for (r, c), v in zip(cells, sl):
-            rows[r][c] = v
+    for j, top, sl in zip(count(1 - len(shape)), geometry.zetas[1:], chain[1:]):
+        r, c = top - 1, top - 1 + j
+        for i, v in enumerate(sl):
+            rows[r - i][c - i] = v
     rpp = RPP(shape, tuple(map(tuple, rows)))
     rpp.__dict__.update(chain=SliceSequence(geometry.pattern, chain), volume=volume)
     return rpp
@@ -170,14 +162,14 @@ def check_diagonals(geometry: ShapeGeometry, slices) -> tuple:
     no slice ends in 0), and every step lo <= hi of the pattern
     interlaces, hi_1 >= lo_1 >= hi_2 >= ...: row and column monotonicity
     stated on the chain."""
-    if len(slices) != len(geometry.cells):
-        raise ValueError(f"expected {len(geometry.cells)} slices, got {len(slices)}")
+    if len(slices) != len(geometry.lengths):
+        raise ValueError(f"expected {len(geometry.lengths)} slices, got {len(slices)}")
     if not all(type(v) is int and v > 0 for sl in slices for v in sl):
         raise ValueError(f"a part of {slices} is not a positive int")
-    for k, (cells, sl) in enumerate(zip(geometry.cells, slices), start=1):
-        if len(sl) > len(cells):
+    for k, (n, sl) in enumerate(zip(geometry.lengths, slices), start=1):
+        if len(sl) > n:
             raise ValueError(f"slice {k} has {len(sl)} parts but the diagonal "
-                             f"holds {len(cells)} cells")
+                             f"holds {n} cells")
     chain = ((), *slices, ()) if geometry.pattern else ((),)
     for rel, before, after in zip(geometry.pattern, chain, chain[1:]):
         lo, hi = (before, after) if rel == PRECEQ else (after, before)
@@ -254,13 +246,11 @@ def _extend(found: list, lam, geometry: ShapeGeometry, max_volume: int,
             k: int, prev, chain: list, used: int) -> None:
     """Append to found every filling of lam whose slices before k are
     chain, of volume `used`, and whose volume is at most max_volume."""
-    pattern, cells = geometry.pattern, geometry.cells
-    if k == len(pattern):
-        if pattern[-1] == PRECEQ and prev != ():
-            return
+    pattern = geometry.pattern
+    if k == len(pattern):  # the last row is gray: every slice closes at ()
         found.append(_from_chain(lam, geometry, ((), *chain, ()), used))
         return
-    for nu in next_slices(prev, pattern[k - 1], len(cells[k - 1]),
+    for nu in next_slices(prev, pattern[k - 1], geometry.lengths[k - 1],
                           max_volume - used):
         chain.append(nu)
         _extend(found, lam, geometry, max_volume, k + 1, nu, chain, used + sum(nu))
@@ -295,6 +285,20 @@ def rpp_to_json(rpp: RPP) -> str:
                        "rows": [list(r) for r in rpp.rows]})
 
 
+def check_json_lists(data: dict, *keys: str) -> None:
+    """Raise TypeError unless JSON read each data[key] as a list; called once
+    a shape or rows pass, since an empty object or string iterates as none."""
+    for key in keys:
+        if type(data[key]) is not list:
+            raise TypeError(f"{key} {data[key]!r} is not a list")
+
+
 def rpp_from_json(text: str) -> RPP:
-    data = json.loads(text)
-    return validate(data["shape"], data["rows"])
+    return rpp_from_data(json.loads(text))
+
+
+def rpp_from_data(data) -> RPP:
+    """The filling {"shape": [...], "rows": [[...], ...]} as JSON reads it."""
+    rpp = validate(data["shape"], data["rows"])
+    check_json_lists(data, "shape", "rows")
+    return rpp

@@ -65,17 +65,17 @@ def t0_chains(pattern, blue, red) -> bool:
     return True
 
 
-def riffle(cells, blue, red) -> tuple[tuple[int, ...], ...]:
+def riffle(lengths, blue, red) -> tuple[tuple[int, ...], ...]:
     """The diagonals, top first, of the filling a blue and a red slice
-    chain slide to: on diagonal k (cells[k-1]), red's parts at the odd
-    positions and blue's at the even ones, ending in a part.  It raises
-    AssertionError when a nonzero part slides off its diagonal."""
+    chain slide to: on diagonal k (of lengths[k-1] cells), red's parts at
+    the odd positions and blue's at the even ones, ending in a part.  It
+    raises AssertionError when a nonzero part slides off its diagonal."""
     merged = []
-    for k, (diagonal, b, r) in enumerate(zip(cells, blue[1:], red[1:]), start=1):
+    for k, (n, b, r) in enumerate(zip(lengths, blue[1:], red[1:]), start=1):
         sl = [0] * max(2 * len(r) - 1, 2 * len(b))
         sl[0:2 * len(r):2] = r
         sl[1:2 * len(b):2] = b
-        if len(sl) > len(diagonal):
+        if len(sl) > n:
             raise AssertionError(f"a nonzero entry of slice {k} slides off "
                                  f"the shape outside the forced region")
         merged.append(tuple(sl))
@@ -99,9 +99,8 @@ def slide(pair: PairRPP) -> RPP:
     its two chains riffled."""
     if not check_t0_constraints(pair):
         raise ValueError("pair has a coupled lozenge pair; sliding undefined")
-    cells = shape_geometry(pair.shape).cells
-    return rpp_core.from_diagonals(
-        pair.shape, riffle(cells, pair.blue.chain.slices, pair.red.chain.slices))
+    return rpp_core.from_diagonals(pair.shape, riffle(
+        shape_geometry(pair.shape).lengths, pair.blue.chain.slices, pair.red.chain.slices))
 
 
 def unslide(rpp: RPP) -> PairRPP:
@@ -128,7 +127,7 @@ def round_trips(fillings: list[RPP],
         slices = rpp.chain.slices[1:-1]
         blue, red = (rpp_core.check_diagonals(geometry, half) for half in deal(slices))
         if not (t0_chains(geometry.pattern, blue, red)
-                and riffle(geometry.cells, blue, red) == slices
+                and riffle(geometry.lengths, blue, red) == slices
                 and sum(map(sum, blue)) + sum(map(sum, red)) == rpp.volume):
             return len(unslid), rpp
         unslid[blue, red] = rpp

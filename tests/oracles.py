@@ -2,11 +2,11 @@
 
 Each of these computes something the package also computes, by another
 route: per-site lozenge kinds, border strips and the cells they force to
-zero, interlacing as a per-part predicate, the inverse of the slice chain
-and of `maya_mask`, the hook products as plain products of geometric
-series, the one-color row weights in closed form with the row
-commutation they satisfy, and the two-color vertex weights as products of
-per-color one-color weights.
+zero, the cells of each diagonal, interlacing as a per-part predicate,
+the inverse of the slice chain and of `maya_mask`, the hook products as
+plain products of geometric series, the one-color row weights in closed
+form with the row commutation they satisfy, and the two-color vertex
+weights as products of per-color one-color weights.
 """
 
 from __future__ import annotations
@@ -124,6 +124,40 @@ def interlaces(mu, lam) -> bool:
         if not (part(lam, i) >= part(mu, i) >= part(lam, i + 1)):
             return False
     return True
+
+
+def diagonal_cells(lam) -> list[list[tuple[int, int]]]:
+    """The 0-based (row, column) cells of each diagonal of the shape, top
+    first, in one walk over its cells: diagonal k holds the cells of
+    column minus row k - len(lam).  The reference for the package's
+    diagonal lengths and for the cells its slice chain reads and writes."""
+    lam = normalize(lam)
+    depth = len(lam)
+    cells = [[] for _ in range(lam[0] + depth - 1 if lam else 0)]
+    for r in range(depth - 1, -1, -1):  # top row first
+        for c in range(lam[r]):
+            cells[c - r + depth - 1].append((r, c))
+    return cells
+
+
+def slices_by_cells(rpp: RPP) -> list[tuple[int, ...]]:
+    """The filling's diagonals read at `diagonal_cells`, trailing zeros
+    dropped: the slices of its chain between the two empty ends."""
+    out = []
+    for cells in diagonal_cells(rpp.shape):
+        d = [rpp.rows[r][c] for r, c in cells]
+        out.append(tuple(d[:len(d) - d.count(0)]))
+    return out
+
+
+def rows_by_cells(lam, slices) -> list[list[int]]:
+    """The rows of the shape whose diagonal k holds slices[k-1] top first,
+    written at `diagonal_cells`, zero elsewhere."""
+    rows = [[0] * p for p in normalize(lam)]
+    for cells, sl in zip(diagonal_cells(lam), slices):
+        for (r, c), v in zip(cells, sl):
+            rows[r][c] = v
+    return rows
 
 
 def partition_from_mask(mask: int, zeta: int) -> tuple[int, ...]:

@@ -624,6 +624,41 @@ def test_huge_shape_exits_2(capsys, monkeypatch, argv):
         assert err == f"error: the shape has {cells} cells, more than {cli.SITE_BOUND}\n"
 
 
+@pytest.mark.parametrize("argv", SHAPE_COMMANDS)
+def test_shape_that_is_no_json_list_exits_2(capsys, argv):
+    # an empty object or string iterates as no parts: it would pass as the
+    # empty shape; a nonempty one fails on its first key or character
+    for shape in ("{}", '""'):
+        err = usage_error(capsys, *argv, "--shape", shape)
+        assert err == f"error: bad shape {shape!r}: shape {json.loads(shape)!r} is not a list\n"
+    assert "not an integer" in usage_error(capsys, *argv, "--shape", '{"1": 1}')
+
+
+@pytest.mark.parametrize("argv", [("render", "--object", "rpp"), ("render", "--object", "config"),
+                                  ("slide", "--direction", "unslide")])
+def test_filling_whose_shape_or_rows_are_no_json_list_exits_2(capsys, tmp_path, argv):
+    src = tmp_path / "rpp.json"
+    for data, what in (({"shape": {}, "rows": ""}, "shape {}"), ({"shape": [], "rows": {}}, "rows {}"),
+                       ({"shape": [], "rows": ""}, "rows ''")):
+        src.write_text(json.dumps(data))
+        err = usage_error(capsys, *argv, "--input", str(src))
+        assert err == f"error: bad filling: {what} is not a list\n"
+
+
+@pytest.mark.parametrize("argv", [("slide",), ("render", "--object", "pair")])
+def test_pair_whose_shape_is_no_json_list_exits_2(capsys, tmp_path, argv):
+    empty = {"shape": [], "rows": []}
+    src = tmp_path / "pair.json"
+    for data, what in (({"shape": "", "blue": empty, "red": empty}, "shape ''"),
+                       ({"shape": [], "blue": empty, "red": {"shape": {}, "rows": []}}, "shape {}"),
+                       ({"shape": [], "blue": {"shape": [], "rows": ""}, "red": empty}, "rows ''")):
+        src.write_text(json.dumps(data))
+        err = usage_error(capsys, *argv, "--input", str(src))
+        assert err == f"error: bad pair: {what} is not a list\n"
+    src.write_text(json.dumps({"shape": [], "blue": empty, "red": empty}))
+    assert cli.main([*argv, "--input", str(src)]) == 0
+
+
 @pytest.mark.parametrize("argv", SHAPE_COMMANDS[:6])
 def test_shape_bound_is_exact(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "SITE_BOUND", 6)

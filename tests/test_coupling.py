@@ -327,7 +327,7 @@ def test_live_moves_are_the_moves_of_closed_chains(lam, n):
     for rpp in R.enumerate_rpps(lam, n):
         chain = R.to_slices(rpp).slices
         taken.update((k, chain[k], chain[k + 1]) for k in range(len(pattern)))
-    rows, slices = C._live_moves(lam, pattern, n)
+    rows, slices = C._live_moves(lam, n)
     live = {(k, slices[k][mu], slices[k + 1][nu]) for k, row in enumerate(rows)
             for mu, moves in enumerate(row) for _need, _size, nu, *_roles in moves}
     assert live == taken
@@ -342,7 +342,7 @@ def test_coupling_sites_bound_g_by_the_volume():
     for lam, n in cases:
         pattern = R.interaction_pattern(lam)
         zetas = R.shape_geometry(lam).zetas
-        rows, slices = C._live_moves(lam, pattern, n)
+        rows, slices = C._live_moves(lam, n)
         for k, row in enumerate(rows, start=1):
             white = pattern[k - 1] == R.PRECEQ
             for i, row_moves in enumerate(row):
@@ -373,7 +373,7 @@ def test_engine_rejects_masks_that_break_the_bound(monkeypatch):
 
 def test_live_moves_need_the_volume_still_to_come():
     # (6,) is a weakly increasing row: a first entry a costs at least 6a
-    rows, slices = C._live_moves((6,), R.interaction_pattern((6,)), 14)
+    rows, slices = C._live_moves((6,), 14)
     assert slices[0] == [()]
     assert [(need, size, slices[1][nu]) for need, size, nu, *_roles in rows[0][0]] == \
         [(0, 0, ()), (6, 1, (1,)), (12, 2, (2,))]
@@ -400,7 +400,7 @@ def test_live_moves_need_is_the_least_volume_of_the_fillings_taking_them(monkeyp
                 rest -= sum(chain[k])  # the volume from slice k + 1 on
                 move = (k, chain[k], chain[k + 1])
                 least[move] = min(least.get(move, rest), rest)
-        rows, slices = C._live_moves(lam, pattern, n)
+        rows, slices = C._live_moves(lam, n)
         needs = {(k, slices[k][mu], slices[k + 1][nu]): need for k, row in enumerate(rows)
                  for mu, row_moves in enumerate(row)
                  for need, _size, nu, *_roles in row_moves}
@@ -417,7 +417,7 @@ def test_numbered_moves_have_no_dead_ends():
     cases = [(lam, 8) for lam in P.all_partitions(7)] + [((4, 4, 3, 3, 1), 6)]
     for lam, n in cases:
         pattern = R.interaction_pattern(lam)
-        rows, slices = C._live_moves(lam, pattern, n)
+        rows, slices = C._live_moves(lam, n)
         assert len(rows) == len(pattern) and len(slices) == len(pattern) + 1
         assert slices[0] == [()] and slices[-1] == [()], lam
         for k, row in enumerate(rows):

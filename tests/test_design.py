@@ -84,9 +84,9 @@ def test_no_module_imports_a_name_it_does_not_use():
     source = ("from __future__ import annotations\n"
               "import json, os.path\n"
               "from .partitions import normalize as norm, part\n"
-              "from .rpp_core import interface_zetas  # noqa: F401\n"
+              "from .rpp_core import shape_geometry  # noqa: F401\n"
               "norm(json.loads('[]'))\n")
-    assert unused_imports(source) == ["os", "part", "interface_zetas"]
+    assert unused_imports(source) == ["os", "part", "shape_geometry"]
     # the package's __init__ imports in order to re-export
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 import oracles as O
+from coupledrpp import cli
 from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
@@ -160,15 +162,10 @@ def test_from_diagonals_accepts_exactly_the_valid_rows():
     # none ending in 0: the chain check accepts what validate accepts
     accepted = 0
     for lam in P.all_partitions(5):
-        cells = R.shape_geometry(lam).cells
         fits = [[sl for n in range(len(d) + 1) for sl in itertools.product(range(3), repeat=n)
-                 if not sl or sl[-1]] for d in cells]
+                 if not sl or sl[-1]] for d in O.diagonal_cells(lam)]
         for slices in itertools.product(*fits):
-            rows = [[0] * p for p in lam]
-            for d, sl in zip(cells, slices):
-                for (r, c), v in zip(d, sl):
-                    rows[r][c] = v
-            want = _outcome(R.validate, lam, rows)
+            want = _outcome(R.validate, lam, O.rows_by_cells(lam, slices))
             assert _outcome(R.from_diagonals, lam, slices) == want, (lam, slices)
             accepted += want is not None
     assert accepted == sum(1 for lam in P.all_partitions(5)
@@ -310,22 +307,51 @@ def test_shape_geometry_is_shared_and_bounded():
     lam = (4, 4, 3, 3, 1)
     geometry = R.shape_geometry(lam)
     assert R.shape_geometry(lam) is geometry
+    assert geometry._fields == ("pattern", "lengths", "zetas")
     assert geometry.pattern == R.interaction_pattern(lam)
-    assert geometry.zetas == tuple(R.interface_zetas(geometry.pattern))
-    assert "strips" not in geometry._fields
     # one path per border strip: as many as the longest diagonal has cells
-    assert max(map(len, geometry.cells)) == len(O.border_strips(lam))
-    for lam in P.all_partitions(10):
-        cells_of = R.shape_geometry(lam).cells
-        assert len(cells_of) == max(len(R.interaction_pattern(lam)) - 1, 0)
+    assert max(geometry.lengths) == len(O.border_strips(lam))
+    shapes = list(P.all_partitions(12))
+    assert len(shapes) == 272
+    for lam in shapes:
+        geometry = R.shape_geometry(lam)
+        pattern, cells_of = geometry.pattern, O.diagonal_cells(lam)
+        assert geometry.zetas == tuple(pattern[k:].count(SUCCEQ)
+                                       for k in range(len(pattern) + 1))
+        assert len(cells_of) == max(len(pattern) - 1, 0)
+        assert geometry.lengths == tuple(map(len, cells_of))
         for k, cells in enumerate(cells_of, start=1):  # diagonal k, top first
             assert cells and [c - r for r, c in cells] == [k - len(lam)] * len(cells)
             assert [r for r, _ in cells] == sorted((r for r, _ in cells), reverse=True)
         assert sorted(cell for cells in cells_of for cell in cells) == \
             sorted((r, c) for r, p in enumerate(lam) for c in range(p))
+        # every entry distinct: a cell read or written at the wrong place shows
+        rows = [[r * len(pattern) + c + 1 for c in range(p)] for r, p in enumerate(lam)]
+        rpp = R.validate(lam, rows)
+        slices = O.slices_by_cells(rpp)
+        assert R.to_slices(rpp).slices == (((), *slices, ()) if lam else ((),))
+        assert R.from_diagonals(lam, slices).rows == rpp.rows
+        assert O.rows_by_cells(lam, slices) == rows
     assert R.shape_geometry.cache_info().maxsize == 64
     with pytest.raises(ValueError, match="normalized"):
         R.shape_geometry((2, 0))
+
+
+@pytest.mark.parametrize("shape", [(2 ** 18,), (1,) * 2 ** 18, (512,) * 512])
+def test_shape_geometry_of_the_largest_shapes_keeps_little(shape):
+    # O(diagonals), not O(cells): at the CLI's bound of 2^18 cells a kept
+    # geometry holds at most 64 bytes per cell, so the 64 cached shapes
+    # stay within a few hundred MB
+    R.shape_geometry.cache_clear()
+    tracemalloc.start()
+    try:
+        geometry = R.shape_geometry(shape)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        R.shape_geometry.cache_clear()
+    assert sum(geometry.lengths) == sum(shape) == cli.SITE_BOUND
+    assert kept <= 64 * cli.SITE_BOUND
 
 
 @pytest.mark.parametrize("shape,rows", [

@@ -26,7 +26,7 @@ def _paths(rpp):
     the interface centre plus part i of slice k, minus i; steps[i-1][k-1]
     holds the sites of path i's vertical steps between lines k-1 and k."""
     geometry = R.shape_geometry(rpp.shape)
-    paths = max(map(len, geometry.cells), default=0)
+    paths = max(map(len, O.diagonal_cells(rpp.shape)), default=0)
     lines = [[zeta + v - i for i, v in enumerate(sl + (0,) * (paths - len(sl)), 1)]
              for zeta, sl in zip(geometry.zetas, rpp.chain.slices)]
     profiles = tuple(zip(*lines))
@@ -101,7 +101,7 @@ def test_paths_one_per_strip():
 def test_paths_zero_filling_hug_the_wall():
     profiles, steps = _paths(R.zero_rpp((3, 2)))
     pattern = R.interaction_pattern((3, 2))
-    zetas = R.interface_zetas(pattern)
+    zetas = [pattern[k:].count(R.SUCCEQ) for k in range(len(pattern) + 1)]
     for i, prof in enumerate(profiles, start=1):
         assert prof == tuple(z - i for z in zetas)
         assert len(steps[i - 1]) == len(pattern)
@@ -111,7 +111,7 @@ def test_paths_zero_filling_hug_the_wall():
 def test_paths_single_column_height():
     profiles, _ = _paths(R.validate((1,), [[5]]))
     # one strip; the face sits five units above the wall on the middle line
-    assert profiles[0][1] - R.interface_zetas(R.interaction_pattern((1,)))[1] == 4
+    assert profiles[0][1] - R.interaction_pattern((1,))[1:].count(R.SUCCEQ) == 4
 
 
 def test_constraints_equal_path_order_exhaustively():
@@ -278,7 +278,7 @@ def test_round_trips_fails_on_a_wrong_riffle_or_volume(monkeypatch):
     assert S.round_trips(bad, R.pairs_within(fillings, 6)) == (5, wrong)
 
     riffle = S.riffle
-    monkeypatch.setattr(S, "riffle", lambda cells, *chains: riffle(cells, *chains)[::-1])
+    monkeypatch.setattr(S, "riffle", lambda lengths, *chains: riffle(lengths, *chains)[::-1])
     _, failure = S.round_trips(fillings, R.pairs_within(fillings, 6))
     assert failure in fillings and failure.chain.slices[1:-1][::-1] != failure.chain.slices[1:-1]
 
@@ -355,7 +355,7 @@ def test_forced_region_is_what_slides_off():
     assert len(shapes) == 272
     for lam in shapes:
         off = set()
-        for cells in R.shape_geometry(lam).cells if lam else ():
+        for cells in O.diagonal_cells(lam):
             for i, (r, c) in enumerate(cells, start=1):
                 if 2 * i > len(cells):
                     off.add(("blue", P.Cell(r + 1, c + 1)))
