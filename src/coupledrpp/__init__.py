@@ -16,9 +16,7 @@ from .qt_series import (
 )
 from .rpp_core import (
     RPP,
-    SliceSequence,
     enumerate_rpps,
-    interaction_pattern,
     to_slices,
     validate,
     zero_rpp,

@@ -30,6 +30,8 @@ SLIDE_SHAPES = [(2, 2), (3, 1), (4, 4, 3, 3, 1)]
 # total volume.
 SINGLE_MAX_SIZE, SINGLE_MAX_VOLUME = 5, 8
 PAIR_MAX_SIZE, PAIR_MAX_VOLUME = 4, 6
+# Criteria 1 and 2 compare series truncated at these q-degrees.
+SINGLE_GENFUN_TRUNC, PAIR_GENFUN_TRUNC = 10, 8
 
 
 class _Pool:
@@ -84,30 +86,30 @@ def _pairs(lam) -> Iterable[coupling.PairRPP]:
         _fillings(lam, PAIR_MAX_VOLUME), PAIR_MAX_VOLUME))
 
 
-def check_single_genfun(trunc=10) -> dict:
+def check_single_genfun() -> dict:
     """Brute-force volume counts match the hook-length product."""
     bad = []
     for lam in GENFUN_SHAPES:
-        counts = QTSeries(trunc)
-        for rpp in rpp_core.enumerate_rpps(lam, trunc):
+        counts = QTSeries(SINGLE_GENFUN_TRUNC)
+        for rpp in rpp_core.enumerate_rpps(lam, SINGLE_GENFUN_TRUNC):
             counts.add_term(rpp.volume, 0)
-        if counts != hook_product(lam, trunc, 1):
+        if counts != hook_product(lam, SINGLE_GENFUN_TRUNC, 1):
             bad.append(list(lam))
     return _report("single-genfun", not bad, shapes=len(GENFUN_SHAPES),
-                   trunc=trunc, mismatched=bad)
+                   trunc=SINGLE_GENFUN_TRUNC, mismatched=bad)
 
 
-def check_pair_genfun(trunc=8) -> dict:
+def check_pair_genfun() -> dict:
     """The q,t generating function of pairs by brute force, by the
     row-transfer engine and by the paired hook product: all three agree."""
     bad = []
     for lam in PAIR_SHAPES:
-        if not (coupling.pair_genfun_bruteforce(lam, trunc)
-                == coupling.pair_genfun_transfer(lam, trunc)
-                == hook_product(lam, trunc, 2)):
+        if not (coupling.pair_genfun_bruteforce(lam, PAIR_GENFUN_TRUNC)
+                == coupling.pair_genfun_transfer(lam, PAIR_GENFUN_TRUNC)
+                == hook_product(lam, PAIR_GENFUN_TRUNC, 2)):
             bad.append(list(lam))
     return _report("pair-genfun", not bad, shapes=len(PAIR_SHAPES),
-                   trunc=trunc, mismatched=bad)
+                   trunc=PAIR_GENFUN_TRUNC, mismatched=bad)
 
 
 def check_ybe() -> dict:

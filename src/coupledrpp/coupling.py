@@ -204,10 +204,10 @@ def _filling_roles(rpp: RPP) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _roles_of(rpp: RPP) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    chain = rpp.chain
-    sizes = list(map(sum, chain.slices))
+    sizes = list(map(sum, rpp.chain))
     as_blue, as_red = [], []
-    for rel, lozenges, grown in zip(chain.pattern, tiling_masks(rpp),
+    for rel, lozenges, grown in zip(rpp_core.shape_geometry(rpp.shape).pattern,
+                                    tiling_masks(rpp),
                                     map(sub, sizes[1:], sizes)):
         blue, red = _row_roles(rel == PRECEQ, lozenges, grown)
         as_blue.append(blue)

@@ -82,7 +82,7 @@ def hook_product(lam, trunc_q: int, colors: int) -> QTSeries:
     return _divide_by_hooks(lam, trunc_q, range(colors))
 
 
-def hook_count(lam, trunc_q: int, colors: int = 1) -> int:
+def hook_count(lam, trunc_q: int, colors: int) -> int:
     """Number of fillings (colors=1) or pairs (colors=2) with total volume
     <= trunc_q >= 0: the coefficient sum of the hook product at t = 1,
     prod 1/(1-q^hook)^colors, in plain integers."""

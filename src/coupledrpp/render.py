@@ -133,7 +133,7 @@ def _draw_tiling(texts: list[str], rpp: RPP, heights: list[int], attrs) -> int:
     """Row by row the orchid and sienna lozenges of sites 0..top, two above
     the highest path, then line by line the green top faces, each run of
     sites of one kind as one slice of a memo column.  Returns top."""
-    pattern = rpp.chain.pattern
+    pattern = rpp_core.shape_geometry(rpp.shape).pattern
     top = vertex_model.config_window(rpp)
     every_site = (1 << top + 1) - 1
     draw = texts.extend

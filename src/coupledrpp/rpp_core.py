@@ -37,8 +37,9 @@ class RPP(_RPPFields):
     datum never changes them."""
 
     @cached_property
-    def chain(self) -> "SliceSequence":
-        """The slice chain; `_from_chain` hands over the one it built from."""
+    def chain(self) -> tuple[tuple[int, ...], ...]:
+        """The slice chain, empty partitions at both ends; `_from_chain`
+        hands over the one it built from."""
         return to_slices(self)
 
     def derived(self, name: str, build):
@@ -87,24 +88,11 @@ def zero_rpp(shape) -> RPP:
     return from_diagonals(shape, ((),) * len(shape_geometry(shape).lengths))
 
 
-def interaction_pattern(lam) -> tuple[str, ...]:
-    """PRECEQ at holes and SUCCEQ at particles of the shape's Maya diagram,
-    read over sites -len(lam) .. lam_1 - 1: the bits of its `maya_mask`
-    centred at len(lam), up to the highest."""
-    lam = normalize(lam)
-    mask = partitions.maya_mask(lam, len(lam))
-    digits = f"{mask:b}"[::-1] if mask else ""  # lowest bit first, in one pass
-    return tuple(SUCCEQ if d == "1" else PRECEQ for d in digits)
-
-
-class SliceSequence(NamedTuple):
-    pattern: tuple[str, ...]
-    slices: tuple[tuple[int, ...], ...]  # empty partitions at both ends
-
-
 class ShapeGeometry(NamedTuple):
-    """What the package derives from a shape alone: its pattern, the
-    number of cells of diagonal k (lengths[k-1]) and the interface centres."""
+    """What the package derives from a shape alone, and the one record that
+    holds it: its pattern (PRECEQ at holes and SUCCEQ at particles of its
+    Maya diagram, read over sites -len(shape) .. shape[0] - 1), the number
+    of cells of diagonal k (lengths[k-1]) and the interface centres."""
 
     pattern: tuple[str, ...]
     lengths: tuple[int, ...]
@@ -119,18 +107,22 @@ def shape_geometry(shape: tuple[int, ...]) -> ShapeGeometry:
     holes before it, k - depth + zetas[k]: these are fewer for k < depth."""
     if normalize(shape) != shape:
         raise ValueError(f"shape {shape} is not a normalized partition")
-    pattern, depth = interaction_pattern(shape), len(shape)
+    depth = len(shape)
+    mask = partitions.maya_mask(shape, depth)  # centred at depth, up to the highest bit
+    digits = f"{mask:b}"[::-1] if mask else ""  # lowest bit first, in one pass
+    pattern = tuple(SUCCEQ if d == "1" else PRECEQ for d in digits)
     zetas = tuple(accumulate(map(SUCCEQ.__eq__, pattern), sub, initial=depth))
     lengths = (*map(sub, zetas[1:depth], range(depth - 1, 0, -1)), *zetas[depth:-1])
     return ShapeGeometry(pattern, lengths, zetas)
 
 
-def to_slices(rpp: RPP) -> SliceSequence:
+def to_slices(rpp: RPP) -> tuple[tuple[int, ...], ...]:
     """Read the filling along vertical slices, top of each diagonal first:
-    diagonal k, of column minus row j = k - depth, runs down from row zetas[k] - 1."""
+    diagonal k, of column minus row j = k - depth, runs down from row zetas[k] - 1.
+    The chain starts and ends with (); the empty shape's chain is ((),)."""
     geometry = shape_geometry(rpp.shape)
     if not geometry.pattern:
-        return SliceSequence((), ((),))
+        return ((),)
     rows = rpp.rows
     slices = [()]
     for j, n, top in zip(count(1 - len(rpp.shape)), geometry.lengths, geometry.zetas[1:]):
@@ -139,7 +131,7 @@ def to_slices(rpp: RPP) -> SliceSequence:
             raise ValueError(f"diagonal {d} of {rpp} is not a partition")
         slices.append(tuple(d[:n - d.count(0)]))  # trailing zeros dropped
     slices.append(())
-    return SliceSequence(geometry.pattern, tuple(slices))
+    return tuple(slices)
 
 
 def _from_chain(shape: tuple[int, ...], geometry: ShapeGeometry, chain, volume: int) -> RPP:
@@ -151,7 +143,7 @@ def _from_chain(shape: tuple[int, ...], geometry: ShapeGeometry, chain, volume: 
         for i, v in enumerate(sl):
             rows[r - i][c - i] = v
     rpp = RPP(shape, tuple(map(tuple, rows)))
-    rpp.__dict__.update(chain=SliceSequence(geometry.pattern, chain), volume=volume)
+    rpp.__dict__.update(chain=chain, volume=volume)
     return rpp
 
 

@@ -91,7 +91,7 @@ def deal(slices) -> tuple[tuple, tuple]:
 
 def check_t0_constraints(pair: PairRPP) -> bool:
     """`t0_chains` on the pair's two slice chains."""
-    return t0_chains(pair.blue.chain.pattern, pair.blue.chain.slices, pair.red.chain.slices)
+    return t0_chains(shape_geometry(pair.shape).pattern, pair.blue.chain, pair.red.chain)
 
 
 def slide(pair: PairRPP) -> RPP:
@@ -100,12 +100,12 @@ def slide(pair: PairRPP) -> RPP:
     if not check_t0_constraints(pair):
         raise ValueError("pair has a coupled lozenge pair; sliding undefined")
     return rpp_core.from_diagonals(pair.shape, riffle(
-        shape_geometry(pair.shape).lengths, pair.blue.chain.slices, pair.red.chain.slices))
+        shape_geometry(pair.shape).lengths, pair.blue.chain, pair.red.chain))
 
 
 def unslide(rpp: RPP) -> PairRPP:
     """The unique g = 0 pair sliding back to the filling, its chain dealt."""
-    blue, red = deal(rpp.chain.slices[1:-1])
+    blue, red = deal(rpp.chain[1:-1])
     return make_pair(rpp_core.from_diagonals(rpp.shape, blue),
                      rpp_core.from_diagonals(rpp.shape, red))
 
@@ -121,10 +121,11 @@ def round_trips(fillings: list[RPP],
     so slide and unslide are mutual inverses.  Returns the round trips
     made, one per filling and per g = 0 pair matched to one, and the first
     failure: a filling, a pair, or None."""
+    # the fillings, and so the pairs, share one shape: its geometry, fetched once
+    geometry = shape_geometry(fillings[0].shape) if fillings else None
     unslid = {}  # (blue chain, red chain) -> its filling, in the order of the fillings
     for rpp in fillings:
-        geometry = shape_geometry(rpp.shape)
-        slices = rpp.chain.slices[1:-1]
+        slices = rpp.chain[1:-1]
         blue, red = (rpp_core.check_diagonals(geometry, half) for half in deal(slices))
         if not (t0_chains(geometry.pattern, blue, red)
                 and riffle(geometry.lengths, blue, red) == slices
@@ -132,8 +133,8 @@ def round_trips(fillings: list[RPP],
             return len(unslid), rpp
         unslid[blue, red] = rpp
     for blue, red in pairs:  # each g = 0 pair pops its dealt chains; any left were missed
-        chains = blue.chain.slices, red.chain.slices
-        if t0_chains(blue.chain.pattern, *chains) and unslid.pop(chains, None) is None:
+        chains = blue.chain, red.chain
+        if t0_chains(geometry.pattern, *chains) and unslid.pop(chains, None) is None:
             return 2 * len(fillings) - len(unslid), make_pair(blue, red)
     missed = next(iter(unslid.values()), None)
     return (2 * len(fillings) - len(unslid),
@@ -148,9 +149,10 @@ def verify_t0_counting(lam, max_volume: int, fillings=None) -> dict:
     lam = normalize(lam)
     if fillings is None:
         fillings = list(rpp_core.enumerate_rpps(lam, max_volume))
+    pattern = shape_geometry(lam).pattern
     pair_counts = [0] * (max_volume + 1)
     for blue, red in rpp_core.pairs_within(fillings, max_volume):
-        if t0_chains(blue.chain.pattern, blue.chain.slices, red.chain.slices):
+        if t0_chains(pattern, blue.chain, red.chain):
             pair_counts[blue.volume + red.volume] += 1
     single_counts = [0] * (max_volume + 1)
     for rpp in fillings:

@@ -247,9 +247,7 @@ def row_weight_explicit(kind: str, mus, lams, x, ell: int, window: int, t=1):
 
 class _ConfigFields(NamedTuple):
     shape: tuple[int, ...]
-    pattern: tuple[str, ...]          # pattern[k-1] decides the kind of row k
     interfaces: tuple[tuple[int, ...], ...]
-    zetas: tuple[int, ...]            # center position of each interface
     window: int
     # masks[k-1]: row k's (out_right, occupied, out_top) sites, see row_masks
     masks: tuple[tuple[int, int, int], ...]
@@ -257,7 +255,8 @@ class _ConfigFields(NamedTuple):
 
 class VertexConfig(_ConfigFields):
     def kind(self, k: int) -> str:
-        return WHITE if self.pattern[k - 1] == PRECEQ else GRAY
+        """Row k's kind, as the shape's pattern decides it."""
+        return WHITE if shape_geometry(self.shape).pattern[k - 1] == PRECEQ else GRAY
 
     @cached_property
     def states(self) -> tuple[tuple[VertexState, ...], ...]:
@@ -276,7 +275,7 @@ def config_window(rpp: RPP) -> int:
     of its `maya_mask`."""
     zetas = shape_geometry(rpp.shape).zetas
     return 1 + max(1, *(zeta + (sl[0] if sl else 0)
-                        for sl, zeta in zip(rpp.chain.slices, zetas)))
+                        for sl, zeta in zip(rpp.chain, zetas)))
 
 
 def interface_masks(rpp: RPP) -> tuple[int, ...]:
@@ -284,7 +283,7 @@ def interface_masks(rpp: RPP) -> tuple[int, ...]:
     computed once per filling."""
     return rpp.derived("masks", lambda rpp: tuple(
         maya_mask(sl, zeta)
-        for sl, zeta in zip(rpp.chain.slices, shape_geometry(rpp.shape).zetas)))
+        for sl, zeta in zip(rpp.chain, shape_geometry(rpp.shape).zetas)))
 
 
 def _check_shape(lam, rpp: RPP) -> None:
@@ -313,9 +312,7 @@ def rpp_to_config(lam, rpp: RPP) -> VertexConfig:
 
 
 def _config_of(rpp: RPP) -> VertexConfig:
-    geometry = shape_geometry(rpp.shape)
-    return VertexConfig(rpp.shape, geometry.pattern, rpp.chain.slices, geometry.zetas,
-                        config_window(rpp), _rows_of(rpp))
+    return VertexConfig(rpp.shape, rpp.chain, config_window(rpp), _rows_of(rpp))
 
 
 class FillingWeight(NamedTuple):
@@ -361,7 +358,7 @@ def config_to_json(config: VertexConfig) -> str:
     return json.dumps({
         "shape": list(config.shape),
         "rows": [{"kind": config.kind(k), "x_index": k}
-                 for k in range(1, len(config.pattern) + 1)],
+                 for k in range(1, len(config.masks) + 1)],
         "interfaces": [list(sl) for sl in config.interfaces],
         "window": config.window,
     })

@@ -17,7 +17,7 @@ from coupledrpp import rpp_core
 from coupledrpp.coupling import GREEN, ORCHID, SIENNA, PairRPP
 from coupledrpp.partitions import Cell, normalize, part
 from coupledrpp.qt_series import QTSeries
-from coupledrpp.rpp_core import PRECEQ, RPP, SUCCEQ, SliceSequence, next_slices
+from coupledrpp.rpp_core import PRECEQ, RPP, SUCCEQ, next_slices
 from coupledrpp.vertex_model import (
     ALLOWED_CROSSINGS,
     ALLOWED_STATES,
@@ -179,25 +179,26 @@ def shape_from_pattern(pattern) -> tuple[int, ...]:
     pattern = tuple(pattern)
     mask = sum(1 << b for b, rel in enumerate(pattern) if rel == SUCCEQ)
     lam = partition_from_mask(mask, mask.bit_count())
-    if rpp_core.interaction_pattern(lam) != pattern:
+    if rpp_core.shape_geometry(lam).pattern != pattern:
         raise ValueError(f"pattern {pattern} does not match any shape")
     return lam
 
 
-def from_slices(ss: SliceSequence) -> RPP:
-    """Inverse of `to_slices`; raises if the chain does not encode an RPP."""
-    shape = shape_from_pattern(ss.pattern)
-    n = len(ss.pattern) - 1
-    if len(ss.slices) != n + 2:
-        raise ValueError(f"expected {n + 2} slices, got {len(ss.slices)}")
-    if ss.slices[0] or ss.slices[-1]:
+def from_slices(pattern, slices) -> RPP:
+    """Inverse of `to_slices` on the shape of the pattern; raises if the
+    chain does not encode an RPP."""
+    shape = shape_from_pattern(pattern)
+    n = len(pattern) - 1
+    if len(slices) != n + 2:
+        raise ValueError(f"expected {n + 2} slices, got {len(slices)}")
+    if slices[0] or slices[-1]:
         raise ValueError("chain must start and end with the empty partition")
-    for k, rel in enumerate(ss.pattern):
-        a, b = ss.slices[k], ss.slices[k + 1]
+    for k, rel in enumerate(pattern):
+        a, b = slices[k], slices[k + 1]
         ok = interlaces(a, b) if rel == PRECEQ else interlaces(b, a)
         if not ok:
             raise ValueError(f"slices {a} {rel} {b} violate interlacing at step {k}")
-    return rpp_core.from_diagonals(shape, [normalize(sl) for sl in ss.slices[1:-1]])
+    return rpp_core.from_diagonals(shape, [normalize(sl) for sl in slices[1:-1]])
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def test_criterion_7_builds_fillings_only_to_enumerate_them(monkeypatch):
 
 def _chains(pair):
     """The (blue, red) slice chains the g = 0 test reads of a pair."""
-    return pair.blue.chain.slices, pair.red.chain.slices
+    return pair.blue.chain, pair.red.chain
 
 
 def test_sliding_check_fails_either_way(monkeypatch):

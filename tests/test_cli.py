@@ -252,7 +252,7 @@ def test_genfun_budget_guard_counts_at_small_bounds_first(capsys, monkeypatch):
     # reads the counts at the doubling bounds, never a series of length N
     hook_count = cli.hook_count
 
-    def small_only(lam, trunc_q, colors=1):
+    def small_only(lam, trunc_q, colors):
         if trunc_q > 64:
             raise AssertionError(f"counted up to {trunc_q}")
         return hook_count(lam, trunc_q, colors)
@@ -404,7 +404,7 @@ def test_slide_roundtrip_fails_on_a_rejected_unslid_pair(capsys, monkeypatch):
     t0_chains = sliding.t0_chains
     rpp = next(r for r in rpp_core.enumerate_rpps((2, 2), 6) if r.volume)
     lost = sliding.unslide(rpp)
-    lost = lost.blue.chain.slices, lost.red.chain.slices
+    lost = lost.blue.chain, lost.red.chain
     monkeypatch.setattr(sliding, "t0_chains",
                         lambda pattern, *chains: chains != lost and t0_chains(pattern, *chains))
     code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",
@@ -419,7 +419,7 @@ def test_slide_roundtrip_fails_on_an_extra_g0_pair(capsys, monkeypatch):
     extra = next(p for p in (coupling.make_pair(b, r)
                              for b, r in rpp_core.enumerate_pairs((2, 2), 6))
                  if not check_t0(p))
-    chains_of_extra = extra.blue.chain.slices, extra.red.chain.slices
+    chains_of_extra = extra.blue.chain, extra.red.chain
     monkeypatch.setattr(sliding, "t0_chains", lambda pattern, *chains:
                         chains == chains_of_extra or t0_chains(pattern, *chains))
     code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",

@@ -9,7 +9,7 @@ from coupledrpp import coupling as C
 from coupledrpp import partitions as P
 from coupledrpp import rpp_core as R
 from coupledrpp import vertex_model as V
-from coupledrpp.qt_series import hook_product
+from coupledrpp.qt_series import hook_count, hook_product
 from coupledrpp.vertex_model import GRAY, Monomial, WHITE
 
 X, T = Fraction(3, 5), Fraction(2, 7)
@@ -278,6 +278,31 @@ def test_transfer_matches_hook_product_on_sparse_states(lam, n):
     assert C.pair_genfun_transfer(lam, n) == hook_product(lam, n, 2)
 
 
+def test_every_small_shape_agrees_on_all_three_routes():
+    # the differential sweep: every nonempty shape of size <= 8 at the
+    # largest bound with at most 1,500 pairs, by brute force, the engine
+    # and the hook product; then every shape of size <= 12 at N = 12,
+    # beyond the brute force's reach, by the engine and the hook product
+    shapes = pairs = 0
+    for lam in P.all_partitions(8):
+        if not lam:
+            continue
+        n = 0
+        while hook_count(lam, n + 1, 2) <= 1500:
+            n += 1
+        want = hook_product(lam, n, 2)
+        assert C.pair_genfun_bruteforce(lam, n) == want, (lam, n)
+        assert C.pair_genfun_transfer(lam, n) == want, (lam, n)
+        shapes += 1
+        pairs += hook_count(lam, n, 2)
+    assert (shapes, pairs) == (66, 69962)
+    shapes = 0
+    for lam in P.all_partitions(12):
+        assert C.pair_genfun_transfer(lam, 12) == hook_product(lam, 12, 2), lam
+        shapes += 1
+    assert shapes == 272
+
+
 @pytest.mark.parametrize("lam,n", [((6,), 20), ((3, 2, 1), 12), ((4, 1), 15)])
 def test_kept_states_stop_at_the_volume_bound(lam, n, monkeypatch):
     # every state kept after a row is cut to at most N + 1 volumes of
@@ -322,10 +347,10 @@ def test_slots_hold_the_sums_of_the_parts(lam, n, monkeypatch):
 @pytest.mark.parametrize("lam,n", [((3, 2, 1), 5), ((4, 1), 4), ((2, 2), 4), ((3,), 6)])
 def test_live_moves_are_the_moves_of_closed_chains(lam, n):
     # exactly the slice steps taken by some filling of volume <= n
-    pattern = R.interaction_pattern(lam)
+    pattern = R.shape_geometry(lam).pattern
     taken = set()
     for rpp in R.enumerate_rpps(lam, n):
-        chain = R.to_slices(rpp).slices
+        chain = R.to_slices(rpp)
         taken.update((k, chain[k], chain[k + 1]) for k in range(len(pattern)))
     rows, slices = C._live_moves(lam, n)
     live = {(k, slices[k][mu], slices[k + 1][nu]) for k, row in enumerate(rows)
@@ -340,8 +365,7 @@ def test_coupling_sites_bound_g_by_the_volume():
     cases += [((4, 4, 3, 3, 1), 6), ((5, 4), 6), ((3, 3, 3), 6)]
     moves = 0
     for lam, n in cases:
-        pattern = R.interaction_pattern(lam)
-        zetas = R.shape_geometry(lam).zetas
+        pattern, _, zetas = R.shape_geometry(lam)
         rows, slices = C._live_moves(lam, n)
         for k, row in enumerate(rows, start=1):
             white = pattern[k - 1] == R.PRECEQ
@@ -391,10 +415,10 @@ def test_live_moves_need_is_the_least_volume_of_the_fillings_taking_them(monkeyp
     cases = [(lam, 8) for lam in P.all_partitions(7)] + [((4, 4, 3, 3, 1), 6)]
     moves = 0
     for lam, n in cases:
-        pattern = R.interaction_pattern(lam)
+        pattern = R.shape_geometry(lam).pattern
         least = {}
         for rpp in R.enumerate_rpps(lam, n):
-            chain = rpp.chain.slices
+            chain = rpp.chain
             rest = rpp.volume
             for k in range(len(pattern)):
                 rest -= sum(chain[k])  # the volume from slice k + 1 on
@@ -416,7 +440,7 @@ def test_numbered_moves_have_no_dead_ends():
     # leaving by some move; the last interface holds () alone
     cases = [(lam, 8) for lam in P.all_partitions(7)] + [((4, 4, 3, 3, 1), 6)]
     for lam, n in cases:
-        pattern = R.interaction_pattern(lam)
+        pattern = R.shape_geometry(lam).pattern
         rows, slices = C._live_moves(lam, n)
         assert len(rows) == len(pattern) and len(slices) == len(pattern) + 1
         assert slices[0] == [()] and slices[-1] == [()], lam
@@ -442,7 +466,7 @@ def test_pair_config_weight_is_the_product_of_vertex_weights():
         window = max(blue_cfg.window, red_cfg.window)
         t = Monomial(0, 1)
         total = Monomial(0, 0)
-        for k in range(1, len(blue_cfg.pattern) + 1):
+        for k in range(1, len(blue_cfg.masks) + 1):
             kind = blue_cfg.kind(k)
             x = Monomial(-k) if kind == WHITE else Monomial(k)
             weigh = V.white_weight if kind == WHITE else V.gray_weight

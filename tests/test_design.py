@@ -132,6 +132,34 @@ def test_every_public_name_is_referenced_in_the_package():
     assert unreferenced_public_names(sources) == []
 
 
+def declared_fields(sources, names) -> list[str]:
+    """Every `Class.field` among `names` that a class of `sources` declares
+    with an annotation in its body, as a named tuple's fields are."""
+    return [f"{node.name}.{item.target.id}"
+            for tree in map(ast.parse, sources) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id in names]
+
+
+def test_only_the_shape_geometry_holds_the_pattern_and_the_centres():
+    source = ("class Geometry(NamedTuple):\n"
+              "    pattern: tuple\n"
+              "    zetas: tuple\n"
+              "class Chain:\n"
+              "    slices: tuple\n"
+              "    pattern: tuple = ()\n"
+              "    def f(self): zetas: int = 0\n")
+    assert declared_fields([source], {"pattern", "zetas"}) == [
+        "Geometry.pattern", "Geometry.zetas", "Chain.pattern"]
+    # the row pattern and the interface centres belong to the shape: a
+    # filling's chain or configuration reads them off `shape_geometry`
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert declared_fields(sources, {"pattern", "zetas"}) == [
+        "ShapeGeometry.pattern", "ShapeGeometry.zetas"]
+
+
 def _start_up_modules() -> set[str]:
     """The modules loaded once the CLI has imported and built its parser.
     -S: only the package's own imports are counted."""

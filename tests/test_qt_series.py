@@ -94,7 +94,7 @@ def test_hook_product_single_keeps_one_coefficient_per_q_degree():
 def test_hook_count_is_the_product_at_t_one():
     for lam in P.all_partitions(5):
         for n in (0, 3, 7):
-            assert hook_count(lam, n) == sum(hook_product(lam, n, 1).q_coefficients())
+            assert hook_count(lam, n, 1) == sum(hook_product(lam, n, 1).q_coefficients())
             assert hook_count(lam, n, 2) == sum(hook_product(lam, n, 2).q_coefficients())
     assert hook_count((3, 2, 1), 8, 2) == 5307
     assert hook_count((), 10 ** 9, 2) == 1  # no series built for the empty shape

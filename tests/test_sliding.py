@@ -28,7 +28,7 @@ def _paths(rpp):
     geometry = R.shape_geometry(rpp.shape)
     paths = max(map(len, O.diagonal_cells(rpp.shape)), default=0)
     lines = [[zeta + v - i for i, v in enumerate(sl + (0,) * (paths - len(sl)), 1)]
-             for zeta, sl in zip(geometry.zetas, rpp.chain.slices)]
+             for zeta, sl in zip(geometry.zetas, rpp.chain)]
     profiles = tuple(zip(*lines))
     ascending = [rel == R.PRECEQ for rel in geometry.pattern]
     steps = tuple(tuple(_pieces(a, b, up) for a, b, up in zip(p, p[1:], ascending))
@@ -94,13 +94,13 @@ def _random_filling(rng, shape, still):
 def test_paths_one_per_strip():
     profiles, _ = _paths(OUT_RPP)
     assert len(profiles) == len(O.border_strips(SHAPE)) == 3
-    assert all(len(prof) == len(R.interaction_pattern(SHAPE)) + 1
+    assert all(len(prof) == len(R.shape_geometry(SHAPE).pattern) + 1
                for prof in profiles)
 
 
 def test_paths_zero_filling_hug_the_wall():
     profiles, steps = _paths(R.zero_rpp((3, 2)))
-    pattern = R.interaction_pattern((3, 2))
+    pattern = R.shape_geometry((3, 2)).pattern
     zetas = [pattern[k:].count(R.SUCCEQ) for k in range(len(pattern) + 1)]
     for i, prof in enumerate(profiles, start=1):
         assert prof == tuple(z - i for z in zetas)
@@ -111,7 +111,7 @@ def test_paths_zero_filling_hug_the_wall():
 def test_paths_single_column_height():
     profiles, _ = _paths(R.validate((1,), [[5]]))
     # one strip; the face sits five units above the wall on the middle line
-    assert profiles[0][1] - R.interaction_pattern((1,))[1:].count(R.SUCCEQ) == 4
+    assert profiles[0][1] - R.shape_geometry((1,)).pattern[1:].count(R.SUCCEQ) == 4
 
 
 def test_constraints_equal_path_order_exhaustively():
@@ -280,7 +280,7 @@ def test_round_trips_fails_on_a_wrong_riffle_or_volume(monkeypatch):
     riffle = S.riffle
     monkeypatch.setattr(S, "riffle", lambda lengths, *chains: riffle(lengths, *chains)[::-1])
     _, failure = S.round_trips(fillings, R.pairs_within(fillings, 6))
-    assert failure in fillings and failure.chain.slices[1:-1][::-1] != failure.chain.slices[1:-1]
+    assert failure in fillings and failure.chain[1:-1][::-1] != failure.chain[1:-1]
 
 
 def _strip_slide(pair):
@@ -375,7 +375,7 @@ def test_slid_fillings_carry_their_chain_on_the_empty_shape():
     assert out == empty
     for rpp in (pair.blue, pair.red, out):
         assert rpp.__dict__["chain"] == R.to_slices(empty)
-        assert rpp.chain.slices == ((),)
+        assert rpp.chain == ((),)
 
 
 def test_counting_single_cell():

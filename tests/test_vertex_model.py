@@ -152,8 +152,10 @@ EX_RPP = R.validate((4, 3, 1), [[0, 1, 3, 4], [1, 1, 4], [3]])
 
 def test_config_rows_of_worked_example():
     config = V.rpp_to_config((4, 3, 1), EX_RPP)
-    assert config.pattern == R.interaction_pattern((4, 3, 1))
-    assert config.zetas == (3, 3, 2, 2, 2, 1, 1, 0)
+    # the shape's pattern <= >= <= <= >= <= >= decides the row kinds
+    assert [config.kind(k) for k in range(1, len(config.masks) + 1)] == [
+        WHITE, GRAY, WHITE, WHITE, GRAY, WHITE, GRAY]
+    assert R.shape_geometry(config.shape).zetas == (3, 3, 2, 2, 2, 1, 1, 0)
     # per-row x-degree profile forced by the closed row weights on the chain
     profile = []
     for k, row in enumerate(config.states, start=1):
