@@ -25,9 +25,9 @@ PAIR_SHAPES = [(1,), (2,), (1, 1), (2, 1), (2, 2)]
 SLIDE_SHAPES = [(2, 2), (3, 1), (4, 4, 3, 3, 1)]
 
 # Criterion 4 checks single fillings of the shapes of size <= 5 at volume
-# <= 8, and pairs of the nonempty shapes of size <= 4 (the pair shapes);
-# criteria 6 and 7 check pairs too.  PAIR_MAX_VOLUME bounds every pair's
-# total volume.
+# <= 8, on their slice chains alone, and pairs of the nonempty shapes of
+# size <= 4 (the pair shapes); criteria 6 and 7 check pairs too.
+# PAIR_MAX_VOLUME bounds every pair's total volume.
 SINGLE_MAX_SIZE, SINGLE_MAX_VOLUME = 5, 8
 PAIR_MAX_SIZE, PAIR_MAX_VOLUME = 4, 6
 # Criteria 1 and 2 compare series truncated at these q-degrees.
@@ -39,7 +39,7 @@ class _Pool:
     one of them called on its own."""
 
     def __init__(self):
-        self.fillings = {}  # shape -> (bound, its fillings of volume <= bound)
+        self.fillings = {}  # shape -> its fillings of volume <= PAIR_MAX_VOLUME
         self.pairs = {}     # shape -> its pairs, kept by criterion 4
 
 
@@ -65,14 +65,13 @@ def _pair_shapes() -> list[tuple[int, ...]]:
     return [lam for lam in partitions.all_partitions(PAIR_MAX_SIZE) if lam]
 
 
-def _fillings(lam, bound: int) -> list[rpp_core.RPP]:
-    """The fillings of lam with volume <= bound, in enumeration order.  A
-    pool enumerates a shape once, at the first bound asked of it, and a
-    smaller bound filters that list."""
+def _fillings(lam) -> list[rpp_core.RPP]:
+    """The fillings of lam with volume <= PAIR_MAX_VOLUME, in enumeration
+    order, enumerated once per pool."""
     kept = _pool.fillings.get(lam)
-    if kept is None or kept[0] < bound:
-        kept = _pool.fillings[lam] = (bound, list(rpp_core.enumerate_rpps(lam, bound)))
-    return kept[1] if kept[0] == bound else [rpp for rpp in kept[1] if rpp.volume <= bound]
+    if kept is None:
+        kept = _pool.fillings[lam] = list(rpp_core.enumerate_rpps(lam, PAIR_MAX_VOLUME))
+    return kept
 
 
 def _pairs(lam) -> Iterable[coupling.PairRPP]:
@@ -83,7 +82,7 @@ def _pairs(lam) -> Iterable[coupling.PairRPP]:
     if kept is not None:
         return kept
     return (make_pair(blue, red) for blue, red in rpp_core.pairs_within(
-        _fillings(lam, PAIR_MAX_VOLUME), PAIR_MAX_VOLUME))
+        _fillings(lam), PAIR_MAX_VOLUME))
 
 
 def check_single_genfun() -> dict:
@@ -129,26 +128,22 @@ def check_weight_bijections() -> dict:
     bad = 0
     tested = 0
     for lam in partitions.all_partitions(SINGLE_MAX_SIZE):
-        A = vertex_model.A_lambda(lam)
-        # the pair shapes' fillings are kept for the pair checks
-        singles = (_fillings(lam, SINGLE_MAX_VOLUME) if 0 < sum(lam) <= PAIR_MAX_SIZE
-                   else rpp_core.enumerate_rpps(lam, SINGLE_MAX_VOLUME))
-        for rpp in singles:
+        a = vertex_model.A_lambda(lam).q_exp
+        for volume, q in vertex_model.q_exponents(lam, SINGLE_MAX_VOLUME):
             tested += 1
-            if vertex_model.config_weight_q(lam, rpp) * A != Monomial(rpp.volume):
+            if q + a != volume:
                 bad += 1
     pair_tested = 0
     for lam in _pair_shapes():
-        A2 = vertex_model.A_lambda(lam) ** 2
+        a = vertex_model.A_lambda(lam).q_exp
         triv = coupling.trivial_t_exponent(lam)
-        # kept for criteria 6 and 7
+        # the pairs are kept for criterion 6, their fillings for criterion 7
         pairs = _pool.pairs[lam] = list(_pairs(lam))
         for pair in pairs:
             pair_tested += 1
-            w = coupling.pair_config_weight(pair) * A2
-            want = Monomial(pair.blue.volume + pair.red.volume,
-                            coupling.g_via_lozenges(pair) + triv)
-            if w != want:
+            w = coupling.pair_config_weight(pair)
+            if (w.q_exp + 2 * a != pair.blue.volume + pair.red.volume
+                    or w.t_exp != coupling.g_via_lozenges(pair) + triv):
                 bad += 1
     return _report("weight-bijections", bad == 0,
                    singles=tested, pairs=pair_tested, failures=bad)
@@ -230,14 +225,12 @@ def check_sliding() -> dict:
         failures.append("worked-unslide")
 
     for lam in SLIDE_SHAPES:
-        fillings = _fillings(lam, PAIR_MAX_VOLUME)
-        _, failure = sliding.round_trips(
-            fillings, rpp_core.pairs_within(fillings, PAIR_MAX_VOLUME))
+        _, failure = sliding.round_trips(_fillings(lam), sliding.t0_pairs(lam, PAIR_MAX_VOLUME))
         if failure is not None:
             way = "unslide-slide" if isinstance(failure, rpp_core.RPP) else "slide-unslide"
             failures.append(f"{way} {lam}")
 
-    counting = sliding.verify_t0_counting((2, 2), 8, _fillings((2, 2), 8))
+    counting = sliding.verify_t0_counting((2, 2), 8)
     if not counting["passed"]:
         failures.append("counting (2,2)")
     return _report("sliding", not failures, failures=failures)

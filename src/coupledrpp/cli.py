@@ -222,7 +222,7 @@ def cmd_slide(args) -> int:
             return 2
         fillings = list(rpp_core.enumerate_rpps(lam, args.max_volume))
         count, failure = sliding.round_trips(
-            fillings, rpp_core.pairs_within(fillings, args.max_volume))
+            fillings, sliding.t0_pairs(lam, args.max_volume))
         if failure is not None:
             at = (failure.rows if isinstance(failure, rpp_core.RPP)
                   else f"{failure.blue.rows} / {failure.red.rows}")

@@ -220,33 +220,41 @@ def _fill(bounds, stop: int, j: int, left: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
     """Every RPP of the shape with volume <= max_volume, exactly once,
-    in lexicographic order of the reading word (rows bottom-up)."""
+    in lexicographic order of the reading word (rows bottom-up).
+
+    A depth-first walk of the tree of slice chains, on an explicit stack
+    of `next_slices` iterators, one per slice: a tall shape costs no
+    recursion."""
     lam = normalize(lam)
     if max_volume < 0:
         return iter(())
     if not lam:
         return iter((zero_rpp(lam),))
+    geometry = shape_geometry(lam)
+    pattern, lengths = geometry.pattern, geometry.lengths
+    last = len(lengths)  # the last slice; the last row is gray and closes it at ()
     found = []
-    _extend(found, lam, shape_geometry(lam), max_volume, 1, (), [], 0)
+    chain, used = [()], [0]  # the slices before the stack's top iterator, and their volumes
+    stack = [next_slices((), pattern[0], lengths[0], max_volume)]
+    while stack:
+        k = len(stack)  # the top iterator yields slice k
+        for nu in stack[-1]:
+            volume = used[-1] + sum(nu)
+            if k == last:
+                found.append(_from_chain(lam, geometry, (*chain, nu, ()), volume))
+            else:
+                chain.append(nu)
+                used.append(volume)
+                stack.append(next_slices(nu, pattern[k], lengths[k], max_volume - volume))
+                break
+        else:
+            stack.pop()
+            chain.pop()
+            used.pop()
     # every filling has the shape's row lengths, so ordering by rows is
     # ordering by the reading word
     found.sort(key=attrgetter("rows"))
     return iter(found)
-
-
-def _extend(found: list, lam, geometry: ShapeGeometry, max_volume: int,
-            k: int, prev, chain: list, used: int) -> None:
-    """Append to found every filling of lam whose slices before k are
-    chain, of volume `used`, and whose volume is at most max_volume."""
-    pattern = geometry.pattern
-    if k == len(pattern):  # the last row is gray: every slice closes at ()
-        found.append(_from_chain(lam, geometry, ((), *chain, ()), used))
-        return
-    for nu in next_slices(prev, pattern[k - 1], geometry.lengths[k - 1],
-                          max_volume - used):
-        chain.append(nu)
-        _extend(found, lam, geometry, max_volume, k + 1, nu, chain, used + sum(nu))
-        chain.pop()
 
 
 def enumerate_pairs(lam, max_total_volume: int) -> Iterator[tuple[RPP, RPP]]:

@@ -32,9 +32,12 @@ to zero, and total volume is preserved.
 Each of the three rules is one function on slice chains: `t0_chains`, the
 g = 0 test on a blue and a red chain; `riffle`, the slide; and `deal`,
 the unslide, which sends a filling's parts at odd positions to red and at
-even ones to blue.  `check_t0_constraints`, `slide` and `unslide` apply
-them to fillings and pairs, and `round_trips` sweeps the bijection on the
-chains alone, building a filling or a pair only for the failure it names.
+even ones to blue.  The g = 0 test of a row splits into two halves that
+each read one new slice, so `t0_pairs` finds a shape's g = 0 pairs by
+walking both colors' chains at once.  `check_t0_constraints`, `slide` and
+`unslide` apply the rules to fillings and pairs, and `round_trips` sweeps
+the bijection on the chains alone, building a filling or a pair only for
+the failure it names.
 """
 
 from __future__ import annotations
@@ -46,23 +49,88 @@ from . import rpp_core
 from .partitions import normalize
 from .coupling import PairRPP, make_pair
 from .qt_series import hook_product
-from .rpp_core import PRECEQ, RPP, shape_geometry
+from .rpp_core import PRECEQ, RPP, next_slices, shape_geometry
+
+
+def _within(inner, outer) -> bool:
+    """inner fits under outer part by part: no longer, and no part larger."""
+    return len(inner) <= len(outer) and all(map(ge, outer, inner))
+
+
+def _blue_half(rel: str, nu, red_old) -> bool:
+    """The half of a row's g = 0 test that reads blue's new slice nu, given
+    red's old one: blue's upper slice lies within red's lower one (white
+    rows), or red's upper slice, past its first part, within blue's lower
+    one (gray rows)."""
+    return _within(nu, red_old) if rel == PRECEQ else _within(red_old[1:], nu)
+
+
+def _red_half(rel: str, nu, blue_old) -> bool:
+    """The other half, which reads red's new slice nu, given blue's old one."""
+    return _within(nu[1:], blue_old) if rel == PRECEQ else _within(blue_old, nu)
 
 
 def t0_chains(pattern, blue, red) -> bool:
     """The path-order test equivalent to g = 0 on a blue and a red slice
-    chain of one pattern: row by row, blue's upper slice lies within red's
-    lower one, and red's upper slice, past its first part, within blue's
-    lower one.  It stops at the first row that fails, lengths first."""
+    chain of one pattern: both halves of every row's test pass.  It stops
+    at the first row that fails."""
     for rel, b0, b1, r0, r1 in zip(pattern, blue, blue[1:], red, red[1:]):
-        if rel == PRECEQ:
-            b_lo, b_hi, r_lo, r_hi = b0, b1, r0, r1
-        else:
-            b_lo, b_hi, r_lo, r_hi = b1, b0, r1, r0
-        if not (len(b_hi) <= len(r_lo) and len(r_hi) <= len(b_lo) + 1
-                and all(map(ge, r_lo, b_hi)) and all(map(ge, b_lo, r_hi[1:]))):
+        if not (_blue_half(rel, b1, r0) and _red_half(rel, r1, b0)):
             return False
     return True
+
+
+def t0_pairs(lam, max_volume: int) -> list[tuple[tuple, tuple]]:
+    """The (blue chain, red chain) of every pair of the shape with g = 0 and
+    total volume <= max_volume, without building a filling: a depth-first
+    walk of both colors' slice-chain trees at once, on an explicit stack.
+
+    Each half of a row's test reads one new slice, so the row's passing
+    moves are every blue move that passes its half paired with every red
+    move that passes its own, within the volume left.  The last row closes
+    both chains at (), a slice of 0 cells."""
+    lam = normalize(lam)
+    if max_volume < 0:
+        return []
+    pattern, lengths, _ = shape_geometry(lam)
+    if not pattern:
+        return [(((),), ((),))]
+    caps = (*lengths, 0)
+    found = []
+    blues, reds, used = [()], [()], [0]  # the slices before the stack's top iterator
+    stack = [_t0_moves(pattern[0], caps[0], (), (), max_volume)]
+    while stack:
+        k = len(stack)  # the top iterator yields slices k, across row k
+        for b, r, size in stack[-1]:
+            if k == len(pattern):
+                found.append(((*blues, b), (*reds, r)))
+            else:
+                blues.append(b)
+                reds.append(r)
+                used.append(used[-1] + size)
+                stack.append(_t0_moves(pattern[k], caps[k], b, r, max_volume - used[-1]))
+                break
+        else:
+            stack.pop()
+            blues.pop()
+            reds.pop()
+            used.pop()
+    return found
+
+
+def _t0_moves(rel: str, cap: int, blue_old, red_old, spare: int):
+    """The moves (blue nu, red nu, |blue nu| + |red nu|) of a row of
+    relation rel that pass its g = 0 test, with at most cap parts each and
+    at most spare in all, blue-major, each color in `next_slices` order."""
+    reds = [(nu, sum(nu)) for nu in next_slices(red_old, rel, cap, spare)
+            if _red_half(rel, nu, blue_old)]
+    moves = []
+    for b in next_slices(blue_old, rel, cap, spare):
+        if _blue_half(rel, b, red_old):
+            size = sum(b)
+            moves.extend((b, r, size + r_size) for r, r_size in reds
+                         if size + r_size <= spare)
+    return iter(moves)
 
 
 def riffle(lengths, blue, red) -> tuple[tuple[int, ...], ...]:
@@ -111,10 +179,10 @@ def unslide(rpp: RPP) -> PairRPP:
 
 
 def round_trips(fillings: list[RPP],
-                pairs: Iterable[tuple[RPP, RPP]]) -> tuple[int, RPP | PairRPP | None]:
-    """The sliding bijection on a shape's fillings and its (blue, red)
-    pairs, as `rpp_core.pairs_within` yields them, swept on slice chains.
-    Each filling's chain is dealt; both halves must pass
+                g0_pairs: Iterable[tuple[tuple, tuple]]) -> tuple[int, RPP | PairRPP | None]:
+    """The sliding bijection on a shape's fillings and the (blue chain, red
+    chain) of its g = 0 pairs, as `t0_pairs` finds them, swept on slice
+    chains.  Each filling's chain is dealt; both halves must pass
     `rpp_core.check_diagonals` (a half it rejects raises out of the
     sweep), pass `t0_chains`, riffle back to the filling's own slices and
     keep its volume.  The g = 0 pairs must then be exactly the dealt ones,
@@ -132,30 +200,26 @@ def round_trips(fillings: list[RPP],
                 and sum(map(sum, blue)) + sum(map(sum, red)) == rpp.volume):
             return len(unslid), rpp
         unslid[blue, red] = rpp
-    for blue, red in pairs:  # each g = 0 pair pops its dealt chains; any left were missed
-        chains = blue.chain, red.chain
-        if t0_chains(geometry.pattern, *chains) and unslid.pop(chains, None) is None:
-            return 2 * len(fillings) - len(unslid), make_pair(blue, red)
+    for chains in g0_pairs:  # each pops its dealt chains; any left were missed
+        if unslid.pop(chains, None) is None:
+            shape = fillings[0].shape
+            return 2 * len(fillings) - len(unslid), make_pair(
+                *(rpp_core.from_diagonals(shape, chain[1:-1]) for chain in chains))
     missed = next(iter(unslid.values()), None)
     return (2 * len(fillings) - len(unslid),
             None if missed is None else unslide(missed))
 
 
-def verify_t0_counting(lam, max_volume: int, fillings=None) -> dict:
-    """Per-volume counts of g = 0 pairs vs single RPPs, cross-checked against
-    the t -> 0 slice of the paired hook product.  `fillings`, when given,
-    are the shape's fillings of volume <= max_volume in the order of
-    `enumerate_rpps`; otherwise they are enumerated here."""
+def verify_t0_counting(lam, max_volume: int) -> dict:
+    """Per-volume counts of g = 0 pairs (`t0_pairs`) vs single RPPs
+    (`enumerate_rpps`), cross-checked against the t -> 0 slice of the
+    paired hook product."""
     lam = normalize(lam)
-    if fillings is None:
-        fillings = list(rpp_core.enumerate_rpps(lam, max_volume))
-    pattern = shape_geometry(lam).pattern
     pair_counts = [0] * (max_volume + 1)
-    for blue, red in rpp_core.pairs_within(fillings, max_volume):
-        if t0_chains(pattern, blue.chain, red.chain):
-            pair_counts[blue.volume + red.volume] += 1
+    for blue, red in t0_pairs(lam, max_volume):
+        pair_counts[sum(map(sum, blue)) + sum(map(sum, red))] += 1
     single_counts = [0] * (max_volume + 1)
-    for rpp in fillings:
+    for rpp in rpp_core.enumerate_rpps(lam, max_volume):
         single_counts[rpp.volume] += 1
     series_pair = hook_product(lam, max_volume, 2).t_zero_slice().q_coefficients()
     series_single = hook_product(lam, max_volume, 1).q_coefficients()

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from coupledrpp import checks, cli, coupling, partitions, rpp_core, sliding
+from coupledrpp import checks, cli, coupling, partitions, rpp_core, sliding, vertex_model
 from coupledrpp.coupling import make_pair
 
 CRITERIA = {
@@ -92,13 +92,14 @@ def test_run_all_enumerates_each_pair_shape_once_per_run(monkeypatch):
     first = list(calls)
     checks.run_all()
     assert calls[len(first):] == first  # nothing kept from the first run
-    # criteria 4, 6 and 7 enumerate each shape once, at the largest bound
-    # they ask of it: criterion 4's singles at 8 serve the pair shapes at
-    # 6 and (2, 2) at 8, and criterion 7 adds its largest shape at 6
+    # criterion 4 weighs its singles without enumerating them, so criteria
+    # 4, 6 and 7 enumerate the pair shapes once at 6, and criterion 7 adds
+    # its largest shape at 6 and (2, 2) at 8 for its counts
     pooled = Counter((lam, bound) for number, lam, bound in first if number in "467")
-    assert pooled == Counter([*((lam, checks.SINGLE_MAX_VOLUME)
-                                for lam in partitions.all_partitions(5)),
-                              ((4, 4, 3, 3, 1), checks.PAIR_MAX_VOLUME)])
+    assert pooled == Counter([*((lam, checks.PAIR_MAX_VOLUME)
+                                for lam in partitions.all_partitions(4) if lam),
+                              ((4, 4, 3, 3, 1), checks.PAIR_MAX_VOLUME),
+                              ((2, 2), 8)])
 
     # a criterion called on its own enumerates its own fillings each time
     pair_shapes = [lam for lam in partitions.all_partitions(4) if lam]
@@ -142,6 +143,23 @@ def test_criterion_6_reads_the_pairs_of_criterion_4(monkeypatch):
     checks.check_g_oracles()
     assert built == Counter({(None, "make_pair"): pairs, (None, "_pair_weight_of"): pairs,
                              (None, "_g_of"): pairs})
+
+
+def test_run_all_weighs_only_the_fillings_a_pair_reads(monkeypatch):
+    # criterion 4 reads its singles' q-exponents off the slice-chain tree,
+    # so only the 331 pooled pair fillings and criterion 5's example build
+    # a full weight
+    running = _tag_criteria(monkeypatch)
+    weighed = Counter()
+    weight_of = vertex_model._weight_of
+
+    def counted(rpp):
+        weighed[running[0]] += 1
+        return weight_of(rpp)
+
+    monkeypatch.setattr(vertex_model, "_weight_of", counted)
+    assert checks.run_all()["status"] == "pass"
+    assert weighed == Counter({"4": 331, "5": 1})
 
 
 def test_run_all_leaves_no_pool(monkeypatch, capsys):
@@ -192,16 +210,25 @@ def _chains(pair):
 
 def test_sliding_check_fails_either_way(monkeypatch):
     """Criterion 7 fails when the g = 0 test rejects a pair that unslide
-    makes, and when it accepts one that unslide does not make."""
-    check_t0, t0_chains = sliding.check_t0_constraints, sliding.t0_chains
+    makes, and when it accepts one that unslide does not make: in the test
+    of each dealt pair (`t0_chains`) or in the walk that finds the g = 0
+    pairs (`t0_pairs`)."""
+    check_t0, t0_chains, t0_pairs = (sliding.check_t0_constraints, sliding.t0_chains,
+                                     sliding.t0_pairs)
     lost = sliding.unslide(next(r for r in rpp_core.enumerate_rpps((3, 1), 6) if r.volume))
     extra = next(p for p in (make_pair(b, r) for b, r in rpp_core.enumerate_pairs((2, 2), 6))
                  if not check_t0(p))
     lost, extra = _chains(lost), _chains(extra)
-    monkeypatch.setattr(sliding, "t0_chains",
-                        lambda pattern, *chains: chains != lost and t0_chains(pattern, *chains))
-    assert checks.check_sliding()["details"]["failures"] == ["unslide-slide (3, 1)"]
+    with monkeypatch.context() as patch:
+        patch.setattr(sliding, "t0_chains", lambda pattern, *chains:
+                      chains != lost and t0_chains(pattern, *chains))
+        assert checks.check_sliding()["details"]["failures"] == ["unslide-slide (3, 1)"]
 
-    monkeypatch.setattr(sliding, "t0_chains",
-                        lambda pattern, *chains: chains == extra or t0_chains(pattern, *chains))
-    assert "slide-unslide (2, 2)" in checks.check_sliding()["details"]["failures"]
+    monkeypatch.setattr(sliding, "t0_pairs", lambda lam, bound:
+                        [chains for chains in t0_pairs(lam, bound) if chains != lost])
+    assert checks.check_sliding()["details"]["failures"] == ["slide-unslide (3, 1)"]
+
+    monkeypatch.setattr(sliding, "t0_pairs", lambda lam, bound: (
+        [*t0_pairs(lam, bound), extra] if lam == (2, 2) else t0_pairs(lam, bound)))
+    assert checks.check_sliding()["details"]["failures"] == [
+        "slide-unslide (2, 2)", "counting (2,2)"]

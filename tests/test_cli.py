@@ -383,7 +383,7 @@ def test_unslide_then_slide(capsys, tmp_path):
 
 
 def test_slide_roundtrip_flag(capsys, monkeypatch):
-    # the pairs come from the one list of fillings
+    # the fillings are enumerated once; the g = 0 pairs come from `t0_pairs`
     calls = []
     enumerate_rpps = rpp_core.enumerate_rpps
 
@@ -400,32 +400,51 @@ def test_slide_roundtrip_flag(capsys, monkeypatch):
 
 def test_slide_roundtrip_fails_on_a_rejected_unslid_pair(capsys, monkeypatch):
     # the g = 0 test rejects the pair one filling unslides to, so that
-    # filling does not slide back
-    t0_chains = sliding.t0_chains
+    # filling does not slide back; the walk of g = 0 pairs leaving it out
+    # names the pair
+    t0_chains, t0_pairs = sliding.t0_chains, sliding.t0_pairs
     rpp = next(r for r in rpp_core.enumerate_rpps((2, 2), 6) if r.volume)
-    lost = sliding.unslide(rpp)
-    lost = lost.blue.chain, lost.red.chain
-    monkeypatch.setattr(sliding, "t0_chains",
-                        lambda pattern, *chains: chains != lost and t0_chains(pattern, *chains))
+    pair = sliding.unslide(rpp)
+    lost = pair.blue.chain, pair.red.chain
+    with monkeypatch.context() as patch:
+        patch.setattr(sliding, "t0_chains", lambda pattern, *chains:
+                      chains != lost and t0_chains(pattern, *chains))
+        code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",
+                        "--max-volume", "6")
+        assert code == 1 and out == f"status: fail at {rpp.rows}\n"
+
+    monkeypatch.setattr(sliding, "t0_pairs", lambda lam, bound:
+                        [chains for chains in t0_pairs(lam, bound) if chains != lost])
     code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",
                     "--max-volume", "6")
-    assert code == 1 and out == f"status: fail at {rpp.rows}\n"
+    assert code == 1 and out == f"status: fail at {pair.blue.rows} / {pair.red.rows}\n"
 
 
 def test_slide_roundtrip_fails_on_an_extra_g0_pair(capsys, monkeypatch):
-    # the g = 0 test accepts the first pair with g > 0, which no filling
-    # unslides to
-    check_t0, t0_chains = sliding.check_t0_constraints, sliding.t0_chains
+    # the walk of g = 0 pairs adds the first pair with g > 0, which no
+    # filling unslides to
+    check_t0, t0_pairs = sliding.check_t0_constraints, sliding.t0_pairs
     extra = next(p for p in (coupling.make_pair(b, r)
                              for b, r in rpp_core.enumerate_pairs((2, 2), 6))
                  if not check_t0(p))
     chains_of_extra = extra.blue.chain, extra.red.chain
-    monkeypatch.setattr(sliding, "t0_chains", lambda pattern, *chains:
-                        chains == chains_of_extra or t0_chains(pattern, *chains))
+    monkeypatch.setattr(sliding, "t0_pairs", lambda lam, bound:
+                        [*t0_pairs(lam, bound), chains_of_extra])
     code, out = run(capsys, "slide", "--roundtrip", "--shape", "[2,2]",
                     "--max-volume", "6")
     assert code == 1
     assert out == f"status: fail at {extra.blue.rows} / {extra.red.rows}\n"
+
+
+TALL_COLUMN = json.dumps([1] * 1200)  # more rows than the default recursion limit
+
+
+def test_genfun_and_roundtrip_run_on_a_tall_column(capsys):
+    code, out = run(capsys, "genfun", "--shape", TALL_COLUMN, "--max-volume", "0")
+    assert code == 0 and out.endswith("status: pass\n")
+    code, out = run(capsys, "slide", "--roundtrip", "--shape", TALL_COLUMN,
+                    "--max-volume", "1")
+    assert code == 0 and out == "round trips: 4\nstatus: pass\n"
 
 
 def test_slide_roundtrip_budget_guard(capsys):

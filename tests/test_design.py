@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coupledrpp import checks, coupling, partitions, rpp_core, vertex_model
+from coupledrpp import checks, coupling, partitions, rpp_core, sliding, vertex_model
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coupledrpp"
 
@@ -213,14 +213,28 @@ def test_the_two_g_routes_read_apart(monkeypatch):
         assert [coupling.g_via_vertex(pair) for pair in _fresh_pairs()] == want
 
 
+COLUMN = (1,) * 3000  # three times the default recursion limit of rows
+
+
+def test_the_walks_take_no_recursion_per_row():
+    # the walks keep their slice-chain tree on explicit stacks: a column's
+    # fillings of volume <= 1 are all zeros and a 1 at the top
+    assert [rpp.volume for rpp in rpp_core.enumerate_rpps(COLUMN, 1)] == [0, 1]
+    a = vertex_model.A_lambda(COLUMN).q_exp
+    assert sorted(volume - q for volume, q in vertex_model.q_exponents(COLUMN, 1)) == [a, a]
+    assert len(sliding.t0_pairs(COLUMN, 1)) == 2
+
+
 @pytest.mark.parametrize("call", [
     lambda: list(rpp_core.enumerate_rpps((3, 2, 1), 6)),
     lambda: list(rpp_core.next_slices((3, 1), rpp_core.PRECEQ, 3, 6)),
     lambda: list(partitions.partitions_of(6)),
     lambda: coupling.pair_genfun_transfer((3, 2, 1), 8),
     checks.run_all,
+    lambda: vertex_model.q_exponents((3, 2, 1), 6),
+    lambda: sliding.t0_pairs((3, 2, 1), 6),
 ], ids=["enumerate_rpps", "next_slices", "partitions_of", "pair_genfun_transfer",
-        "run_all"])
+        "run_all", "q_exponents", "t0_pairs"])
 def test_no_call_leaves_cyclic_garbage(call):
     # what a call builds is freed by reference counting, so the cyclic
     # collector finds nothing to free after it

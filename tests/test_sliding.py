@@ -246,17 +246,31 @@ def test_round_trips_names_an_unslid_pair_no_pair_matched():
     # one round trip per filling and per g = 0 pair; an unslid pair left
     # out of the pairs is the failure
     fillings = list(R.enumerate_rpps((2, 2), 6))
-    pairs = list(R.pairs_within(fillings, 6))
+    pairs = S.t0_pairs((2, 2), 6)
     assert S.round_trips(fillings, pairs) == (78, None)
     lost = S.unslide(fillings[3])
-    kept = [p for p in pairs if p != (lost.blue, lost.red)]
+    kept = [p for p in pairs if p != (lost.blue.chain, lost.red.chain)]
     assert S.round_trips(fillings, kept) == (77, lost)
 
 
 def test_round_trips_counts_one_per_filling_and_per_g0_pair():
     for lam, want in [((4, 4, 3, 3, 1), 662), ((3, 1), 114)]:
         fillings = list(R.enumerate_rpps(lam, 6))
-        assert S.round_trips(fillings, R.pairs_within(fillings, 6)) == (want, None)
+        assert S.round_trips(fillings, S.t0_pairs(lam, 6)) == (want, None)
+
+
+@pytest.mark.parametrize("lam, n", [(lam, n) for lam in P.all_partitions(6)
+                                     for n in (0, 3, 6)])
+def test_t0_pairs_are_the_pairs_the_g0_test_keeps(lam, n):
+    # the joint walk finds the pairs the whole-chain test keeps, each once,
+    # one per filling of the same total volume
+    pattern = R.shape_geometry(lam).pattern
+    fillings = list(R.enumerate_rpps(lam, n))
+    want = [(blue.chain, red.chain) for blue, red in R.pairs_within(fillings, n)
+            if S.t0_chains(pattern, blue.chain, red.chain)]
+    got = S.t0_pairs(lam, n)
+    assert sorted(got) == sorted(want)
+    assert len(got) == len(fillings)
 
 
 def test_a_deal_the_wrong_way_round_fails_criterion_7(monkeypatch):
@@ -275,11 +289,11 @@ def test_round_trips_fails_on_a_wrong_riffle_or_volume(monkeypatch):
     wrong = R.RPP(fillings[5].shape, fillings[5].rows)
     wrong.__dict__["volume"] = fillings[5].volume + 1
     bad = [*fillings[:5], wrong, *fillings[6:]]
-    assert S.round_trips(bad, R.pairs_within(fillings, 6)) == (5, wrong)
+    assert S.round_trips(bad, S.t0_pairs((3, 1), 6)) == (5, wrong)
 
     riffle = S.riffle
     monkeypatch.setattr(S, "riffle", lambda lengths, *chains: riffle(lengths, *chains)[::-1])
-    _, failure = S.round_trips(fillings, R.pairs_within(fillings, 6))
+    _, failure = S.round_trips(fillings, S.t0_pairs((3, 1), 6))
     assert failure in fillings and failure.chain[1:-1][::-1] != failure.chain[1:-1]
 
 
@@ -392,7 +406,7 @@ def test_counting_small_shapes():
 
 
 def test_counting_enumerates_the_shape_once(monkeypatch):
-    # the pairs come from the one list of fillings
+    # the singles are enumerated once; the g = 0 pairs come from `t0_pairs`
     calls = []
     enumerate_rpps = R.enumerate_rpps
 
@@ -419,6 +433,7 @@ assert False, "this interpreter must drop assert statements"
 config = vertex_model.rpp_to_config((1,), rpp_core.zero_rpp((1,)))
 vertex_model.row_masks = lambda *args: None
 print(raises(vertex_model.rpp_to_config, (1,), rpp_core.zero_rpp((1,))))
+print(raises(vertex_model.q_exponents, (1,), 0))
 # states are read off the kept masks on the first read; a path that enters
 # from the left and the bottom and leaves nowhere is no vertex
 print(raises(lambda: config._replace(masks=((1, 0, 0),) * 2).states))
@@ -444,10 +459,11 @@ def test_invariants_raise_under_python_O():
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert "no configuration" in lines[0]
-    assert "no allowed vertex" in lines[1]
-    assert "slides off" in lines[2]
-    assert "coupling sites" in lines[3]
+    assert "no configuration" in lines[1]
+    assert "no allowed vertex" in lines[2]
+    assert "slides off" in lines[3]
     assert "coupling sites" in lines[4]
-    assert "balance point" in lines[5]
+    assert "coupling sites" in lines[5]
+    assert "balance point" in lines[6]

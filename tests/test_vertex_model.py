@@ -198,6 +198,23 @@ def test_weight_bijection_small():
             assert V.config_weight_q(lam, rpp) * A == Monomial(rpp.volume)
 
 
+WALK_CASES = [(lam, n) for lam in P.all_partitions(6) for n in (0, 3, 6)]
+
+
+@pytest.mark.parametrize("lam, n", WALK_CASES)
+def test_q_exponents_are_the_fillings_weights(lam, n):
+    # the walk's (volume, q-exponent) multiset is the enumerated fillings'
+    got = V.q_exponents(lam, n)
+    want = [(rpp.volume, V.filling_weight(rpp).q_exp) for rpp in R.enumerate_rpps(lam, n)]
+    assert sorted(got) == sorted(want)
+
+
+def test_q_exponents_raise_on_a_row_without_configuration(monkeypatch):
+    monkeypatch.setattr(V, "row_masks", lambda *args: None)
+    with pytest.raises(AssertionError, match="row 1 of a valid RPP has no configuration"):
+        V.q_exponents((2, 1), 3)
+
+
 def neighbors_up(rpp):
     """Fillings reachable by adding one to a single cell."""
     for r in range(1, len(rpp.shape) + 1):
