@@ -90,8 +90,8 @@ def check_single_genfun() -> dict:
     bad = []
     for lam in GENFUN_SHAPES:
         counts = QTSeries(SINGLE_GENFUN_TRUNC)
-        for rpp in rpp_core.enumerate_rpps(lam, SINGLE_GENFUN_TRUNC):
-            counts.add_term(rpp.volume, 0)
+        for _, volume in rpp_core.slice_chains(lam, SINGLE_GENFUN_TRUNC):
+            counts.add_term(volume, 0)
         if counts != hook_product(lam, SINGLE_GENFUN_TRUNC, 1):
             bad.append(list(lam))
     return _report("single-genfun", not bad, shapes=len(GENFUN_SHAPES),

@@ -148,8 +148,8 @@ def cmd_genfun(args) -> int:
         direct = coupling.pair_genfun_transfer(lam, n)
     else:
         direct = QTSeries(n)
-        for rpp in rpp_core.enumerate_rpps(lam, n):
-            direct.add_term(rpp.volume, 0)
+        for _, volume in rpp_core.slice_chains(lam, n):
+            direct.add_term(volume, 0)
     product = hook_product(lam, n, 2 if args.paired else 1)
     ok = direct == product
     # "bruteforce" / "brute force" name the direct sum, whichever engine made it

@@ -218,39 +218,66 @@ def _fill(bounds, stop: int, j: int, left: int) -> Iterator[tuple[int, ...]]:
                 yield (v,) + rest
 
 
-def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
-    """Every RPP of the shape with volume <= max_volume, exactly once,
-    in lexicographic order of the reading word (rows bottom-up).
-
-    A depth-first walk of the tree of slice chains, on an explicit stack
-    of `next_slices` iterators, one per slice: a tall shape costs no
-    recursion."""
-    lam = normalize(lam)
+def walk(lam: tuple[int, ...], max_volume: int, root, moves) -> Iterator[tuple[tuple, int]]:
+    """The leaves of a normalized shape's slice-chain tree within
+    max_volume: the states along each leaf's path, root first, and its
+    volume.  moves(k, state, spare) iterates (state, size) for each slice,
+    of size at most spare, that may follow the one state ends in across
+    row k: one of at most lengths[k-1] parts, or () on the last row,
+    which is gray and closes the chain.  Depth-first on one explicit
+    stack of the move iterators of every row but the last, whose moves
+    are read at once as leaves: a tall shape costs no recursion."""
     if max_volume < 0:
-        return iter(())
-    if not lam:
-        return iter((zero_rpp(lam),))
-    geometry = shape_geometry(lam)
-    pattern, lengths = geometry.pattern, geometry.lengths
-    last = len(lengths)  # the last slice; the last row is gray and closes it at ()
-    found = []
-    chain, used = [()], [0]  # the slices before the stack's top iterator, and their volumes
-    stack = [next_slices((), pattern[0], lengths[0], max_volume)]
+        return
+    rows = len(shape_geometry(lam).pattern)  # 0, or at least 2
+    if not rows:
+        yield (root,), 0
+        return
+    path, used = [root], [0]  # the states before the top iterator's, and their volumes
+    stack = [moves(1, root, max_volume)]
     while stack:
-        k = len(stack)  # the top iterator yields slice k
-        for nu in stack[-1]:
-            volume = used[-1] + sum(nu)
-            if k == last:
-                found.append(_from_chain(lam, geometry, (*chain, nu, ()), volume))
-            else:
-                chain.append(nu)
+        k = len(stack)  # the top iterator moves across row k
+        for state, size in stack[-1]:
+            volume = used[-1] + size
+            if k < rows - 1:
+                path.append(state)
                 used.append(volume)
-                stack.append(next_slices(nu, pattern[k], lengths[k], max_volume - volume))
+                stack.append(moves(k + 1, state, max_volume - volume))
                 break
+            for leaf, closing in moves(rows, state, max_volume - volume):
+                yield (*path, state, leaf), volume + closing
         else:
             stack.pop()
-            chain.pop()
+            path.pop()
             used.pop()
+
+
+def _sized(nu: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    return nu, sum(nu)
+
+
+def slice_chains(lam, max_volume: int) -> Iterator[tuple[tuple, int]]:
+    """The slice chain and volume of every RPP of the shape with volume
+    <= max_volume, in the tree's order, without building one: `walk`
+    with slices for states."""
+    lam = normalize(lam)
+    pattern, lengths, _ = shape_geometry(lam)
+
+    def moves(k, mu, spare):
+        if k > len(lengths):  # the last slice has one part, so () may follow
+            return (((), 0),)
+        return map(_sized, next_slices(mu, pattern[k - 1], lengths[k - 1], spare))
+
+    return walk(lam, max_volume, (), moves)
+
+
+def enumerate_rpps(lam, max_volume: int) -> Iterator[RPP]:
+    """Every RPP of the shape with volume <= max_volume, exactly once,
+    in lexicographic order of the reading word (rows bottom-up)."""
+    lam = normalize(lam)
+    geometry = shape_geometry(lam)
+    found = [_from_chain(lam, geometry, chain, volume)
+             for chain, volume in slice_chains(lam, max_volume)]
     # every filling has the shape's row lengths, so ordering by rows is
     # ordering by the reading word
     found.sort(key=attrgetter("rows"))

@@ -49,7 +49,7 @@ from . import rpp_core
 from .partitions import normalize
 from .coupling import PairRPP, make_pair
 from .qt_series import hook_product
-from .rpp_core import PRECEQ, RPP, next_slices, shape_geometry
+from .rpp_core import PRECEQ, RPP, next_slices, shape_geometry, walk
 
 
 def _within(inner, outer) -> bool:
@@ -82,55 +82,31 @@ def t0_chains(pattern, blue, red) -> bool:
 
 def t0_pairs(lam, max_volume: int) -> list[tuple[tuple, tuple]]:
     """The (blue chain, red chain) of every pair of the shape with g = 0 and
-    total volume <= max_volume, without building a filling: a depth-first
-    walk of both colors' slice-chain trees at once, on an explicit stack.
+    total volume <= max_volume, without building a filling: a `walk` of
+    both colors' slice-chain trees at once, whose states are a blue and a
+    red slice.
 
     Each half of a row's test reads one new slice, so the row's passing
     moves are every blue move that passes its half paired with every red
-    move that passes its own, within the volume left.  The last row closes
-    both chains at (), a slice of 0 cells."""
+    move that passes its own, within the volume left: blue-major, each
+    color in `next_slices` order."""
     lam = normalize(lam)
-    if max_volume < 0:
-        return []
     pattern, lengths, _ = shape_geometry(lam)
-    if not pattern:
-        return [(((),), ((),))]
     caps = (*lengths, 0)
-    found = []
-    blues, reds, used = [()], [()], [0]  # the slices before the stack's top iterator
-    stack = [_t0_moves(pattern[0], caps[0], (), (), max_volume)]
-    while stack:
-        k = len(stack)  # the top iterator yields slices k, across row k
-        for b, r, size in stack[-1]:
-            if k == len(pattern):
-                found.append(((*blues, b), (*reds, r)))
-            else:
-                blues.append(b)
-                reds.append(r)
-                used.append(used[-1] + size)
-                stack.append(_t0_moves(pattern[k], caps[k], b, r, max_volume - used[-1]))
-                break
-        else:
-            stack.pop()
-            blues.pop()
-            reds.pop()
-            used.pop()
-    return found
 
+    def moves(k, olds, spare):
+        rel, cap, (blue_old, red_old) = pattern[k - 1], caps[k - 1], olds
+        reds = [(nu, sum(nu)) for nu in next_slices(red_old, rel, cap, spare)
+                if _red_half(rel, nu, blue_old)]
+        found = []
+        for b in next_slices(blue_old, rel, cap, spare):
+            if _blue_half(rel, b, red_old):
+                size = sum(b)
+                found.extend(((b, r), size + r_size) for r, r_size in reds
+                             if size + r_size <= spare)
+        return iter(found)
 
-def _t0_moves(rel: str, cap: int, blue_old, red_old, spare: int):
-    """The moves (blue nu, red nu, |blue nu| + |red nu|) of a row of
-    relation rel that pass its g = 0 test, with at most cap parts each and
-    at most spare in all, blue-major, each color in `next_slices` order."""
-    reds = [(nu, sum(nu)) for nu in next_slices(red_old, rel, cap, spare)
-            if _red_half(rel, nu, blue_old)]
-    moves = []
-    for b in next_slices(blue_old, rel, cap, spare):
-        if _blue_half(rel, b, red_old):
-            size = sum(b)
-            moves.extend((b, r, size + r_size) for r, r_size in reds
-                         if size + r_size <= spare)
-    return iter(moves)
+    return [tuple(zip(*path)) for path, _ in walk(lam, max_volume, ((), ()), moves)]
 
 
 def riffle(lengths, blue, red) -> tuple[tuple[int, ...], ...]:
@@ -212,15 +188,15 @@ def round_trips(fillings: list[RPP],
 
 def verify_t0_counting(lam, max_volume: int) -> dict:
     """Per-volume counts of g = 0 pairs (`t0_pairs`) vs single RPPs
-    (`enumerate_rpps`), cross-checked against the t -> 0 slice of the
+    (`rpp_core.slice_chains`), cross-checked against the t -> 0 slice of the
     paired hook product."""
     lam = normalize(lam)
     pair_counts = [0] * (max_volume + 1)
     for blue, red in t0_pairs(lam, max_volume):
         pair_counts[sum(map(sum, blue)) + sum(map(sum, red))] += 1
     single_counts = [0] * (max_volume + 1)
-    for rpp in rpp_core.enumerate_rpps(lam, max_volume):
-        single_counts[rpp.volume] += 1
+    for _, volume in rpp_core.slice_chains(lam, max_volume):
+        single_counts[volume] += 1
     series_pair = hook_product(lam, max_volume, 2).t_zero_slice().q_coefficients()
     series_single = hook_product(lam, max_volume, 1).q_coefficients()
     mismatches = [n for n in range(max_volume + 1)

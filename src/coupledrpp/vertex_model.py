@@ -21,7 +21,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .partitions import maya_mask, normalize
-from .rpp_core import PRECEQ, RPP, next_slices, shape_geometry
+from .rpp_core import PRECEQ, RPP, next_slices, shape_geometry, walk
 
 
 class VertexState(NamedTuple):
@@ -355,46 +355,29 @@ def _weight_of(rpp: RPP) -> FillingWeight:
 
 def q_exponents(lam, max_volume: int) -> list[tuple[int, int]]:
     """(volume, `config_weight_q` exponent) of every filling of the shape
-    with volume <= max_volume, without building one: a depth-first walk
-    of the tree of slice chains on an explicit stack, in which each tree
-    edge, a row from slice mu to slice nu, reads one `maya_mask` and one
-    `row_masks`.  The last row closes the chain at (), a slice of 0 cells.
-    It raises AssertionError where a row has no configuration, as
-    `_rows_of` does."""
+    with volume <= max_volume, without building one: a `walk` of the
+    slice-chain tree whose states are a slice, its interface mask and the
+    q-exponent up to it.  Each tree edge, a row from slice mu to slice
+    nu, reads one `maya_mask` and one `row_masks`.  It raises
+    AssertionError where a row has no configuration, as `_rows_of` does."""
     lam = normalize(lam)
-    if max_volume < 0:
-        return []
     pattern, lengths, zetas = shape_geometry(lam)
-    if not pattern:
-        return [(0, 0)]
     caps = (*lengths, 0)
-    found = []
-    # per slice before the stack's top iterator: (its mask, volume and
-    # q-exponent up to it)
-    path = [(maya_mask((), zetas[0]), 0, 0)]
-    stack = [next_slices((), pattern[0], caps[0], max_volume)]
-    while stack:
-        k = len(stack)  # the top iterator yields slice k, across row k
+
+    def moves(k, state, spare):
+        mu, bottom, q = state
         white = pattern[k - 1] == PRECEQ
         kind = WHITE if white else GRAY
-        bottom, used, q = path[-1]
-        for nu in stack[-1]:
+        for nu in next_slices(mu, pattern[k - 1], caps[k - 1], spare):
             top = maya_mask(nu, zetas[k])
             row = row_masks(kind, bottom, top)
             if row is None:
                 raise AssertionError(f"row {k} of a valid RPP has no configuration")
-            volume = used + sum(nu)
-            q_nu = q - k * row[0].bit_count() if white else q + k * (~row[0]).bit_count()
-            if k == len(pattern):
-                found.append((volume, q_nu))
-            else:
-                path.append((top, volume, q_nu))
-                stack.append(next_slices(nu, pattern[k], caps[k], max_volume - volume))
-                break
-        else:
-            stack.pop()
-            path.pop()
-    return found
+            yield (nu, top, q - k * row[0].bit_count() if white
+                   else q + k * (~row[0]).bit_count()), sum(nu)
+
+    root = ((), maya_mask((), zetas[0]), 0)
+    return [(volume, path[-1][2]) for path, volume in walk(lam, max_volume, root, moves)]
 
 
 def config_to_json(config: VertexConfig) -> str:

@@ -92,14 +92,13 @@ def test_run_all_enumerates_each_pair_shape_once_per_run(monkeypatch):
     first = list(calls)
     checks.run_all()
     assert calls[len(first):] == first  # nothing kept from the first run
-    # criterion 4 weighs its singles without enumerating them, so criteria
-    # 4, 6 and 7 enumerate the pair shapes once at 6, and criterion 7 adds
-    # its largest shape at 6 and (2, 2) at 8 for its counts
+    # criterion 4 weighs its singles and criterion 7 counts its singles
+    # without enumerating them, so criteria 4, 6 and 7 enumerate the pair
+    # shapes once at 6, and criterion 7 adds its largest shape at 6
     pooled = Counter((lam, bound) for number, lam, bound in first if number in "467")
     assert pooled == Counter([*((lam, checks.PAIR_MAX_VOLUME)
                                 for lam in partitions.all_partitions(4) if lam),
-                              ((4, 4, 3, 3, 1), checks.PAIR_MAX_VOLUME),
-                              ((2, 2), 8)])
+                              ((4, 4, 3, 3, 1), checks.PAIR_MAX_VOLUME)])
 
     # a criterion called on its own enumerates its own fillings each time
     pair_shapes = [lam for lam in partitions.all_partitions(4) if lam]
@@ -110,7 +109,7 @@ def test_run_all_enumerates_each_pair_shape_once_per_run(monkeypatch):
     del calls[:]
     checks.check_sliding()
     assert Counter((lam, bound) for _, lam, bound in calls) == Counter(
-        [*((lam, checks.PAIR_MAX_VOLUME) for lam in checks.SLIDE_SHAPES), ((2, 2), 8)])
+        (lam, checks.PAIR_MAX_VOLUME) for lam in checks.SLIDE_SHAPES)
 
 
 def test_criterion_6_reads_the_pairs_of_criterion_4(monkeypatch):
@@ -184,8 +183,8 @@ def test_run_all_leaves_no_pool(monkeypatch, capsys):
 
 
 def test_criterion_7_builds_fillings_only_to_enumerate_them(monkeypatch):
-    # the round trips run on slice chains: only the enumerations, of 39,
-    # 57 and 331 fillings at volume <= 6 and 80 of (2, 2) at 8, and the
+    # the round trips run on slice chains and the counts on volumes: only
+    # the enumerations, of 39, 57 and 331 fillings at volume <= 6, and the
     # worked example (one slide, one unslide) build fillings and pairs
     built = Counter()
 
@@ -200,7 +199,7 @@ def test_criterion_7_builds_fillings_only_to_enumerate_them(monkeypatch):
     for module in (coupling, checks, sliding):  # each binds its own name
         monkeypatch.setattr(module, "make_pair", make_pair)
     assert checks.check_sliding()["passed"]
-    assert built == Counter({"_from_chain": 39 + 57 + 331 + 80 + 1 + 2, "make_pair": 2})
+    assert built == Counter({"_from_chain": 39 + 57 + 331 + 1 + 2, "make_pair": 2})
 
 
 def _chains(pair):

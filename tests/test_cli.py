@@ -203,7 +203,7 @@ def test_genfun_paired_bytes_at_scale(capsys, shape, bound):
 
 
 # the same for single mode (`genfun --force --format json`), which
-# enumerates every filling
+# walks every filling's slice chain
 GENFUN_SINGLE_AT_SCALE = {
     ("[3,2,1]", "20"): (664, "d40ae43ed7f48a02e78aebd164b3efed66923cc5ee58b62f9024f0c7e46aacfa"),
     ("[4,4,3,3,1]", "10"): (386, "6e1c4ed8c878d562893652e7432b371a006d78165bdeb5727b3240438253cc47"),
@@ -276,6 +276,24 @@ def test_genfun_empty_shape_at_a_large_bound_stays_small(capsys):
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["bruteforce"] == [[0, 0, 1]]
     assert peak < 10 ** 6
+
+
+def test_genfun_single_builds_no_filling(capsys, monkeypatch):
+    # single mode reads the volumes of the 28,391 fillings of (3,2,1) at
+    # N=24 off the slice-chain tree: it builds none and keeps none
+    built = []
+    from_chain = rpp_core._from_chain
+    monkeypatch.setattr(rpp_core, "_from_chain",
+                        lambda *args: built.append(args) or from_chain(*args))
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "genfun", "--shape", "[3,2,1]", "--max-volume", "24")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.endswith("status: pass\n")
+    assert built == []
+    assert peak < 2 * 2 ** 20
 
 
 def test_genfun_negative_bound_exits_2(capsys):
@@ -634,8 +652,8 @@ def test_huge_shape_exits_2(capsys, monkeypatch, argv):
     # refused before the hook table, zero filling, geometry or count is built
     for module, name in ((partitions, "hook_table"), (render, "hook_table"),
                          (rpp_core, "zero_rpp"), (rpp_core, "shape_geometry"),
-                         (rpp_core, "enumerate_rpps"), (cli, "hook_count"),
-                         (partitions, "maya_mask")):
+                         (rpp_core, "enumerate_rpps"), (rpp_core, "slice_chains"),
+                         (cli, "hook_count"), (partitions, "maya_mask")):
         refuse_calls(monkeypatch, module, name)
     cells = cli.SITE_BOUND + 1
     for shape in (f"[{cells}]", json.dumps([1] * cells)):

@@ -213,6 +213,52 @@ def test_the_two_g_routes_read_apart(monkeypatch):
         assert [coupling.g_via_vertex(pair) for pair in _fresh_pairs()] == want
 
 
+def stack_walks(source: str, module: str) -> list[str]:
+    """Every function of `source` that runs a `while` loop over a stack of
+    iterators: `while stack:` iterating `stack[-1]` and popping `stack`."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        loops = [node for node in ast.walk(fn) if isinstance(node, ast.While)
+                 and isinstance(node.test, ast.Name)]
+        for loop in loops:
+            stack, inner = loop.test.id, list(ast.walk(loop))
+            iterates = any(isinstance(node, ast.For) and isinstance(node.iter, ast.Subscript)
+                           and isinstance(node.iter.value, ast.Name)
+                           and node.iter.value.id == stack for node in inner)
+            pops = any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "pop" and isinstance(node.func.value, ast.Name)
+                       and node.func.value.id == stack for node in inner)
+            if iterates and pops:
+                found.append(f"{module}.{fn.name}")
+                break
+    return found
+
+
+def test_one_function_walks_the_slice_chain_tree():
+    source = ("def walk(todo):\n"
+              "    while todo:\n"
+              "        for x in todo[-1]:\n"
+              "            todo.append(iter(()))\n"
+              "            break\n"
+              "        else:\n"
+              "            todo.pop()\n"
+              "def drain(items):\n"
+              "    while items:\n"
+              "        items.pop()\n"
+              "def scan(rows):\n"
+              "    while rows:\n"
+              "        for x in rows[-1]:\n"
+              "            return x\n")
+    assert stack_walks(source, "m") == ["m.walk"]
+    # enumeration, the q-exponent walk and the g = 0 pair walk pass their
+    # moves to `rpp_core.walk`; none keeps a stack of its own
+    found = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in stack_walks(path.read_text(), path.stem)]
+    assert found == ["rpp_core.walk"]
+
+
 COLUMN = (1,) * 3000  # three times the default recursion limit of rows
 
 
@@ -220,6 +266,7 @@ def test_the_walks_take_no_recursion_per_row():
     # the walks keep their slice-chain tree on explicit stacks: a column's
     # fillings of volume <= 1 are all zeros and a 1 at the top
     assert [rpp.volume for rpp in rpp_core.enumerate_rpps(COLUMN, 1)] == [0, 1]
+    assert sorted(volume for _, volume in rpp_core.slice_chains(COLUMN, 1)) == [0, 1]
     a = vertex_model.A_lambda(COLUMN).q_exp
     assert sorted(volume - q for volume, q in vertex_model.q_exponents(COLUMN, 1)) == [a, a]
     assert len(sliding.t0_pairs(COLUMN, 1)) == 2
@@ -233,8 +280,9 @@ def test_the_walks_take_no_recursion_per_row():
     checks.run_all,
     lambda: vertex_model.q_exponents((3, 2, 1), 6),
     lambda: sliding.t0_pairs((3, 2, 1), 6),
+    lambda: list(rpp_core.slice_chains((3, 2, 1), 6)),
 ], ids=["enumerate_rpps", "next_slices", "partitions_of", "pair_genfun_transfer",
-        "run_all", "q_exponents", "t0_pairs"])
+        "run_all", "q_exponents", "t0_pairs", "slice_chains"])
 def test_no_call_leaves_cyclic_garbage(call):
     # what a call builds is freed by reference counting, so the cyclic
     # collector finds nothing to free after it

@@ -406,7 +406,9 @@ def test_counting_small_shapes():
 
 
 def test_counting_enumerates_the_shape_once(monkeypatch):
-    # the singles are enumerated once; the g = 0 pairs come from `t0_pairs`
+    # the singles' volumes come from `rpp_core.slice_chains`, which
+    # builds no filling, and the g = 0 pairs from `t0_pairs`: nothing is
+    # enumerated
     calls = []
     enumerate_rpps = R.enumerate_rpps
 
@@ -416,7 +418,7 @@ def test_counting_enumerates_the_shape_once(monkeypatch):
 
     monkeypatch.setattr(R, "enumerate_rpps", counted)
     assert S.verify_t0_counting((2, 2), 8)["passed"]
-    assert calls == [((2, 2), 8)]
+    assert calls == []
 
 
 INVARIANTS_UNDER_O = """
